@@ -28,7 +28,6 @@ from .class_algebra import (
 from .psym import (
     PPoly,
     bialternant_eval,
-    complete_homogeneous,
     eval_at_power_sums,
     exp_p1,
     from_schur,

@@ -5,36 +5,32 @@ implemented on first-column hook lengths (beta-numbers): removing a border
 strip of size t from the shape corresponds to replacing a beta-number b by
 b - t, with sign (-1)^(number of beta-numbers strictly between them).
 
-Full tables per degree are cached on disk as JSON; the cache directory is
-`.diagram-ops-cache/` or the DIAGRAM_OPS_CACHE_DIR environment variable.
+The full table of each degree is built once per process and memoized in
+memory (char_table).  It is the one kernel that Schur functions, structure
+constants and Hurwitz brackets are read from, so it is read-only: rows are
+tuples behind a mapping proxy.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-import os
-import random
+import types
 from fractions import Fraction
 
 from .errors import BoundError, ConsistencyError
 from .partitions import (
     Partition,
-    aut_order,
     class_size,
     degree,
     format_partition,
     kappa,
     pad,
-    parse_partition,
     partitions_of,
 )
 
 #: Largest degree for which full tables are built (p(12) = 77 rows).
 MAX_TABLE_DEGREE = 12
-
-DEFAULT_CACHE_DIR = ".diagram-ops-cache"
 
 
 def _beta_numbers(shape: Partition):
@@ -106,24 +102,6 @@ def d_r(r: Partition) -> Fraction:
     return Fraction(dimension(r), math.factorial(n))
 
 
-def d_r_product(r: Partition) -> Fraction:
-    """Same quantity by the determinant-free product formula:
-    prod_{i<j<=n} (mu_i - mu_j - i + j) / prod_{i<=n} (mu_i + n - i)!
-    with the part list padded by zeros to length n = |r|."""
-    n = degree(r)
-    if n == 0:
-        return Fraction(1)
-    mu = list(r) + [0] * (n - len(r))
-    num = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= mu[i] - mu[j] - (i + 1) + (j + 1)
-    den = 1
-    for i in range(n):
-        den *= math.factorial(mu[i] + n - (i + 1))
-    return Fraction(num, den)
-
-
 @functools.lru_cache(maxsize=None)
 def phi(r: Partition, delta: Partition) -> Fraction:
     """Normalized character: the eigenvalue of the diagram operator of
@@ -144,13 +122,15 @@ class CharacterTable:
     """Complete character table of S_n.
 
     Rows are irreducible labels, columns are classes, both in canonical
-    (reverse-lexicographic) order; entries are exact integers.
+    (reverse-lexicographic) order; entries are exact integers.  The order
+    and each row are tuples and rows is a read-only mapping, because one
+    table is shared by every caller in the process.
     """
 
     def __init__(self, n: int, order, rows):
         self.n = n
-        self.order = list(order)
-        self.rows = rows
+        self.order = tuple(order)
+        self.rows = types.MappingProxyType({tuple(r): tuple(row) for r, row in rows.items()})
         self._col = {p: i for i, p in enumerate(self.order)}
 
     def entry(self, r: Partition, delta: Partition) -> int:
@@ -180,69 +160,21 @@ class CharacterTable:
             "n": self.n,
             "order": [list(p) for p in self.order],
             "rows": {
-                format_partition(r): [str(x) for x in row]
-                for r, row in sorted(self.rows.items(), key=lambda kv: self.order.index(kv[0]))
+                format_partition(r): [str(x) for x in self.rows[r]] for r in self.order
             },
         }
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        n = obj["n"]
-        order = [tuple(p) for p in obj["order"]]
-        rows = {
-            parse_partition(key): [int(x) for x in row]
-            for key, row in obj["rows"].items()
-        }
-        return cls(n, order, rows)
 
-
-def cache_dir() -> str:
-    return os.environ.get("DIAGRAM_OPS_CACHE_DIR", DEFAULT_CACHE_DIR)
-
-
-def _cache_path(n: int) -> str:
-    return os.path.join(cache_dir(), "chartab_%d.json" % n)
-
-
+@functools.lru_cache(maxsize=None)
 def _build_table(n: int) -> CharacterTable:
     order = partitions_of(n)
-    rows = {r: [character(r, d) for d in order] for r in order}
-    return CharacterTable(n, order, rows)
+    return CharacterTable(n, order, {r: [character(r, d) for d in order] for r in order})
 
 
-def _validate_cached(table: CharacterTable, rng=None) -> bool:
-    """Spot-check one random row of a freshly loaded table against MN."""
-    rng = rng or random
-    expected_order = partitions_of(table.n)
-    if table.order != expected_order:
-        return False
-    r = rng.choice(table.order)
-    if tuple(r) not in table.rows:
-        return False
-    return table.rows[r] == [character(r, d) for d in table.order]
-
-
-def char_table(n: int, max_degree: int = MAX_TABLE_DEGREE, use_cache: bool = True) -> CharacterTable:
-    """Character table of S_n, served from the on-disk cache when valid."""
+def char_table(n: int, max_degree: int = MAX_TABLE_DEGREE) -> CharacterTable:
+    """Character table of S_n, built once per process and shared."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > max_degree:
         raise BoundError("char_table(%d) exceeds bound %d" % (n, max_degree))
-    path = _cache_path(n)
-    if use_cache and os.path.exists(path):
-        try:
-            with open(path) as f:
-                table = CharacterTable.from_json_obj(json.load(f))
-            if table.n == n and _validate_cached(table):
-                return table
-        except (ValueError, KeyError, OSError):
-            pass
-        # fall through: corrupt cache is recomputed and overwritten
-    table = _build_table(n)
-    if use_cache:
-        os.makedirs(cache_dir(), exist_ok=True)
-        tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "w") as f:
-            json.dump(table.to_json_obj(), f)
-        os.replace(tmp, path)
-    return table
+    return _build_table(n)

@@ -1,6 +1,8 @@
 """Center of the group algebra of S_n and the graded product of diagrams.
 
-structure_constant uses the Frobenius character sum; the literal
+mult_same_degree reads every structure constant of a product of two class
+sums from the character table in one pass over its rows, and is memoized;
+structure_constant picks one coefficient from it.  The literal
 pair-counting definition is kept alongside as a brute-force oracle
 (oracle_structure_constant) for validation at small n.
 
@@ -24,7 +26,6 @@ from .partitions import (
     as_partition,
     class_size,
     degree,
-    partitions_of,
     rho_sum,
 )
 from .characters import char_table, MAX_TABLE_DEGREE
@@ -39,38 +40,49 @@ MAX_ORACLE_DEGREE = 6
 def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
     """C^d_{d1,d2}: multiplicity of the class sum of d in the product of the
     class sums of d1 and d2 inside the center of the group algebra."""
-    return _structure_constant(as_partition(d1), as_partition(d2), as_partition(d))
-
-
-@functools.lru_cache(maxsize=None)
-def _structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
-    n = degree(d1)
-    if degree(d2) != n or degree(d) != n:
+    d = as_partition(d)
+    if degree(d) != degree(d1):
         raise ValueError("structure_constant requires equal degrees")
-    table = char_table(n)
-    total = Fraction(0)
-    for r in table.order:
-        total += Fraction(
-            table.entry(r, d1) * table.entry(r, d2) * table.entry(r, d),
-            table.entry(r, (1,) * n),
-        )
-    value = Fraction(class_size(d1) * class_size(d2), math.factorial(n)) * total
-    if value.denominator != 1 or value < 0:
-        raise ConsistencyError(
-            "non-integral structure constant %s for (%s, %s, %s)" % (value, d1, d2, d)
-        )
-    return int(value)
+    return int(mult_same_degree(d1, d2).coefficient(d))
 
 
 def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
     """Product of two same-degree diagrams inside the degree-n class algebra."""
     d1, d2 = as_partition(d1), as_partition(d2)
-    n = degree(d1)
-    if degree(d2) != n:
+    if degree(d2) != degree(d1):
         raise ValueError("mult_same_degree requires equal degrees")
-    return DiagramSum(
-        {d: structure_constant(d1, d2, d) for d in partitions_of(n)}
-    )
+    return _mult_same_degree(d1, d2)
+
+
+@functools.lru_cache(maxsize=None)
+def _mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
+    """Every structure constant of d1 * d2 at once, by the Frobenius formula
+
+        C^d_{d1,d2} = |C_d1| |C_d2| / n! * sum_R chi_R(d1) chi_R(d2) chi_R(d) / dim_R,
+
+    in one pass over the character-table rows.  n!/dim_R is an integer, so
+    the sum is taken in integers over n!^2 and divided once at the end.
+    """
+    n = degree(d1)
+    table = char_table(n)
+    n_fact = math.factorial(n)
+    i1, i2, i_dim = (table.order.index(d) for d in (d1, d2, (1,) * n))
+    column = [0] * len(table.order)
+    for row in table.rows.values():
+        weight = row[i1] * row[i2] * (n_fact // row[i_dim])
+        if weight:
+            for j, chi in enumerate(row):
+                column[j] += weight * chi
+    scale = class_size(d1) * class_size(d2)
+    out = {}
+    for d, total in zip(table.order, column):
+        value = Fraction(scale * total, n_fact * n_fact)
+        if value.denominator != 1 or value < 0:
+            raise ConsistencyError(
+                "non-integral structure constant %s for (%s, %s, %s)" % (value, d1, d2, d)
+            )
+        out[d] = value
+    return DiagramSum(out)
 
 
 def _mult_same_degree_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:

@@ -39,7 +39,6 @@ DEFAULT_SEED = 20101146
 
 @dataclass
 class CliConfig:
-    cache_dir: str = None
     max_degree: int = 10
     output: str = "text"
     seed: int = DEFAULT_SEED
@@ -225,7 +224,6 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument("--max-degree", type=int, default=10)
-    parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -277,15 +275,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = CliConfig(
-            cache_dir=args.cache_dir,
             max_degree=args.max_degree,
             output="json" if args.json else "text",
             seed=args.seed,
         )
-        if config.cache_dir is not None:
-            import os
-
-            os.environ["DIAGRAM_OPS_CACHE_DIR"] = config.cache_dir
         args.func(config, args)
         return 0
     except ParseError as e:

@@ -1,11 +1,13 @@
 """Genus-0 disconnected Hurwitz numbers and their generating function.
 
-Brackets <D1,...,Dk> are computed from class-algebra data: the three-point
-bracket is a structure constant divided by the centralizer order of the
-last class, and longer chains contract through intermediate classes
-weighted by their centralizer orders.  Every value is cross-checked (in
-tests) against the literal permutation-tuple count, which is also exposed
-here as oracle_tuple_count.
+Brackets <D1,...,Dk> are read from the character table of S_n by the
+Frobenius-Mednykh formula (Lando-Zvonkin, Graphs on Surfaces, App. A):
+
+    <C_1,...,C_k> = (n!)^-2 prod_i |C_i| sum_R prod_i chi_R(C_i) dim_R^(2-k),
+
+one sum over the irreducibles for every k >= 1.  Every value is
+cross-checked (in tests) against the literal permutation-tuple count,
+which is also exposed here as oracle_tuple_count.
 
 The generating function Z collects the padded brackets against the plain
 power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
@@ -23,7 +25,7 @@ from .errors import BoundError
 from .partitions import (
     Partition,
     as_partition,
-    aut_order,
+    class_size,
     degree,
     format_partition,
     multiplicity,
@@ -31,49 +33,42 @@ from .partitions import (
     partition_sort_key,
     partitions_of,
 )
-from .characters import d_r, phi
+from .characters import char_table, d_r, phi
 from .class_algebra import (
     MAX_ORACLE_DEGREE,
     compose,
     cycle_type,
     permutations_of_type,
-    structure_constant,
 )
 from .psym import PPoly, schur
 from .w_ops import apply_spectral
 
 
 def hurwitz3(d1: Partition, d2: Partition, d3: Partition) -> Fraction:
-    """Three-point bracket: C^{d3}_{d1,d2} / z_{d3}."""
-    d1, d2, d3 = as_partition(d1), as_partition(d2), as_partition(d3)
-    return Fraction(structure_constant(d1, d2, d3), aut_order(d3))
+    """Three-point bracket, C^{d3}_{d1,d2} / z_{d3}."""
+    return hurwitz_chain((d1, d2, d3))
 
 
 def hurwitz_chain(deltas) -> Fraction:
-    """Bracket <D1,...,Dk> of equal-degree diagrams by chain contraction.
-
-    k = 1 and k = 2 are the degenerate covers with at most that many
-    marked points: <D> is 1/n! for the identity class and 0 otherwise,
-    and <D1,D2> = [D1 = D2]/z.
-    """
+    """Bracket <D1,...,Dk> of equal-degree diagrams: (1/n!) times the number
+    of k-tuples of permutations of these cycle types whose product is the
+    identity, by the Frobenius-Mednykh character sum."""
     deltas = [as_partition(d) for d in deltas]
     if not deltas:
         raise ValueError("hurwitz_chain requires at least one diagram")
     n = degree(deltas[0])
     if any(degree(d) != n for d in deltas):
         raise ValueError("hurwitz_chain requires equal degrees")
-    if len(deltas) == 1:
-        return Fraction(1, math.factorial(n)) if deltas[0] == (1,) * n else Fraction(0)
-    if len(deltas) == 2:
-        return Fraction(1, aut_order(deltas[0])) if deltas[0] == deltas[1] else Fraction(0)
-    if len(deltas) == 3:
-        return hurwitz3(*deltas)
+    table = char_table(n)
+    cols = [table.order.index(d) for d in deltas]
+    i_dim = table.order.index((1,) * n)
     total = Fraction(0)
-    for y in partitions_of(n):
-        head = hurwitz3(deltas[0], deltas[1], y)
-        if head:
-            total += head * aut_order(y) * hurwitz_chain([y] + deltas[2:])
-    return total
+    for row in table.rows.values():
+        chi = math.prod(row[c] for c in cols)
+        if chi:
+            total += chi * Fraction(row[i_dim]) ** (2 - len(deltas))
+    sizes = math.prod(class_size(d) for d in deltas)
+    return total * sizes / math.factorial(n) ** 2
 
 
 def oracle_tuple_count(classes, n: int) -> Fraction:

@@ -12,12 +12,12 @@ of the operand bounds).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
 from .partitions import (
     Partition,
+    aut_order,
     degree,
     format_fraction,
     kappa,
@@ -191,6 +191,8 @@ def parse_ppoly(text: str) -> PPoly:
                 body, _, exp = factor[1:].partition("^")
                 if not body.isdigit() or (exp and not exp.isdigit()):
                     raise ParseError("malformed power-sum factor %r" % factor, 0)
+                if int(body) < 1:
+                    raise ParseError("power-sum index must be >= 1 in %r" % factor, 0)
                 mono.extend([int(body)] * (int(exp) if exp else 1))
             elif i == 0:
                 coef = parse_fraction(factor)
@@ -206,51 +208,15 @@ def p_monomial(delta: Partition) -> PPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def complete_homogeneous(i: int) -> PPoly:
-    """P_i with exp(sum_k p_k x^k / k) = sum_i P_i x^i; P_0 = 1, P_{<0} = 0.
+def schur(r: Partition) -> PPoly:
+    """Schur function of r in power sums by the Frobenius formula
+    s_R = sum_mu chi_R(mu) p_mu / z_mu, read from the character table.
 
     Results are cached; PPoly values are treated as immutable everywhere.
     """
-    if i < 0:
-        return PPoly.zero()
-    if i == 0:
-        return PPoly.one()
-    # Newton recurrence: i*P_i = sum_{k=1..i} p_k P_{i-k}
-    acc = PPoly.zero()
-    for k in range(1, i + 1):
-        acc = acc + PPoly.variable(k) * complete_homogeneous(i - k)
-    return acc * Fraction(1, i)
-
-
-@functools.lru_cache(maxsize=None)
-def schur(r: Partition) -> PPoly:
-    """Schur function of r in power sums, by the Jacobi-Trudi determinant
-    det[P_{r_i + j - i}] of complete homogeneous functions."""
     r = tuple(r)
-    l = len(r)
-    if l == 0:
-        return PPoly.one()
-    entries = [[complete_homogeneous(r[i] + (j + 1) - (i + 1)) for j in range(l)]
-               for i in range(l)]
-    total = PPoly.zero()
-    for perm in itertools.permutations(range(l)):
-        sign = _perm_sign(perm)
-        prod = PPoly.one()
-        for i in range(l):
-            prod = prod * entries[i][perm[i]]
-            if prod.is_zero():
-                break
-        total = total + prod * sign
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    table = char_table(degree(r))
+    return PPoly({mu: Fraction(chi, aut_order(mu)) for mu, chi in zip(table.order, table.rows[r])})
 
 
 def schur_expand(f: PPoly) -> dict:

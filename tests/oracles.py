@@ -1,0 +1,73 @@
+"""Slow, independent routes to quantities the package reads from the
+character table, kept here to cross-check it in tests.
+
+* complete_homogeneous / jacobi_trudi: Schur functions as the determinant
+  det[h_{r_i + j - i}] of complete homogeneous functions, summed over all
+  l! permutations of the rows.
+* d_r_product: the Plancherel weight dim(r)/|r|! by a determinant-free
+  product formula instead of hook lengths.
+"""
+
+import functools
+import itertools
+import math
+from fractions import Fraction
+
+from diagram_ops.partitions import Partition, degree
+from diagram_ops.psym import PPoly
+
+
+@functools.lru_cache(maxsize=None)
+def complete_homogeneous(i: int) -> PPoly:
+    """h_i with exp(sum_k p_k x^k / k) = sum_i h_i x^i; h_0 = 1, h_{<0} = 0."""
+    if i < 0:
+        return PPoly.zero()
+    if i == 0:
+        return PPoly.one()
+    # Newton recurrence: i*h_i = sum_{k=1..i} p_k h_{i-k}
+    acc = PPoly.zero()
+    for k in range(1, i + 1):
+        acc = acc + PPoly.variable(k) * complete_homogeneous(i - k)
+    return acc * Fraction(1, i)
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def jacobi_trudi(r: Partition) -> PPoly:
+    """Schur function of r by the Jacobi-Trudi determinant."""
+    l = len(r)
+    entries = [[complete_homogeneous(r[i] + j - i) for j in range(l)] for i in range(l)]
+    total = PPoly.zero()
+    for perm in itertools.permutations(range(l)):
+        prod = PPoly.one()
+        for i in range(l):
+            prod = prod * entries[i][perm[i]]
+            if prod.is_zero():
+                break
+        total = total + prod * _perm_sign(perm)
+    return total
+
+
+def d_r_product(r: Partition) -> Fraction:
+    """dim(r)/|r|! by the product formula
+    prod_{i<j<=n} (mu_i - mu_j - i + j) / prod_{i<=n} (mu_i + n - i)!
+    with the part list padded by zeros to length n = |r|."""
+    n = degree(r)
+    if n == 0:
+        return Fraction(1)
+    mu = list(r) + [0] * (n - len(r))
+    num = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= mu[i] - mu[j] - (i + 1) + (j + 1)
+    den = 1
+    for i in range(n):
+        den *= math.factorial(mu[i] + n - (i + 1))
+    return Fraction(num, den)

@@ -123,7 +123,7 @@ def test_criterion_6_schur_consistency():
                     ok = False
                 if 0 not in pts and bialternant_eval(r, pts + [0]) != bialternant_eval(r, pts):
                     ok = False
-    report(6, ok, "Jacobi-Trudi vs bialternant with stability")
+    report(6, ok, "Frobenius Schur functions vs bialternant with stability")
 
 
 def test_criterion_7_hurwitz_oracle():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -9,7 +8,6 @@ from diagram_ops.characters import (
     char_table,
     character,
     d_r,
-    d_r_product,
     dimension,
     phi,
 )
@@ -21,6 +19,7 @@ from diagram_ops.partitions import (
     pad,
     partitions_of,
 )
+from oracles import d_r_product
 
 # Explicit matrix models of the irreducible representations of S_3,
 # indexed by class representatives, used as a from-scratch oracle.
@@ -82,7 +81,7 @@ def test_d_r():
 
 def test_row_and_column_orthogonality():
     for n in range(1, 9):
-        table = char_table(n, use_cache=False)
+        table = char_table(n)
         table.check_orthogonality()
         # column form: sum_R chi_R(a) chi_R(b) = z_a [a = b]
         parts = table.order
@@ -127,10 +126,10 @@ def test_phi_padding_relation():
 
 
 def test_char_table_small():
-    t1 = char_table(1, use_cache=False)
-    assert t1.rows == {(1,): [1]}
-    t3 = char_table(3, use_cache=False)
-    assert t3.order == [(3,), (2, 1), (1, 1, 1)]
+    t1 = char_table(1)
+    assert t1.rows == {(1,): (1,)}
+    t3 = char_table(3)
+    assert t3.order == ((3,), (2, 1), (1, 1, 1))
     for r, row in S3_ORACLE.items():
         assert t3.entry(r, (1, 1, 1)) == row[(1, 1, 1)]
         assert t3.entry(r, (2, 1)) == row[(2, 1)]
@@ -142,31 +141,19 @@ def test_char_table_bound():
         char_table(13)
 
 
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIAGRAM_OPS_CACHE_DIR", str(tmp_path))
+def test_char_table_is_shared_and_read_only():
     t = char_table(4)
-    path = tmp_path / "chartab_4.json"
-    assert path.exists()
-    again = char_table(4)
-    assert again.rows == t.rows
-    assert again.order == t.order
-
-
-def test_corrupt_cache_is_recomputed(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIAGRAM_OPS_CACHE_DIR", str(tmp_path))
-    path = tmp_path / "chartab_3.json"
-    path.write_text("{not json")
-    t = char_table(3)
-    assert t.entry((2, 1), (3,)) == -1
-    # the bad file was overwritten with a valid one
-    obj = json.loads(path.read_text())
-    assert obj["n"] == 3
-
-    # a well-formed file with wrong entries must also be rejected
-    obj["rows"]["[3]"] = ["7", "7", "7"]
-    path.write_text(json.dumps(obj))
-    t = char_table(3)
-    assert t.entry((3,), (3,)) == 1
+    assert char_table(4) is t
+    with pytest.raises(TypeError):
+        t.rows[(4,)] = (0,) * 5
+    with pytest.raises(TypeError):
+        t.rows[(4,)][0] = 7
+    with pytest.raises(TypeError):
+        t.order[0] = (1, 1, 1, 1)
+    row = t.row((4,))
+    row[0] = 7
+    assert t.entry((4,), (4,)) == 1
+    assert t.row((4,)) == [1, 1, 1, 1, 1]
 
 
 def test_phi_zero_above_degree():

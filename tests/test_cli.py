@@ -107,18 +107,22 @@ def test_selftest_quick_deterministic(capsys):
     assert all(s["failures"] == 0 for s in report["suites"])
 
 
-def test_selftest_with_corrupted_cache(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DIAGRAM_OPS_CACHE_DIR", str(tmp_path))
-    (tmp_path / "chartab_3.json").write_text("{broken")
-    code, out, _ = run(capsys, "selftest", "--level", "quick")
+def test_evolve_p_bound_8(capsys):
+    code, out, _ = run(capsys, "evolve", "--p-bound", "8", "--order", "1", "[2]")
     assert code == 0
-    assert "PASS" in out
+    assert "b[2]^1 | p_[2,1,1,1,1,1,1] : 1/1440" in out.splitlines()
 
 
-def test_cache_dir_flag(tmp_path, capsys, monkeypatch):
-    # pre-register the env var with monkeypatch so the CLI's mutation of it
-    # is rolled back after the test
-    monkeypatch.setenv("DIAGRAM_OPS_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "--cache-dir", str(tmp_path / "c"), "chartable", "4")
-    assert code == 0
-    assert (tmp_path / "c" / "chartab_4.json").exists()
+def test_zero_power_sum_index_is_parse_error(capsys):
+    code, _, err = run(capsys, "wapply", "[2]", "p0")
+    assert code == 2
+    assert "parse" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "--json", "wapply", "[2]", "2*p0^2")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"
+
+
+def test_cache_dir_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", "somewhere", "chartable", "3"])
+    assert exc.value.code == 2

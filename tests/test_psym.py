@@ -3,11 +3,10 @@ import random
 import pytest
 from fractions import Fraction
 
-from diagram_ops.errors import ParseError
+from diagram_ops.errors import BoundError, ParseError
 from diagram_ops.psym import (
     PPoly,
     bialternant_eval,
-    complete_homogeneous,
     eval_at_power_sums,
     exp_p1,
     from_schur,
@@ -18,6 +17,7 @@ from diagram_ops.psym import (
 )
 from diagram_ops.partitions import aut_order, kappa, partitions_of
 from diagram_ops.characters import char_table, d_r
+from oracles import complete_homogeneous, jacobi_trudi
 
 
 def random_poly(rng, max_deg=6, n_terms=5):
@@ -51,6 +51,27 @@ def test_schur_small():
     assert schur((1, 1)) == PPoly({(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)})
     assert schur((2, 1)) == PPoly({(1, 1, 1): Fraction(1, 3), (3,): Fraction(-1, 3)})
     assert schur(()) == PPoly.one()
+
+
+def test_schur_matches_jacobi_trudi():
+    for n in range(7):
+        for r in partitions_of(n):
+            assert schur(r) == jacobi_trudi(r), r
+
+
+def test_schur_row_and_column_closed_forms():
+    # s_[n] = h_n = sum_mu p_mu / z_mu and s_[1^n] = e_n carries the sign
+    # (-1)^(n - l(mu)) on each term
+    for n in range(11):
+        row = PPoly({mu: kappa(mu) for mu in partitions_of(n)})
+        column = PPoly({mu: (-1) ** (n - len(mu)) * kappa(mu) for mu in partitions_of(n)})
+        assert schur((n,) if n else ()) == row
+        assert schur((1,) * n) == column
+
+
+def test_schur_bound():
+    with pytest.raises(BoundError):
+        schur((13,))
 
 
 def test_schur_homogeneous():
@@ -177,6 +198,9 @@ def test_parse_ppoly():
     assert parse_ppoly(schur((2, 2)).to_text()) == schur((2, 2))
     with pytest.raises(ParseError):
         parse_ppoly("1/3*q2")
+    for text in ("p0", "2*p0^2", "p1 + p00"):
+        with pytest.raises(ParseError):
+            parse_ppoly(text)
 
 
 def test_text_format():
