@@ -171,10 +171,10 @@ def _build_table(n: int) -> CharacterTable:
     return CharacterTable(n, order, {r: [character(r, d) for d in order] for r in order})
 
 
-def char_table(n: int, max_degree: int = MAX_TABLE_DEGREE) -> CharacterTable:
+def char_table(n: int) -> CharacterTable:
     """Character table of S_n, built once per process and shared."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > max_degree:
-        raise BoundError("char_table(%d) exceeds bound %d" % (n, max_degree))
+    if n > MAX_TABLE_DEGREE:
+        raise BoundError("char_table(%d) exceeds bound %d" % (n, MAX_TABLE_DEGREE))
     return _build_table(n)

@@ -30,9 +30,6 @@ from .partitions import (
 )
 from .characters import char_table, MAX_TABLE_DEGREE
 
-#: Largest total degree |D1|+|D2| handled by mult_infinity.
-MAX_PRODUCT_DEGREE = MAX_TABLE_DEGREE
-
 #: Largest n for which brute-force S_n enumeration is allowed.
 MAX_ORACLE_DEGREE = 6
 
@@ -110,14 +107,13 @@ def _graded_pieces(d1: Partition, d2: Partition):
     return pieces
 
 
-def mult_infinity(d1: Partition, d2: Partition,
-                  max_degree: int = MAX_PRODUCT_DEGREE) -> DiagramSum:
+def mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
     """Full product d1 * d2 in the algebra of diagrams of arbitrary degree."""
     d1, d2 = as_partition(d1), as_partition(d2)
-    if degree(d1) + degree(d2) > max_degree:
+    if degree(d1) + degree(d2) > MAX_TABLE_DEGREE:
         raise BoundError(
             "mult_infinity total degree %d exceeds bound %d"
-            % (degree(d1) + degree(d2), max_degree)
+            % (degree(d1) + degree(d2), MAX_TABLE_DEGREE)
         )
     total = DiagramSum.zero()
     for piece in _graded_pieces(d1, d2).values():
@@ -191,8 +187,6 @@ def oracle_structure_constant(d1: Partition, d2: Partition, d: Partition) -> int
     n = degree(d1)
     if degree(d2) != n or degree(d) != n:
         raise ValueError("oracle requires equal degrees")
-    if n > MAX_ORACLE_DEGREE:
-        raise BoundError("oracle enumeration beyond S_%d" % MAX_ORACLE_DEGREE)
     g = permutations_of_type(d)[0]
     count = 0
     for g1 in permutations_of_type(d1):

@@ -1,6 +1,8 @@
 """Command-line front end with deterministic text/JSON output.
 
-Exit codes: 0 success, 2 parse error, 3 resource bound exceeded,
+Every degree read from argv is checked against --max-degree, itself at
+most MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success, 2 parse
+error or invalid argument (ValueError), 3 resource bound exceeded,
 4 internal consistency failure (oracle mismatch, corrupt data).
 """
 
@@ -11,12 +13,10 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import hurwitz as hz
 from .errors import BoundError, ConsistencyError, ParseError
-from .characters import char_table
+from .characters import MAX_TABLE_DEGREE, char_table
 from .class_algebra import (
     mult_sum,
     oracle_structure_constant,
@@ -37,86 +37,78 @@ from .w_ops import EXPLICIT_OPS, apply_explicit, apply_spectral, eigenvalue
 DEFAULT_SEED = 20101146
 
 
-@dataclass
-class CliConfig:
-    max_degree: int = 10
-    output: str = "text"
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.max_degree > 14:
-            raise BoundError("max_degree is capped at 14")
+def _check_degrees(args, degrees):
+    """Reject a negative degree (exit 2) or one above --max-degree (exit 3)."""
+    for n in degrees:
+        if n < 0:
+            raise ParseError("degree %d is negative" % n)
+        if n > args.max_degree:
+            raise BoundError("degree %d exceeds max degree %d" % (n, args.max_degree))
 
 
-def _emit(config: CliConfig, text_value, json_obj):
-    if config.output == "json":
+def _emit(args, text_value, json_obj):
+    if args.json:
         print(json.dumps(json_obj, sort_keys=True))
     else:
         print(text_value)
 
 
-def cmd_mult(config: CliConfig, args):
+def cmd_mult(args):
     a = parse_diagram_sum(args.left)
     b = parse_diagram_sum(args.right)
+    _check_degrees(args, a.degrees() + b.degrees())
     result = mult_sum(a, b)
-    _emit(config, result.to_text(), {"result": result.to_json_obj()})
+    _emit(args, result.to_text(), {"result": result.to_json_obj()})
 
 
-def cmd_chartable(config: CliConfig, args):
-    table = char_table(args.n, max_degree=config.max_degree)
+def cmd_chartable(args):
+    _check_degrees(args, [args.n])
+    table = char_table(args.n)
     lines = ["classes: " + " ".join(format_partition(p) for p in table.order)]
-    for r in table.order:
-        lines.append(
-            "%s: %s" % (format_partition(r), " ".join(str(x) for x in table.row(r)))
-        )
-    _emit(config, "\n".join(lines), table.to_json_obj())
+    lines += ["%s: %s" % (format_partition(r), " ".join(map(str, table.rows[r])))
+              for r in table.order]
+    _emit(args, "\n".join(lines), table.to_json_obj())
 
 
-def cmd_schur(config: CliConfig, args):
+def cmd_schur(args):
     r = parse_partition(args.r)
-    if degree(r) > config.max_degree:
-        raise BoundError("degree %d exceeds max degree %d" % (degree(r), config.max_degree))
+    _check_degrees(args, [degree(r)])
     f = schur(r)
-    _emit(config, f.to_text(), f.to_json_obj())
+    _emit(args, f.to_text(), f.to_json_obj())
 
 
-def cmd_eigenvalue(config: CliConfig, args):
-    v = eigenvalue(parse_partition(args.delta), parse_partition(args.r))
-    _emit(config, format_fraction(v), {"value": format_fraction(v)})
+def cmd_eigenvalue(args):
+    delta, r = parse_partition(args.delta), parse_partition(args.r)
+    _check_degrees(args, [degree(delta), degree(r)])
+    v = eigenvalue(delta, r)
+    _emit(args, format_fraction(v), {"value": format_fraction(v)})
 
 
-def cmd_wapply(config: CliConfig, args):
+def cmd_wapply(args):
     delta = parse_partition(args.delta)
     f = parse_ppoly(args.poly)
+    _check_degrees(args, [degree(delta)] + f.homogeneous_degrees())
     if args.explicit:
         result = apply_explicit(delta, f)
     else:
         result = apply_spectral(delta, f)
-    _emit(config, result.to_text(), result.to_json_obj())
+    _emit(args, result.to_text(), result.to_json_obj())
 
 
-def cmd_hurwitz(config: CliConfig, args):
+def cmd_hurwitz(args):
     classes = [parse_partition(t) for t in args.classes]
-    n = args.n if args.n is not None else (degree(classes[0]) if classes else 0)
+    n = args.n if args.n is not None else degree(classes[0])
+    _check_degrees(args, [n] + [degree(d) for d in classes])
     for d in classes:
         if degree(d) != n:
             raise ParseError("class %s does not have degree %d" % (format_partition(d), n))
-    value = hz.hurwitz_chain(classes) if classes else Fraction(0)
-    _emit(
-        config,
-        format_fraction(value),
-        {
-            "n": n,
-            "branches": [list(d) for d in classes],
-            "value": format_fraction(value),
-        },
-    )
+    value = format_fraction(hz.hurwitz_chain(classes))
+    _emit(args, value, {"n": n, "branches": [list(d) for d in classes], "value": value})
 
 
-def cmd_evolve(config: CliConfig, args):
+def cmd_evolve(args):
     directions = [parse_partition(t) for t in args.directions]
-    if args.p_bound > config.max_degree:
-        raise BoundError("p-bound %d exceeds max degree %d" % (args.p_bound, config.max_degree))
+    _check_degrees(args, [args.p_bound] + [degree(d) for d in directions])
     series = hz.generating_function(directions, p_bound=args.p_bound, order=args.order)
     obj = series.to_json_obj()
     lines = []
@@ -124,7 +116,7 @@ def cmd_evolve(config: CliConfig, args):
         beta = " ".join("b%s^%d" % (p, k) for p, k in term["beta"].items()) or "1"
         mono = format_partition(tuple(term["mono"]))
         lines.append("%s | p_%s : %s" % (beta, mono, term["coef"]))
-    _emit(config, "\n".join(lines), obj)
+    _emit(args, "\n".join(lines), obj)
 
 
 def _selftest_suites(level: str, seed: int):
@@ -204,9 +196,9 @@ def _selftest_suites(level: str, seed: int):
     return {"level": level, "seed": seed, "suites": suites, "ok": ok}
 
 
-def cmd_selftest(config: CliConfig, args):
-    report = _selftest_suites(args.level, config.seed)
-    if config.output == "json":
+def cmd_selftest(args):
+    report = _selftest_suites(args.level, args.seed)
+    if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         for s in report["suites"]:
@@ -223,7 +215,8 @@ def build_parser():
                     "cut-and-join operators and Hurwitz numbers.",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
-    parser.add_argument("--max-degree", type=int, default=10)
+    parser.add_argument("--max-degree", type=int, default=10,
+                        help="largest degree of any input (at most %d)" % MAX_TABLE_DEGREE)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -274,17 +267,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig(
-            max_degree=args.max_degree,
-            output="json" if args.json else "text",
-            seed=args.seed,
-        )
-        args.func(config, args)
+        if args.max_degree > MAX_TABLE_DEGREE:
+            raise BoundError("max degree is capped at %d" % MAX_TABLE_DEGREE)
+        args.func(args)
         return 0
-    except ParseError as e:
+    except ValueError as e:
         _fail(args, "parse", e)
         return 2
-    except (BoundError, RecursionError) as e:
+    except BoundError as e:
         _fail(args, "resource", e)
         return 3
     except ConsistencyError as e:
@@ -293,7 +283,7 @@ def main(argv=None) -> int:
 
 
 def _fail(args, kind, exc):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"error": {"kind": kind, "msg": str(exc)}}, sort_keys=True))
     else:
         print("error (%s): %s" % (kind, exc), file=sys.stderr)

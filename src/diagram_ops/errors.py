@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: ParseError -> 2, BoundError -> 3,
-ConsistencyError -> 4.
+Exit-code mapping used by the CLI: ValueError (ParseError included) -> 2,
+BoundError -> 3, ConsistencyError -> 4.  Every ValueError the library
+raises is an argument check on its input.
 """
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .errors import BoundError
 from .partitions import (
     Partition,
     as_partition,
+    aut_order,
     class_size,
     degree,
     format_partition,
@@ -33,15 +35,19 @@ from .partitions import (
     partition_sort_key,
     partitions_of,
 )
-from .characters import char_table, d_r, phi
+from .characters import char_table, phi
 from .class_algebra import (
     MAX_ORACLE_DEGREE,
     compose,
     cycle_type,
     permutations_of_type,
 )
-from .psym import PPoly, schur
+from .psym import PPoly
 from .w_ops import apply_spectral
+
+#: Most (beta multi-index, R) pairs, C(order+k, k) times the number of R
+#: with |R| <= p_bound, that generating_function expands.
+MAX_SERIES_PAIRS = 100_000
 
 
 def hurwitz3(d1: Partition, d2: Partition, d3: Partition) -> Fraction:
@@ -79,12 +85,8 @@ def oracle_tuple_count(classes, n: int) -> Fraction:
         raise BoundError("tuple oracle beyond S_%d" % MAX_ORACLE_DEGREE)
     if any(degree(d) != n for d in classes):
         raise ValueError("oracle classes must all have degree %d" % n)
-    identity = (1,) * n if n else ()
     if not classes:
         return Fraction(1, math.factorial(n))
-    if len(classes) == 1:
-        count = 1 if classes[0] == identity else 0
-        return Fraction(count, math.factorial(n))
     count = 0
     pools = [permutations_of_type(d) for d in classes[:-1]]
     last_type = classes[-1]
@@ -169,10 +171,6 @@ class HurwitzSeries:
             fact *= math.factorial(k)
         return self.coefficient(counts, mono) * fact
 
-    def beta_keys(self):
-        return sorted({key for key, _ in self.terms},
-                      key=lambda key: (sum(k for _, k in key), key))
-
     def ppoly_at(self, key) -> PPoly:
         """Coefficient of the beta monomial indexed by key, as a PPoly."""
         return PPoly(
@@ -200,39 +198,53 @@ class HurwitzSeries:
         }
 
 
+def _multi_indices(k: int, total: int) -> list:
+    """The k-tuples of nonnegative integers with sum <= total, in lexicographic order."""
+    out = [()] if total >= 0 else []
+    for _ in range(k):
+        out = [c + (i,) for c in out for i in range(total - sum(c) + 1)]
+    return out
+
+
 def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     """Z = sum_{|R| <= p_bound} d_R exp(sum_Y beta_Y phi_R(Y)) schur(R),
-    expanded to total beta-order <= order.
+    expanded to total beta-order <= order; above MAX_SERIES_PAIRS (beta
+    multi-index, R) pairs it raises BoundError before building anything.
 
     The beta-degree-0 term is the truncation of e^{p_1}, i.e. the
     unbranched covers, including the empty one for the empty diagram.
+    With phi_R(Y) = P_R(Y) / q_Y over a common denominator q_Y for |R| = n,
+    the coefficient of beta^k p_mu is one integer sum over a table's rows:
+
+        sum_R dim_R prod_Y P_R(Y)^k_Y chi_R(mu) / (n! z_mu prod_Y q_Y^k_Y k_Y!).
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     active = sorted({as_partition(p) for p in active}, key=partition_sort_key)
+    pairs = math.comb(order + len(active), len(active)) * sum(
+        len(partitions_of(n)) for n in range(p_bound + 1))
+    if pairs > MAX_SERIES_PAIRS:
+        raise BoundError("series of %d (beta, R) pairs exceeds bound %d" % (pairs, MAX_SERIES_PAIRS))
     series = HurwitzSeries(active=tuple(active), p_bound=p_bound, order=order)
-    multi_indices = [
-        counts
-        for counts in itertools.product(range(order + 1), repeat=len(active))
-        if sum(counts) <= order
-    ]
+    multi_indices = _multi_indices(len(active), order)
+    keys = [_beta_key(dict(zip(active, counts))) for counts in multi_indices]
     for n in range(p_bound + 1):
-        for r in partitions_of(n):
-            weight = d_r(r)
-            eigs = [phi(r, y) for y in active]
-            sr = schur(r)
-            for counts in multi_indices:
-                c = weight
-                for e, k in zip(eigs, counts):
-                    c *= e ** k / math.factorial(k)
-                if not c:
-                    continue
-                key = _beta_key(dict(zip(active, counts)))
-                for mono, mc in sr.terms.items():
-                    slot = (key, mono)
-                    v = series.terms.get(slot, Fraction(0)) + c * mc
-                    if v:
-                        series.terms[slot] = v
-                    else:
-                        series.terms.pop(slot, None)
+        table = char_table(n)
+        dims = [table.entry(r, (1,) * n) for r in table.order]
+        columns = list(zip(*(table.rows[r] for r in table.order)))
+        eigs = [[phi(r, y) for r in table.order] for y in active]
+        q = [math.lcm(*(e.denominator for e in row)) for row in eigs]
+        num = [[e.numerator * (qy // e.denominator) for e in row] for row, qy in zip(eigs, q)]
+        for key, counts in zip(keys, multi_indices):
+            powers = [(row, k) for row, k in zip(num, counts) if k]
+            weights = [dim * math.prod(row[j] ** k for row, k in powers)
+                       for j, dim in enumerate(dims)]
+            scale = math.factorial(n) * math.prod(
+                qy ** k * math.factorial(k) for qy, k in zip(q, counts))
+            for mu, column in zip(table.order, columns):
+                total = sum(map(operator.mul, weights, column))
+                if total:
+                    series.terms[(key, mu)] = Fraction(total, scale * aut_order(mu))
     return series
 
 
@@ -243,12 +255,8 @@ def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
     if upsilon not in series.active:
         raise ValueError("%s is not an active direction" % (upsilon,))
     worst = Fraction(0)
-    all_indices = [
-        dict(zip(series.active, counts))
-        for counts in itertools.product(range(series.order), repeat=len(series.active))
-        if sum(counts) < series.order
-    ]
-    for counts in all_indices:
+    for indices in _multi_indices(len(series.active), series.order - 1):
+        counts = dict(zip(series.active, indices))
         key = _beta_key(counts)
         # d/dbeta_Y picks the coefficient one order up, times its power
         up = {p: k for p, k in counts.items()}

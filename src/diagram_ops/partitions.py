@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import types
 from fractions import Fraction
 
 from .errors import BoundError, ParseError
@@ -81,13 +82,13 @@ def pad(delta: Partition, k: int) -> Partition:
     return delta + (1,) * k
 
 
-def partitions_of(n: int, max_degree: int = MAX_ENUM_DEGREE) -> list:
+def partitions_of(n: int) -> list:
     """All partitions of n, each exactly once, in reverse-lexicographic
     order ([n] first, [1,...,1] last)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > max_degree:
-        raise BoundError("partitions_of(%d) exceeds bound %d" % (n, max_degree))
+    if n > MAX_ENUM_DEGREE:
+        raise BoundError("partitions_of(%d) exceeds bound %d" % (n, MAX_ENUM_DEGREE))
     out = []
 
     def rec(remaining, largest, prefix):
@@ -155,7 +156,8 @@ def parse_fraction(text: str) -> Fraction:
 class DiagramSum:
     """Finitely supported Fraction-linear combination of partitions.
 
-    Immutable; arithmetic returns new sums and never stores zero terms.
+    Immutable, with read-only terms since memoized products are shared;
+    arithmetic returns new sums and never stores zero terms.
     """
 
     __slots__ = ("_terms",)
@@ -163,12 +165,12 @@ class DiagramSum:
     def __init__(self, terms=None):
         d = {}
         if terms:
-            for part, coef in (terms.items() if isinstance(terms, dict) else terms):
+            for part, coef in (terms.items() if hasattr(terms, "items") else terms):
                 c = Fraction(coef)
                 if c:
                     key = as_partition(part)
                     d[key] = d.get(key, Fraction(0)) + c
-        self._terms = {p: c for p, c in d.items() if c}
+        self._terms = types.MappingProxyType({p: c for p, c in d.items() if c})
 
     @classmethod
     def zero(cls):
@@ -184,9 +186,6 @@ class DiagramSum:
 
     def coefficient(self, delta: Partition) -> Fraction:
         return self._terms.get(tuple(delta), Fraction(0))
-
-    def support(self):
-        return set(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -13,15 +13,19 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from fractions import Fraction
 
+from .errors import BoundError, ParseError
 from .partitions import (
+    MAX_ENUM_DEGREE,
     Partition,
     aut_order,
     degree,
     format_fraction,
     kappa,
     multiplicity,
+    parse_fraction,
 )
 from .characters import char_table
 
@@ -41,7 +45,8 @@ def _monomial_sort_key(mono: Partition):
 
 
 class PPoly:
-    """Sparse exact polynomial in the variables p_1, p_2, ..."""
+    """Sparse exact polynomial in the variables p_1, p_2, ...; terms is
+    read-only, because memoized values such as schur(r) are shared."""
 
     __slots__ = ("terms", "bound")
 
@@ -49,12 +54,12 @@ class PPoly:
         self.bound = bound
         d = {}
         if terms:
-            for mono, coef in (terms.items() if isinstance(terms, dict) else terms):
+            for mono, coef in (terms.items() if hasattr(terms, "items") else terms):
                 c = Fraction(coef)
                 key = tuple(sorted(mono, reverse=True))
                 if c and (bound is None or degree(key) <= bound):
                     d[key] = d.get(key, Fraction(0)) + c
-        self.terms = {m: c for m, c in d.items() if c}
+        self.terms = types.MappingProxyType({m: c for m, c in d.items() if c})
 
     @classmethod
     def zero(cls, bound=None):
@@ -173,9 +178,6 @@ class PPoly:
 def parse_ppoly(text: str) -> PPoly:
     """Parse the textual form produced by PPoly.to_text, e.g.
     '1/3*p1^3 + -1/3*p3' or '2' or 'p2*p1^2'."""
-    from .errors import ParseError
-    from .partitions import parse_fraction
-
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial", 0)
@@ -191,9 +193,13 @@ def parse_ppoly(text: str) -> PPoly:
                 body, _, exp = factor[1:].partition("^")
                 if not body.isdigit() or (exp and not exp.isdigit()):
                     raise ParseError("malformed power-sum factor %r" % factor, 0)
-                if int(body) < 1:
+                k, m = int(body), int(exp) if exp else 1
+                if k < 1:
                     raise ParseError("power-sum index must be >= 1 in %r" % factor, 0)
-                mono.extend([int(body)] * (int(exp) if exp else 1))
+                if k * m > MAX_ENUM_DEGREE:
+                    raise BoundError("factor %r has degree %d above bound %d"
+                                     % (factor, k * m, MAX_ENUM_DEGREE))
+                mono.extend([k] * m)
             elif i == 0:
                 coef = parse_fraction(factor)
             else:

@@ -6,6 +6,9 @@ character table, kept here to cross-check it in tests.
   l! permutations of the rows.
 * d_r_product: the Plancherel weight dim(r)/|r|! by a determinant-free
   product formula instead of hook lengths.
+* series_by_schur: the generating function's coefficients summed term by
+  term in Fractions, d_R prod_Y phi_R(Y)^k_Y / k_Y! times schur(R), over
+  every beta multi-index the itertools filter keeps.
 """
 
 import functools
@@ -13,8 +16,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from diagram_ops.partitions import Partition, degree
-from diagram_ops.psym import PPoly
+from diagram_ops.characters import d_r, phi
+from diagram_ops.hurwitz import _beta_key
+from diagram_ops.partitions import Partition, degree, partitions_of
+from diagram_ops.psym import PPoly, schur
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,3 +76,21 @@ def d_r_product(r: Partition) -> Fraction:
     for i in range(n):
         den *= math.factorial(mu[i] + n - (i + 1))
     return Fraction(num, den)
+
+
+def series_by_schur(active, p_bound: int, order: int) -> dict:
+    """{(beta key, monomial): coefficient} of the truncated generating
+    function, active in the canonical order of HurwitzSeries.active."""
+    terms = {}
+    for counts in itertools.product(range(order + 1), repeat=len(active)):
+        if sum(counts) > order:
+            continue
+        key = _beta_key(dict(zip(active, counts)))
+        for n in range(p_bound + 1):
+            for r in partitions_of(n):
+                c = d_r(r)
+                for y, k in zip(active, counts):
+                    c *= phi(r, y) ** k / math.factorial(k)
+                for mono, mc in schur(r).terms.items():
+                    terms[(key, mono)] = terms.get((key, mono), 0) + c * mc
+    return {slot: v for slot, v in terms.items() if v}

@@ -70,6 +70,12 @@ def test_mult_infinity_unit_row_square():
     assert mult_infinity((1,), (1,)) == DiagramSum([((1,), 1), ((1, 1), 2)])
 
 
+def test_memoized_product_is_read_only():
+    with pytest.raises(TypeError):
+        mult_same_degree((2,), (2,))._terms[(1, 1)] = 5
+    assert mult_same_degree((2,), (2,)).coefficient((1, 1)) == 1
+
+
 def test_mult_infinity_bound():
     with pytest.raises(BoundError):
         mult_infinity((7,), (6,))

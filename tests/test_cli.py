@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import diagram_ops
 
 from diagram_ops.cli import main
 
@@ -126,3 +132,32 @@ def test_cache_dir_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--cache-dir", "somewhere", "chartable", "3"])
     assert exc.value.code == 2
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(diagram_ops.__file__)))
+EIGHT_DIRECTIONS = ["[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]", "[4]", "[3,1]"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["chartable", "-1"], 2),
+    (["wapply", "--explicit", "[4]", "p4"], 2),
+    (["evolve", "--p-bound", "-1", "[2]"], 2),
+    (["eigenvalue", "[2]", "[%s]" % ",".join(["1"] * 1200)], 3),
+    (["--max-degree", "4", "mult", "[3,3]", "[2,2]"], 3),
+    (["--max-degree", "4", "wapply", "[2]", "p5"], 3),
+    (["--max-degree", "4", "hurwitz", "[3,2]", "[3,2]", "[5]"], 3),
+    (["--max-degree", "14", "chartable", "3"], 3),
+    (["--max-degree", "12", "chartable", "13"], 3),
+    (["--max-degree", "12", "wapply", "[2]", "p13"], 3),
+    (["wapply", "[2]", "p1^100000000"], 3),
+    (["evolve", "--p-bound", "2", "--order", "8"] + EIGHT_DIRECTIONS, 0),
+], ids=lambda v: " ".join(v)[:48] if isinstance(v, list) else str(v))
+def test_bounds_and_exit_codes(argv, code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "diagram_ops.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert elapsed < 5, elapsed

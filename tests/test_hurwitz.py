@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,7 +7,9 @@ from fractions import Fraction
 
 from diagram_ops.errors import BoundError
 from diagram_ops.hurwitz import (
+    MAX_SERIES_PAIRS,
     BranchSpec,
+    _multi_indices,
     generating_function,
     hurwitz3,
     hurwitz_chain,
@@ -17,6 +20,7 @@ from diagram_ops.hurwitz import (
 )
 from diagram_ops.partitions import aut_order, partitions_of
 from diagram_ops.psym import exp_p1
+from oracles import series_by_schur
 
 
 def chain_split(deltas, r):
@@ -148,6 +152,31 @@ def test_series_matches_padded_brackets():
                 branches = tuple((p, k) for p, k in beta.items() if k)
                 expected = hurwitz_padded(BranchSpec(branches, delta))
                 assert series.bracket(beta, delta) == expected, (beta, delta)
+
+
+def test_multi_indices_match_product_filter():
+    for k in range(4):
+        for total in range(-1, 4):
+            expected = [c for c in itertools.product(range(total + 1), repeat=k)
+                        if sum(c) <= total]
+            assert _multi_indices(k, total) == expected, (k, total)
+
+
+def test_generating_function_matches_schur_sum():
+    for active, p_bound, order in [([(2,)], 4, 3), ([(1,), (2,)], 5, 2),
+                                   ([(2,), (1, 1), (3,), (2, 1)], 4, 2), ([], 3, 1),
+                                   ([(4,), (2, 2)], 6, 3), ([(1,), (3, 1)], 2, 0)]:
+        series = generating_function(active, p_bound, order)
+        assert series.terms == series_by_schur(series.active, p_bound, order)
+
+
+def test_generating_function_size_bound():
+    # 368 multi-indices times the 272 diagrams of degree <= 12
+    assert 368 * 272 > MAX_SERIES_PAIRS
+    with pytest.raises(BoundError):
+        generating_function([(2,)], p_bound=12, order=367)
+    with pytest.raises(ValueError):
+        generating_function([(2,)], p_bound=2, order=-1)
 
 
 def test_pde_residual_zero():

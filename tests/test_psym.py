@@ -74,6 +74,13 @@ def test_schur_bound():
         schur((13,))
 
 
+def test_schur_value_is_read_only():
+    before = schur((2,)).to_text()
+    with pytest.raises(TypeError):
+        schur((2,)).terms[(2,)] = 5
+    assert schur((2,)).to_text() == before == "1/2*p1^2 + 1/2*p2"
+
+
 def test_schur_homogeneous():
     for n in range(7):
         for r in partitions_of(n):
