@@ -1,14 +1,16 @@
-"""Irreducible characters of symmetric groups.
+"""Irreducible characters of symmetric groups, read from full tables.
 
-Characters are computed by the Murnaghan-Nakayama border-strip recursion,
-implemented on first-column hook lengths (beta-numbers): removing a border
-strip of size t from the shape corresponds to replacing a beta-number b by
-b - t, with sign (-1)^(number of beta-numbers strictly between them).
+char_table(n) builds the table of S_n once per process.  Characters,
+Schur functions, structure constants and Hurwitz brackets all read it, so
+it is shared read-only: rows are tuples behind a mapping proxy.
 
-The full table of each degree is built once per process and memoized in
-memory (char_table).  It is the one kernel that Schur functions, structure
-constants and Hurwitz brackets are read from, so it is read-only: rows are
-tuples behind a mapping proxy.
+Tables are built by the Murnaghan-Nakayama rule read as addition: column
+mu expands p_mu in Schur functions by adding border strips of sizes mu_i
+to the empty shape (Macdonald, Symmetric Functions, I.3 ex. 11 and I.7).
+A shape is a bead abacus (James-Kerber, ch. 2): an int with n set bits at
+the first-column hook lengths lambda_i + n - 1 - i.  Adding a strip of
+size t moves a bead from b to an empty b + t, with sign (-1)^(number of
+beads strictly between them).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 from .errors import BoundError, ConsistencyError
 from .partitions import (
     Partition,
+    as_partition,
     class_size,
     degree,
     format_partition,
@@ -33,51 +36,17 @@ from .partitions import (
 MAX_TABLE_DEGREE = 12
 
 
-def _beta_numbers(shape: Partition):
-    l = len(shape)
-    return tuple(shape[i] + (l - 1 - i) for i in range(l))
-
-
-def _shape_from_betas(betas):
-    """Inverse of _beta_numbers; betas sorted decreasing, zero rows dropped."""
-    l = len(betas)
-    parts = tuple(b - (l - 1 - i) for i, b in enumerate(betas))
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
-
-
-def _strip_removals(shape: Partition, t: int):
-    """Yield (smaller shape, sign) for each border strip of size t."""
-    betas = _beta_numbers(shape)
-    beta_set = set(betas)
-    for b in betas:
-        c = b - t
-        if c < 0 or c in beta_set:
-            continue
-        height = sum(1 for x in betas if c < x < b)
-        new = tuple(sorted((beta_set - {b}) | {c}, reverse=True))
-        yield _shape_from_betas(new), -1 if height % 2 else 1
-
-
-@functools.lru_cache(maxsize=None)
-def _mn(shape: Partition, cls: Partition) -> int:
-    if not cls:
-        return 1 if not shape else 0
-    t, rest = cls[0], cls[1:]
-    total = 0
-    for smaller, sign in _strip_removals(shape, t):
-        total += sign * _mn(smaller, rest)
-    return total
-
-
 def character(r: Partition, delta: Partition) -> int:
-    """chi_R on the class of cycle type delta; degrees must match."""
+    """chi_R on the class of cycle type delta, read from the table of
+    S_|R|.  The parts of delta may come in any order; degrees must match,
+    and |R| above MAX_TABLE_DEGREE raises BoundError."""
+    r = as_partition(r)
+    delta = as_partition(sorted(delta, reverse=True))
     if degree(r) != degree(delta):
         raise ValueError(
             "degree mismatch: |R|=%d, |Delta|=%d" % (degree(r), degree(delta))
         )
-    return _mn(tuple(r), tuple(delta))
+    return char_table(degree(r)).entry(r, delta)
 
 
 def dimension(r: Partition) -> int:
@@ -133,6 +102,10 @@ class CharacterTable:
         self.rows = types.MappingProxyType({tuple(r): tuple(row) for r, row in rows.items()})
         self._col = {p: i for i, p in enumerate(self.order)}
 
+    def column(self, delta: Partition) -> int:
+        """Index of the class delta in order, and so in every row."""
+        return self._col[tuple(delta)]
+
     def entry(self, r: Partition, delta: Partition) -> int:
         return self.rows[tuple(r)][self._col[tuple(delta)]]
 
@@ -165,10 +138,38 @@ class CharacterTable:
         }
 
 
+def _add_strips(column: dict, t: int) -> dict:
+    """{mask: chi} after adding a border strip of size t to every shape."""
+    between = (1 << (t - 1)) - 1
+    out = {}
+    for mask, chi in column.items():
+        movable = mask & ~(mask >> t)
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            moved = mask ^ bead ^ (bead << t)
+            sign = ((mask >> bead.bit_length()) & between).bit_count() & 1
+            out[moved] = out.get(moved, 0) + (-chi if sign else chi)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _build_table(n: int) -> CharacterTable:
+    """Column mu adds mu's parts in ascending order; the column of each part
+    prefix is built once and shared until the build ends."""
     order = partitions_of(n)
-    return CharacterTable(n, order, {r: [character(r, d) for d in order] for r in order})
+    by_prefix = {(): {(1 << n) - 1: 1}}
+    for mu in order:
+        parts = mu[::-1]
+        for k in range(1, len(parts) + 1):
+            if parts[:k] not in by_prefix:
+                by_prefix[parts[:k]] = _add_strips(by_prefix[parts[:k - 1]], parts[k - 1])
+    columns = [by_prefix[mu[::-1]] for mu in order]
+    rows = {}
+    for r in order:
+        mask = sum(1 << (p + n - 1 - i) for i, p in enumerate(r + (0,) * (n - len(r))))
+        rows[r] = [column.get(mask, 0) for column in columns]
+    return CharacterTable(n, order, rows)
 
 
 def char_table(n: int) -> CharacterTable:

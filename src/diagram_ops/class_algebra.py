@@ -63,7 +63,7 @@ def _mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
     n = degree(d1)
     table = char_table(n)
     n_fact = math.factorial(n)
-    i1, i2, i_dim = (table.order.index(d) for d in (d1, d2, (1,) * n))
+    i1, i2, i_dim = (table.column(d) for d in (d1, d2, (1,) * n))
     column = [0] * len(table.order)
     for row in table.rows.values():
         weight = row[i1] * row[i2] * (n_fact // row[i_dim])

@@ -16,7 +16,6 @@ power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -66,8 +65,8 @@ def hurwitz_chain(deltas) -> Fraction:
     if any(degree(d) != n for d in deltas):
         raise ValueError("hurwitz_chain requires equal degrees")
     table = char_table(n)
-    cols = [table.order.index(d) for d in deltas]
-    i_dim = table.order.index((1,) * n)
+    cols = [table.column(d) for d in deltas]
+    i_dim = table.column((1,) * n)
     total = Fraction(0)
     for row in table.rows.values():
         chi = math.prod(row[c] for c in cols)
@@ -79,7 +78,8 @@ def hurwitz_chain(deltas) -> Fraction:
 
 def oracle_tuple_count(classes, n: int) -> Fraction:
     """(1/n!) * number of tuples (g_1, ..., g_k) with g_i of type classes_i
-    and g_1 ... g_k = identity, by direct enumeration over S_n."""
+    and g_1 ... g_k = identity, by direct enumeration over S_n, carrying
+    the number of ways to reach each product g_1 ... g_i from i to i + 1."""
     classes = [as_partition(d) for d in classes]
     if n > MAX_ORACLE_DEGREE:
         raise BoundError("tuple oracle beyond S_%d" % MAX_ORACLE_DEGREE)
@@ -87,17 +87,16 @@ def oracle_tuple_count(classes, n: int) -> Fraction:
         raise ValueError("oracle classes must all have degree %d" % n)
     if not classes:
         return Fraction(1, math.factorial(n))
-    count = 0
-    pools = [permutations_of_type(d) for d in classes[:-1]]
-    last_type = classes[-1]
-    ident_perm = tuple(range(n))
-    for tup in itertools.product(*pools):
-        g = ident_perm
-        for x in tup:
-            g = compose(g, x)
-        # need g * g_k = id, i.e. g_k = g^{-1}, whose type equals type(g)
-        if cycle_type(g) == last_type:
-            count += 1
+    ways = {tuple(range(n)): 1}
+    for d in classes[:-1]:
+        step = {}
+        for g, count in ways.items():
+            for x in permutations_of_type(d):
+                h = compose(g, x)
+                step[h] = step.get(h, 0) + count
+        ways = step
+    # g_k = g^{-1}, whose type equals type(g)
+    count = sum(c for g, c in ways.items() if cycle_type(g) == classes[-1])
     return Fraction(count, math.factorial(n))
 
 

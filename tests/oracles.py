@@ -4,6 +4,9 @@ character table, kept here to cross-check it in tests.
 * complete_homogeneous / jacobi_trudi: Schur functions as the determinant
   det[h_{r_i + j - i}] of complete homogeneous functions, summed over all
   l! permutations of the rows.
+* mn_character: one character by the Murnaghan-Nakayama recursion,
+  removing border strips as beta-number moves b -> b - t, memoized per
+  (shape, class).
 * d_r_product: the Plancherel weight dim(r)/|r|! by a determinant-free
   product formula instead of hook lengths.
 * series_by_schur: the generating function's coefficients summed term by
@@ -20,6 +23,45 @@ from diagram_ops.characters import d_r, phi
 from diagram_ops.hurwitz import _beta_key
 from diagram_ops.partitions import Partition, degree, partitions_of
 from diagram_ops.psym import PPoly, schur
+
+
+def _beta_numbers(shape: Partition):
+    l = len(shape)
+    return tuple(shape[i] + (l - 1 - i) for i in range(l))
+
+
+def _shape_from_betas(betas):
+    """Inverse of _beta_numbers; betas sorted decreasing, zero rows dropped."""
+    l = len(betas)
+    parts = tuple(b - (l - 1 - i) for i, b in enumerate(betas))
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
+
+
+def _strip_removals(shape: Partition, t: int):
+    """Yield (smaller shape, sign) for each border strip of size t."""
+    betas = _beta_numbers(shape)
+    beta_set = set(betas)
+    for b in betas:
+        c = b - t
+        if c < 0 or c in beta_set:
+            continue
+        height = sum(1 for x in betas if c < x < b)
+        new = tuple(sorted((beta_set - {b}) | {c}, reverse=True))
+        yield _shape_from_betas(new), -1 if height % 2 else 1
+
+
+@functools.lru_cache(maxsize=None)
+def mn_character(shape: Partition, cls: Partition) -> int:
+    """chi_shape on the class cls, removing a strip of size cls[0] first."""
+    if not cls:
+        return 1 if not shape else 0
+    t, rest = cls[0], cls[1:]
+    total = 0
+    for smaller, sign in _strip_removals(shape, t):
+        total += sign * mn_character(smaller, rest)
+    return total
 
 
 @functools.lru_cache(maxsize=None)

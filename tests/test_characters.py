@@ -19,7 +19,8 @@ from diagram_ops.partitions import (
     pad,
     partitions_of,
 )
-from oracles import d_r_product
+from diagram_ops.w_ops import eigenvalue
+from oracles import d_r_product, mn_character
 
 # Explicit matrix models of the irreducible representations of S_3,
 # indexed by class representatives, used as a from-scratch oracle.
@@ -57,6 +58,29 @@ def test_trivial_representation():
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         character((2,), (2, 1))
+
+
+def test_character_above_table_bound():
+    with pytest.raises(BoundError):
+        character((13,), (13,))
+    with pytest.raises(BoundError):
+        eigenvalue((2,), (1,) * 1200)
+
+
+def test_character_validates_shape():
+    for bad in [(1, 2), (2, 0, 1), (0,), (-1, 4)]:
+        with pytest.raises(ValueError):
+            character(bad, (3,))
+
+
+def test_character_accepts_any_cycle_order():
+    assert character((2, 1), (1, 2)) == character((2, 1), (2, 1)) == 0
+    assert character((3, 1, 1), (1, 3, 1)) == character((3, 1, 1), (3, 1, 1)) == 0
+    assert character((4, 1), (1, 2, 2)) == character((4, 1), (2, 2, 1)) == 0
+    assert character((3, 2), (1, 2, 2)) == 1
+    for cls in [(2, 0, 1), (3, -1, 1)]:
+        with pytest.raises(ValueError):
+            character((3,), cls)
 
 
 def test_dimension():
@@ -134,6 +158,16 @@ def test_char_table_small():
         assert t3.entry(r, (1, 1, 1)) == row[(1, 1, 1)]
         assert t3.entry(r, (2, 1)) == row[(2, 1)]
         assert t3.entry(r, (3,)) == row[(3,)]
+
+
+def test_char_table_matches_mn_recursion():
+    for n in range(13):
+        table = char_table(n)
+        for r in table.order:
+            for j, delta in enumerate(table.order):
+                assert table.rows[r][j] == mn_character(r, delta), (r, delta)
+                assert table.column(delta) == j
+        table.check_orthogonality()
 
 
 def test_char_table_bound():
