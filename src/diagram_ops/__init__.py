@@ -22,28 +22,23 @@ from .class_algebra import (
     mult_infinity,
     mult_same_degree,
     mult_sum,
-    oracle_structure_constant,
     structure_constant,
 )
 from .psym import (
     PPoly,
-    bialternant_eval,
-    eval_at_power_sums,
     exp_p1,
     from_schur,
     p_monomial,
     schur,
     schur_expand,
 )
-from .w_ops import apply_explicit, apply_spectral, compose_check, eigenvalue
+from .w_ops import apply_spectral, compose_check, eigenvalue
 from .hurwitz import (
-    BranchSpec,
     HurwitzSeries,
     generating_function,
     hurwitz3,
     hurwitz_chain,
     hurwitz_padded,
-    oracle_tuple_count,
     pde_residual,
     simple_hurwitz,
 )

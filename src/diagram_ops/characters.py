@@ -104,10 +104,22 @@ class CharacterTable:
 
     def column(self, delta: Partition) -> int:
         """Index of the class delta in order, and so in every row."""
-        return self._col[tuple(delta)]
+        try:
+            return self._col[tuple(delta)]
+        except KeyError:
+            raise self._unknown("class", delta) from None
 
     def entry(self, r: Partition, delta: Partition) -> int:
-        return self.rows[tuple(r)][self._col[tuple(delta)]]
+        """chi_r(delta); r and delta must be partitions of n, parts decreasing."""
+        try:
+            return self.rows[tuple(r)][self._col[tuple(delta)]]
+        except KeyError:
+            kind, label = ("class", delta) if tuple(r) in self.rows else ("shape", r)
+            raise self._unknown(kind, label) from None
+
+    def _unknown(self, kind: str, label) -> ValueError:
+        return ValueError("%s is not a %s of S_%d (parts must be decreasing and sum to %d)"
+                          % (format_partition(label), kind, self.n, self.n))
 
     def row(self, r: Partition):
         return list(self.rows[tuple(r)])

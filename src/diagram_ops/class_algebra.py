@@ -3,8 +3,8 @@
 mult_same_degree reads every structure constant of a product of two class
 sums from the character table in one pass over its rows, and is memoized;
 structure_constant picks one coefficient from it.  The literal
-pair-counting definition is kept alongside as a brute-force oracle
-(oracle_structure_constant) for validation at small n.
+pair-counting definition lives in diagram_ops.oracles
+(oracle_structure_constant), which only the tests and selftest import.
 
 mult_infinity implements the graded product on diagrams of arbitrary
 degree: pad both factors to a common degree n with the unit-row embedding,
@@ -15,7 +15,6 @@ the lower graded pieces.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -29,9 +28,6 @@ from .partitions import (
     rho_sum,
 )
 from .characters import char_table, MAX_TABLE_DEGREE
-
-#: Largest n for which brute-force S_n enumeration is allowed.
-MAX_ORACLE_DEGREE = 6
 
 
 def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
@@ -134,63 +130,3 @@ def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
         for q, cq in b.items():
             out = out + mult_infinity(p, q) * (cp * cq)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle over explicit permutations
-
-def cycle_type(perm) -> Partition:
-    """Cycle type of a permutation given as a tuple of images of 0..n-1."""
-    n = len(perm)
-    seen = [False] * n
-    lens = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lens.append(length)
-    return tuple(sorted(lens, reverse=True))
-
-
-def compose(p, q):
-    """(p after q): i -> p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def invert(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-@functools.lru_cache(maxsize=32)
-def permutations_of_type(delta: Partition):
-    """All permutations of S_n with cycle type delta, n = degree(delta)."""
-    n = degree(delta)
-    if n > MAX_ORACLE_DEGREE:
-        raise BoundError("oracle enumeration beyond S_%d" % MAX_ORACLE_DEGREE)
-    return tuple(
-        p for p in itertools.permutations(range(n)) if cycle_type(p) == delta
-    )
-
-
-def oracle_structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
-    """Literal count: fix one permutation g of type d, count pairs (g1, g2)
-    of types (d1, d2) with g1 g2 = g."""
-    d1, d2, d = as_partition(d1), as_partition(d2), as_partition(d)
-    n = degree(d1)
-    if degree(d2) != n or degree(d) != n:
-        raise ValueError("oracle requires equal degrees")
-    g = permutations_of_type(d)[0]
-    count = 0
-    for g1 in permutations_of_type(d1):
-        g2 = compose(invert(g1), g)
-        if cycle_type(g2) == d2:
-            count += 1
-    return count

@@ -10,29 +10,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
 
 from . import hurwitz as hz
 from .errors import BoundError, ConsistencyError, ParseError
 from .characters import MAX_TABLE_DEGREE, char_table
-from .class_algebra import (
-    mult_sum,
-    oracle_structure_constant,
-    structure_constant,
-)
+from .class_algebra import mult_sum
 from .partitions import (
-    class_size,
     degree,
     format_fraction,
     format_partition,
     parse_diagram_sum,
     parse_partition,
-    partitions_of,
 )
-from .psym import PPoly, parse_ppoly, schur
-from .w_ops import EXPLICIT_OPS, apply_explicit, apply_spectral, eigenvalue
+from .psym import parse_ppoly, schur
+from .w_ops import apply_spectral, eigenvalue
 
 DEFAULT_SEED = 20101146
 
@@ -89,6 +81,8 @@ def cmd_wapply(args):
     f = parse_ppoly(args.poly)
     _check_degrees(args, [degree(delta)] + f.homogeneous_degrees())
     if args.explicit:
+        from .oracles import apply_explicit
+
         result = apply_explicit(delta, f)
     else:
         result = apply_spectral(delta, f)
@@ -119,85 +113,10 @@ def cmd_evolve(args):
     _emit(args, "\n".join(lines), obj)
 
 
-def _selftest_suites(level: str, seed: int):
-    """Oracle-equivalence suites; returns a deterministic report object."""
-    rng = random.Random(seed)
-    n_max = 4 if level == "quick" else 5
-    suites = []
-
-    # structure constants vs permutation enumeration
-    cases = failures = 0
-    for n in range(1, n_max + 1):
-        parts = partitions_of(n)
-        for d1 in parts:
-            for d2 in parts:
-                for d in parts:
-                    cases += 1
-                    if structure_constant(d1, d2, d) != oracle_structure_constant(d1, d2, d):
-                        failures += 1
-    if level == "full":
-        parts6 = partitions_of(6)
-        for _ in range(25):
-            d1, d2, d = (rng.choice(parts6) for _ in range(3))
-            cases += 1
-            if structure_constant(d1, d2, d) != oracle_structure_constant(d1, d2, d):
-                failures += 1
-    suites.append({"name": "structure_constants_vs_oracle", "cases": cases,
-                   "failures": failures})
-
-    # Hurwitz chains vs tuple counts
-    cases = failures = 0
-    for n in range(1, min(n_max, 4) + 1):
-        parts = partitions_of(n)
-        triples = [(a, b, c) for a in parts for b in parts for c in parts]
-        if len(triples) > 60:
-            triples = rng.sample(triples, 60)
-        for tup in triples:
-            cases += 1
-            if hz.hurwitz_chain(tup) != hz.oracle_tuple_count(tup, n):
-                failures += 1
-    suites.append({"name": "hurwitz_chain_vs_tuple_oracle", "cases": cases,
-                   "failures": failures})
-
-    # explicit operators vs spectral route
-    cases = failures = 0
-    deg_max = 4 if level == "quick" else 5
-    for delta in sorted(EXPLICIT_OPS, key=lambda d: (degree(d), d)):
-        for n in range(deg_max + 1):
-            for mono in partitions_of(n):
-                f = PPoly({mono: 1})
-                cases += 1
-                if apply_explicit(delta, f) != apply_spectral(delta, f):
-                    failures += 1
-    suites.append({"name": "explicit_vs_spectral_operators", "cases": cases,
-                   "failures": failures})
-
-    # character table orthogonality
-    cases = failures = 0
-    for n in range(1, n_max + 1):
-        cases += 1
-        try:
-            char_table(n).check_orthogonality()
-        except ConsistencyError:
-            failures += 1
-    suites.append({"name": "character_table_orthogonality", "cases": cases,
-                   "failures": failures})
-
-    # class sizes tile n!
-    cases = failures = 0
-    for n in range(1, n_max + 3):
-        cases += 1
-        if sum(class_size(p) for p in partitions_of(n)) != math.factorial(n):
-            failures += 1
-    suites.append({"name": "class_sizes_sum_to_factorial", "cases": cases,
-                   "failures": failures})
-
-    ok = all(s["failures"] == 0 for s in suites)
-    return {"level": level, "seed": seed, "suites": suites, "ok": ok}
-
-
 def cmd_selftest(args):
-    report = _selftest_suites(args.level, args.seed)
+    from .oracles import selftest_suites
+
+    report = selftest_suites(args.level, args.seed)
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:

@@ -6,8 +6,9 @@ Frobenius-Mednykh formula (Lando-Zvonkin, Graphs on Surfaces, App. A):
     <C_1,...,C_k> = (n!)^-2 prod_i |C_i| sum_R prod_i chi_R(C_i) dim_R^(2-k),
 
 one sum over the irreducibles for every k >= 1.  Every value is
-cross-checked (in tests) against the literal permutation-tuple count,
-which is also exposed here as oracle_tuple_count.
+cross-checked, in the tests and selftest, against the literal
+permutation-tuple count diagram_ops.oracles.oracle_tuple_count; nothing
+here imports that module.
 
 The generating function Z collects the padded brackets against the plain
 power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BoundError
@@ -35,12 +35,6 @@ from .partitions import (
     partitions_of,
 )
 from .characters import char_table, phi
-from .class_algebra import (
-    MAX_ORACLE_DEGREE,
-    compose,
-    cycle_type,
-    permutations_of_type,
-)
 from .psym import PPoly
 from .w_ops import apply_spectral
 
@@ -76,64 +70,26 @@ def hurwitz_chain(deltas) -> Fraction:
     return total * sizes / math.factorial(n) ** 2
 
 
-def oracle_tuple_count(classes, n: int) -> Fraction:
-    """(1/n!) * number of tuples (g_1, ..., g_k) with g_i of type classes_i
-    and g_1 ... g_k = identity, by direct enumeration over S_n, carrying
-    the number of ways to reach each product g_1 ... g_i from i to i + 1."""
-    classes = [as_partition(d) for d in classes]
-    if n > MAX_ORACLE_DEGREE:
-        raise BoundError("tuple oracle beyond S_%d" % MAX_ORACLE_DEGREE)
-    if any(degree(d) != n for d in classes):
-        raise ValueError("oracle classes must all have degree %d" % n)
-    if not classes:
-        return Fraction(1, math.factorial(n))
-    ways = {tuple(range(n)): 1}
-    for d in classes[:-1]:
-        step = {}
-        for g, count in ways.items():
-            for x in permutations_of_type(d):
-                h = compose(g, x)
-                step[h] = step.get(h, 0) + count
-        ways = step
-    # g_k = g^{-1}, whose type equals type(g)
-    count = sum(c for g, c in ways.items() if cycle_type(g) == classes[-1])
-    return Fraction(count, math.factorial(n))
-
-
-@dataclass(frozen=True)
-class BranchSpec:
-    """Marked branch data <(D1,n1),...,(Dk,nk)|D>."""
-
-    branches: tuple          # ((partition, multiplicity), ...)
-    delta: tuple             # final diagram; fixes the common degree
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches",
-                           tuple((as_partition(p), int(m)) for p, m in self.branches))
-        object.__setattr__(self, "delta", as_partition(self.delta))
-        if any(m < 1 for _, m in self.branches):
-            raise ValueError("branch multiplicities must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return degree(self.delta)
-
-
-def hurwitz_padded(spec: BranchSpec) -> Fraction:
-    """Padded bracket: each marked diagram is raised to the degree of the
-    final one by the unit-row embedding, whose binomial coefficient enters
-    once per repetition; zero when some marked diagram is too large."""
-    n = spec.n
+def hurwitz_padded(branches, delta) -> Fraction:
+    """Padded bracket <(D1,n1),...,(Dk,nk)|D> for branches ((Di, ni), ...),
+    ni >= 1: each marked diagram Di is raised to the degree of D by the
+    unit-row embedding, whose binomial coefficient enters once per
+    repetition; zero when some marked diagram is too large."""
+    delta = as_partition(delta)
+    branches = [(as_partition(p), int(m)) for p, m in branches]
+    if any(m < 1 for _, m in branches):
+        raise ValueError("branch multiplicities must be >= 1")
+    n = degree(delta)
     factor = Fraction(1)
     chain = []
-    for part, mult in spec.branches:
+    for part, mult in branches:
         k = n - degree(part)
         if k < 0:
             return Fraction(0)
         r = multiplicity(part, 1)
         factor *= Fraction(math.comb(r + k, k)) ** mult
         chain.extend([pad(part, k)] * mult)
-    chain.append(spec.delta)
+    chain.append(delta)
     return factor * hurwitz_chain(chain)
 
 
@@ -145,19 +101,20 @@ def _beta_key(counts: dict) -> tuple:
     ))
 
 
-@dataclass
 class HurwitzSeries:
-    """Truncated expansion of the generating function Z.
+    """Truncated expansion of the generating function Z in the directions
+    active (canonical order), to graded degree p_bound and beta-order order.
 
     terms maps (beta_key, monomial partition) -> Fraction, where the
     coefficient is the raw Taylor coefficient against the plain monomial
     p_delta (the 1/k! factors of the beta powers are included).
     """
 
-    active: tuple            # directions, canonical order
-    p_bound: int
-    order: int
-    terms: dict = field(default_factory=dict)
+    def __init__(self, active, p_bound: int, order: int):
+        self.active = tuple(active)
+        self.p_bound = p_bound
+        self.order = order
+        self.terms = {}
 
     def coefficient(self, counts: dict, mono) -> Fraction:
         key = _beta_key({as_partition(p): k for p, k in counts.items()})
@@ -224,7 +181,7 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
         len(partitions_of(n)) for n in range(p_bound + 1))
     if pairs > MAX_SERIES_PAIRS:
         raise BoundError("series of %d (beta, R) pairs exceeds bound %d" % (pairs, MAX_SERIES_PAIRS))
-    series = HurwitzSeries(active=tuple(active), p_bound=p_bound, order=order)
+    series = HurwitzSeries(active, p_bound, order)
     multi_indices = _multi_indices(len(active), order)
     keys = [_beta_key(dict(zip(active, counts))) for counts in multi_indices]
     for n in range(p_bound + 1):

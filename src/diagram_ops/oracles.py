@@ -1,0 +1,496 @@
+"""Slow, independent routes to what the package reads from the character
+table.  Only the tests, `selftest` and `wapply --explicit` import this
+module; nothing on the production path does.
+
+Permutations of S_n, enumerated literally up to MAX_ORACLE_DEGREE:
+
+* oracle_structure_constant: count the pairs (g1, g2) of types (d1, d2)
+  with g1 g2 = g for one fixed g of type d.
+* oracle_tuple_count: (1/n!) times the number of tuples of permutations
+  of the given types whose product is the identity, carrying the number
+  of ways to reach each partial product.
+
+Symmetric functions and characters:
+
+* bialternant_eval: a Schur polynomial at points, as the ratio of the
+  bialternant to the Vandermonde determinant; eval_at_power_sums
+  evaluates a PPoly at the same points.
+* complete_homogeneous / jacobi_trudi: Schur functions as the determinant
+  det[h_{r_i + j - i}], summed over all l! permutations of the rows.
+* mn_character: one character by the Murnaghan-Nakayama recursion,
+  removing border strips as beta-number moves b -> b - t, memoized per
+  (shape, class).
+* d_r_product: the Plancherel weight dim(r)/|r|! by a product formula
+  instead of hook lengths.
+* series_by_schur: the generating function's coefficients summed term by
+  term in Fractions, d_R prod_Y phi_R(Y)^k_Y / k_Y! times schur(R).
+
+Operators:
+
+* apply_explicit: the six small diagrams ([1], [2], [1,1], [3], [2,1],
+  [1,1,1]) as literal differential operators in the p_k, with every
+  summation index clipped at the degree of the argument.
+
+selftest_suites runs the oracle-equivalence suites of `selftest`.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import random
+from fractions import Fraction
+
+from .errors import BoundError, ConsistencyError
+from .partitions import Partition, as_partition, class_size, degree, partitions_of
+from .characters import char_table, d_r, phi
+from .class_algebra import structure_constant
+from .hurwitz import _beta_key, hurwitz_chain
+from .psym import PPoly, schur
+from .w_ops import apply_spectral
+
+#: Largest n for which brute-force S_n enumeration is allowed.
+MAX_ORACLE_DEGREE = 6
+
+
+# ---------------------------------------------------------------------------
+# Permutations, as tuples of the images of 0..n-1
+
+def cycle_type(perm) -> Partition:
+    """Cycle type of a permutation given as a tuple of images of 0..n-1."""
+    n = len(perm)
+    seen = [False] * n
+    lens = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        lens.append(length)
+    return tuple(sorted(lens, reverse=True))
+
+
+def compose(p, q):
+    """(p after q): i -> p[q[i]]."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def invert(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+@functools.lru_cache(maxsize=32)
+def permutations_of_type(delta: Partition):
+    """All permutations of S_n with cycle type delta, n = degree(delta)."""
+    n = degree(delta)
+    if n > MAX_ORACLE_DEGREE:
+        raise BoundError("oracle enumeration beyond S_%d" % MAX_ORACLE_DEGREE)
+    return tuple(
+        p for p in itertools.permutations(range(n)) if cycle_type(p) == delta
+    )
+
+
+def oracle_structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
+    """Literal count: fix one permutation g of type d, count pairs (g1, g2)
+    of types (d1, d2) with g1 g2 = g."""
+    d1, d2, d = as_partition(d1), as_partition(d2), as_partition(d)
+    n = degree(d1)
+    if degree(d2) != n or degree(d) != n:
+        raise ValueError("oracle requires equal degrees")
+    g = permutations_of_type(d)[0]
+    count = 0
+    for g1 in permutations_of_type(d1):
+        g2 = compose(invert(g1), g)
+        if cycle_type(g2) == d2:
+            count += 1
+    return count
+
+
+def oracle_tuple_count(classes, n: int) -> Fraction:
+    """(1/n!) * number of tuples (g_1, ..., g_k) with g_i of type classes_i
+    and g_1 ... g_k = identity, by direct enumeration over S_n, carrying
+    the number of ways to reach each product g_1 ... g_i from i to i + 1."""
+    classes = [as_partition(d) for d in classes]
+    if n > MAX_ORACLE_DEGREE:
+        raise BoundError("tuple oracle beyond S_%d" % MAX_ORACLE_DEGREE)
+    if any(degree(d) != n for d in classes):
+        raise ValueError("oracle classes must all have degree %d" % n)
+    if not classes:
+        return Fraction(1, math.factorial(n))
+    ways = {tuple(range(n)): 1}
+    for d in classes[:-1]:
+        step = {}
+        for g, count in ways.items():
+            for x in permutations_of_type(d):
+                h = compose(g, x)
+                step[h] = step.get(h, 0) + count
+        ways = step
+    # g_k = g^{-1}, whose type equals type(g)
+    count = sum(c for g, c in ways.items() if cycle_type(g) == classes[-1])
+    return Fraction(count, math.factorial(n))
+
+
+# ---------------------------------------------------------------------------
+# Symmetric functions and characters
+
+def _det(matrix):
+    """Exact determinant by fraction-free forward elimination on Fractions."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
+def bialternant_eval(r: Partition, xs) -> Fraction:
+    """Schur polynomial of r at the points xs, as the ratio of the
+    bialternant determinant to the Vandermonde determinant."""
+    xs = [Fraction(x) for x in xs]
+    n = len(xs)
+    if len(set(xs)) != n:
+        raise ValueError("bialternant evaluation requires distinct points")
+    if n < len(r):
+        raise ValueError("need at least %d points for %s" % (len(r), r))
+    rr = list(r) + [0] * (n - len(r))
+    num = _det([[x ** (rr[j] + n - (j + 1)) for j in range(n)] for x in xs])
+    den = _det([[x ** (n - (j + 1)) for j in range(n)] for x in xs])
+    return num / den
+
+
+def eval_at_power_sums(f: PPoly, xs) -> Fraction:
+    """Evaluate f after substituting p_k <- sum_j xs_j^k."""
+    xs = [Fraction(x) for x in xs]
+    power_sums = {}
+
+    def psum(k):
+        if k not in power_sums:
+            power_sums[k] = sum((x ** k for x in xs), Fraction(0))
+        return power_sums[k]
+
+    total = Fraction(0)
+    for mono, coef in f.terms.items():
+        val = coef
+        for k in mono:
+            val *= psum(k)
+        total += val
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def complete_homogeneous(i: int) -> PPoly:
+    """h_i with exp(sum_k p_k x^k / k) = sum_i h_i x^i; h_0 = 1, h_{<0} = 0."""
+    if i < 0:
+        return PPoly.zero()
+    if i == 0:
+        return PPoly.one()
+    # Newton recurrence: i*h_i = sum_{k=1..i} p_k h_{i-k}
+    acc = PPoly.zero()
+    for k in range(1, i + 1):
+        acc = acc + PPoly.variable(k) * complete_homogeneous(i - k)
+    return acc * Fraction(1, i)
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def jacobi_trudi(r: Partition) -> PPoly:
+    """Schur function of r by the Jacobi-Trudi determinant."""
+    l = len(r)
+    entries = [[complete_homogeneous(r[i] + j - i) for j in range(l)] for i in range(l)]
+    total = PPoly.zero()
+    for perm in itertools.permutations(range(l)):
+        prod = PPoly.one()
+        for i in range(l):
+            prod = prod * entries[i][perm[i]]
+            if prod.is_zero():
+                break
+        total = total + prod * _perm_sign(perm)
+    return total
+
+
+def _beta_numbers(shape: Partition):
+    l = len(shape)
+    return tuple(shape[i] + (l - 1 - i) for i in range(l))
+
+
+def _shape_from_betas(betas):
+    """Inverse of _beta_numbers; betas sorted decreasing, zero rows dropped."""
+    l = len(betas)
+    parts = tuple(b - (l - 1 - i) for i, b in enumerate(betas))
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
+
+
+def _strip_removals(shape: Partition, t: int):
+    """Yield (smaller shape, sign) for each border strip of size t."""
+    betas = _beta_numbers(shape)
+    beta_set = set(betas)
+    for b in betas:
+        c = b - t
+        if c < 0 or c in beta_set:
+            continue
+        height = sum(1 for x in betas if c < x < b)
+        new = tuple(sorted((beta_set - {b}) | {c}, reverse=True))
+        yield _shape_from_betas(new), -1 if height % 2 else 1
+
+
+@functools.lru_cache(maxsize=None)
+def mn_character(shape: Partition, cls: Partition) -> int:
+    """chi_shape on the class cls, removing a strip of size cls[0] first."""
+    if not cls:
+        return 1 if not shape else 0
+    t, rest = cls[0], cls[1:]
+    total = 0
+    for smaller, sign in _strip_removals(shape, t):
+        total += sign * mn_character(smaller, rest)
+    return total
+
+
+def d_r_product(r: Partition) -> Fraction:
+    """dim(r)/|r|! by the product formula
+    prod_{i<j<=n} (mu_i - mu_j - i + j) / prod_{i<=n} (mu_i + n - i)!
+    with the part list padded by zeros to length n = |r|."""
+    n = degree(r)
+    if n == 0:
+        return Fraction(1)
+    mu = list(r) + [0] * (n - len(r))
+    num = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= mu[i] - mu[j] - (i + 1) + (j + 1)
+    den = 1
+    for i in range(n):
+        den *= math.factorial(mu[i] + n - (i + 1))
+    return Fraction(num, den)
+
+
+def series_by_schur(active, p_bound: int, order: int) -> dict:
+    """{(beta key, monomial): coefficient} of the truncated generating
+    function, active in the canonical order of HurwitzSeries.active."""
+    terms = {}
+    for counts in itertools.product(range(order + 1), repeat=len(active)):
+        if sum(counts) > order:
+            continue
+        key = _beta_key(dict(zip(active, counts)))
+        for n in range(p_bound + 1):
+            for r in partitions_of(n):
+                c = d_r(r)
+                for y, k in zip(active, counts):
+                    c *= phi(r, y) ** k / math.factorial(k)
+                for mono, mc in schur(r).terms.items():
+                    terms[(key, mono)] = terms.get((key, mono), 0) + c * mc
+    return {slot: v for slot, v in terms.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# Explicit differential operators
+#
+# Each implementation receives the argument f and the index clip D
+# (the graded degree of f): any derivative index above D annihilates f,
+# and the operators preserve graded degree, so sums are finite.
+
+def _add(acc: PPoly, coef, monomial, g: PPoly) -> PPoly:
+    """acc + coef * p_monomial * g, skipping zero derivatives."""
+    if g.is_zero():
+        return acc
+    return acc + PPoly({tuple(sorted(monomial, reverse=True)): Fraction(coef)}) * g
+
+
+def _w_1(f: PPoly, d: int) -> PPoly:
+    # sum_k k p_k d/dp_k  (the grading operator)
+    acc = PPoly.zero(bound=f.bound)
+    for k in range(1, d + 1):
+        acc = _add(acc, k, (k,), f.diff(k))
+    return acc
+
+
+def _w_2(f: PPoly, d: int) -> PPoly:
+    # (1/2) sum_{a,b} ((a+b) p_a p_b d/dp_{a+b} + a b p_{a+b} d2/dp_a dp_b)
+    acc = PPoly.zero(bound=f.bound)
+    half = Fraction(1, 2)
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            if a + b <= d:
+                acc = _add(acc, half * (a + b), (a, b), f.diff(a + b))
+            acc = _add(acc, half * a * b, (a + b,), f.diff(a).diff(b))
+    return acc
+
+
+def _w_11(f: PPoly, d: int) -> PPoly:
+    # (1/2) (sum_a a(a-1) p_a d/dp_a + sum_{a,b} a b p_a p_b d2/dp_a dp_b)
+    acc = PPoly.zero(bound=f.bound)
+    half = Fraction(1, 2)
+    for a in range(1, d + 1):
+        acc = _add(acc, half * a * (a - 1), (a,), f.diff(a))
+        for b in range(1, d + 1):
+            acc = _add(acc, half * a * b, (a, b), f.diff(a).diff(b))
+    return acc
+
+
+def _w_3(f: PPoly, d: int) -> PPoly:
+    acc = PPoly.zero(bound=f.bound)
+    third = Fraction(1, 3)
+    half = Fraction(1, 2)
+    # (1/3) sum_{a,b,c} a b c p_{a+b+c} d3/dp_a dp_b dp_c
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            for c in range(1, d + 1):
+                acc = _add(acc, third * a * b * c, (a + b + c,),
+                           f.diff(a).diff(b).diff(c))
+    # (1/2) sum_{a+b=c+d} c d (1 - delta_ac delta_bd) p_a p_b d2/dp_c dp_d
+    for c in range(1, d + 1):
+        for e in range(1, d + 1):
+            g = f.diff(c).diff(e)
+            if g.is_zero():
+                continue
+            s = c + e
+            for a in range(1, s):
+                b = s - a
+                if a == c and b == e:
+                    continue
+                acc = _add(acc, half * c * e, (a, b), g)
+    # (1/3) sum_{a,b,c} (a+b+c) (p_a p_b p_c + p_{a+b+c}) d/dp_{a+b+c}
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            for c in range(1, d + 1):
+                s = a + b + c
+                if s > d:
+                    continue
+                g = f.diff(s)
+                acc = _add(acc, third * s, (a, b, c), g)
+                acc = _add(acc, third * s, (s,), g)
+    return acc
+
+
+def _w_21(f: PPoly, d: int) -> PPoly:
+    acc = PPoly.zero(bound=f.bound)
+    half = Fraction(1, 2)
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            s = a + b
+            # (1/2) (a+b)(a+b-2) p_a p_b d/dp_{a+b}
+            if s <= d:
+                acc = _add(acc, half * s * (s - 2), (a, b), f.diff(s))
+            # (1/2) a b (a+b-2) p_{a+b} d2/dp_a dp_b
+            acc = _add(acc, half * a * b * (s - 2), (s,), f.diff(a).diff(b))
+            for c in range(1, d + 1):
+                # (1/2) (a+b) c p_a p_b p_c d2/dp_{a+b} dp_c
+                if s <= d:
+                    acc = _add(acc, half * s * c, (a, b, c), f.diff(s).diff(c))
+                # (1/2) a b c p_a p_{b+c} d3/dp_a dp_b dp_c
+                acc = _add(acc, half * a * b * c, (a, b + c),
+                           f.diff(a).diff(b).diff(c))
+    return acc
+
+
+def _w_111(f: PPoly, d: int) -> PPoly:
+    acc = PPoly.zero(bound=f.bound)
+    sixth = Fraction(1, 6)
+    quarter = Fraction(1, 4)
+    for a in range(1, d + 1):
+        # (1/6) a(a-1)(a-2) p_a d/dp_a
+        acc = _add(acc, sixth * a * (a - 1) * (a - 2), (a,), f.diff(a))
+        for b in range(1, d + 1):
+            # (1/4) a b (a+b-2) p_a p_b d2/dp_a dp_b
+            acc = _add(acc, quarter * a * b * (a + b - 2), (a, b),
+                       f.diff(a).diff(b))
+            for c in range(1, d + 1):
+                # (1/6) a b c p_a p_b p_c d3/dp_a dp_b dp_c
+                acc = _add(acc, sixth * a * b * c, (a, b, c),
+                           f.diff(a).diff(b).diff(c))
+    return acc
+
+
+EXPLICIT_OPS = {
+    (1,): _w_1,
+    (2,): _w_2,
+    (1, 1): _w_11,
+    (3,): _w_3,
+    (2, 1): _w_21,
+    (1, 1, 1): _w_111,
+}
+
+
+def apply_explicit(delta: Partition, f: PPoly) -> PPoly:
+    """Apply one of the six explicitly tabulated operators term by term."""
+    delta = as_partition(delta)
+    if delta not in EXPLICIT_OPS:
+        raise ValueError("no explicit operator tabulated for %s" % (delta,))
+    if f.is_zero():
+        return PPoly.zero(bound=f.bound)
+    return EXPLICIT_OPS[delta](f, f.max_degree())
+
+
+# ---------------------------------------------------------------------------
+# selftest
+
+def _suite(name: str, agreements) -> dict:
+    """One report entry; agreements yields True for each case that checks out."""
+    agreements = list(agreements)
+    return {"name": name, "cases": len(agreements), "failures": agreements.count(False)}
+
+
+def _orthogonal(n: int) -> bool:
+    try:
+        char_table(n).check_orthogonality()
+    except ConsistencyError:
+        return False
+    return True
+
+
+def selftest_suites(level: str, seed: int):
+    """Oracle-equivalence suites; returns a deterministic report object."""
+    rng = random.Random(seed)
+    n_max = 4 if level == "quick" else 5
+    triples = [t for n in range(1, n_max + 1) for t in itertools.product(partitions_of(n), repeat=3)]
+    if level == "full":
+        parts6 = partitions_of(6)
+        triples += [tuple(rng.choice(parts6) for _ in range(3)) for _ in range(25)]
+    chains = []
+    for n in range(1, min(n_max, 4) + 1):
+        cube = list(itertools.product(partitions_of(n), repeat=3))
+        chains += [(t, n) for t in (rng.sample(cube, 60) if len(cube) > 60 else cube)]
+    polys = [PPoly({mono: 1}) for n in range(n_max + 1) for mono in partitions_of(n)]
+    suites = [
+        _suite("structure_constants_vs_oracle",
+               (structure_constant(*t) == oracle_structure_constant(*t) for t in triples)),
+        _suite("hurwitz_chain_vs_tuple_oracle",
+               (hurwitz_chain(t) == oracle_tuple_count(t, n) for t, n in chains)),
+        _suite("explicit_vs_spectral_operators",
+               (apply_explicit(delta, f) == apply_spectral(delta, f)
+                for delta in sorted(EXPLICIT_OPS, key=lambda d: (degree(d), d)) for f in polys)),
+        _suite("character_table_orthogonality", map(_orthogonal, range(1, n_max + 1))),
+        _suite("class_sizes_sum_to_factorial",
+               (sum(map(class_size, partitions_of(n))) == math.factorial(n)
+                for n in range(1, n_max + 3))),
+    ]
+    ok = all(s["failures"] == 0 for s in suites)
+    return {"level": level, "seed": seed, "suites": suites, "ok": ok}

@@ -7,6 +7,10 @@ Coefficients are Fractions; zero terms are never stored.
 A PPoly may carry a truncation bound N: monomials of graded degree above N
 are dropped by every operation, and the bound is contagious (the minimum
 of the operand bounds).
+
+Schur functions are read from the character table; the bialternant and
+Jacobi-Trudi routes that check them live in diagram_ops.oracles, which
+only the tests and selftest import.
 """
 
 from __future__ import annotations
@@ -255,59 +259,3 @@ def exp_p1(n: int) -> PPoly:
         raise ValueError("truncation bound must be nonnegative")
     terms = {(1,) * k: Fraction(1, math.factorial(k)) for k in range(n + 1)}
     return PPoly(terms, bound=n)
-
-
-def _det(matrix):
-    """Exact determinant by fraction-free forward elimination on Fractions."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def bialternant_eval(r: Partition, xs) -> Fraction:
-    """Schur polynomial of r at the points xs, as the ratio of the
-    bialternant determinant to the Vandermonde determinant."""
-    xs = [Fraction(x) for x in xs]
-    n = len(xs)
-    if len(set(xs)) != n:
-        raise ValueError("bialternant evaluation requires distinct points")
-    if n < len(r):
-        raise ValueError("need at least %d points for %s" % (len(r), r))
-    rr = list(r) + [0] * (n - len(r))
-    num = _det([[x ** (rr[j] + n - (j + 1)) for j in range(n)] for x in xs])
-    den = _det([[x ** (n - (j + 1)) for j in range(n)] for x in xs])
-    return num / den
-
-
-def eval_at_power_sums(f: PPoly, xs) -> Fraction:
-    """Evaluate f after substituting p_k <- sum_j xs_j^k."""
-    xs = [Fraction(x) for x in xs]
-    power_sums = {}
-
-    def psum(k):
-        if k not in power_sums:
-            power_sums[k] = sum((x ** k for x in xs), Fraction(0))
-        return power_sums[k]
-
-    total = Fraction(0)
-    for mono, coef in f.terms.items():
-        val = coef
-        for k in mono:
-            val *= psum(k)
-        total += val
-    return total

@@ -1,23 +1,18 @@
 """Differential operators attached to Young diagrams, acting on PPoly.
 
-Two independent realizations:
-
-* apply_spectral works for every diagram: expand the argument in Schur
-  functions, scale the coefficient of R by the eigenvalue phi_R(delta),
-  and reassemble.  This is the definition used by the rest of the package.
-
-* apply_explicit implements the six small diagrams ([1], [2], [1,1], [3],
-  [2,1], [1,1,1]) as literal differential operators in the p_k, with all
-  summation indices clipped at the degree of the argument (derivatives
-  beyond that vanish).  It exists as an independent oracle for the
-  spectral route.
+apply_spectral works for every diagram: expand the argument in Schur
+functions, scale the coefficient of R by the eigenvalue phi_R(delta), and
+reassemble.  The six small diagrams ([1], [2], [1,1], [3], [2,1], [1,1,1])
+also have literal differential operators, diagram_ops.oracles.apply_explicit,
+an independent oracle for this route that only the tests, selftest and
+`wapply --explicit` import.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import DiagramSum, Partition, as_partition, degree
+from .partitions import DiagramSum, Partition, as_partition
 from .characters import phi
 from .class_algebra import mult_infinity
 from .psym import PPoly, from_schur, schur_expand
@@ -50,142 +45,3 @@ def compose_check(d1: Partition, d2: Partition, f: PPoly):
     sequential = apply_spectral(d1, apply_spectral(d2, f))
     combined = apply_spectral(mult_infinity(as_partition(d1), as_partition(d2)), f)
     return sequential, combined
-
-
-# ---------------------------------------------------------------------------
-# Explicit differential operators
-#
-# Each implementation receives the argument f and the index clip D
-# (the graded degree of f): any derivative index above D annihilates f,
-# and the operators preserve graded degree, so sums are finite.
-
-def _add(acc: PPoly, coef, monomial, g: PPoly) -> PPoly:
-    """acc + coef * p_monomial * g, skipping zero derivatives."""
-    if g.is_zero():
-        return acc
-    return acc + PPoly({tuple(sorted(monomial, reverse=True)): Fraction(coef)}) * g
-
-
-def _w_1(f: PPoly, d: int) -> PPoly:
-    # sum_k k p_k d/dp_k  (the grading operator)
-    acc = PPoly.zero(bound=f.bound)
-    for k in range(1, d + 1):
-        acc = _add(acc, k, (k,), f.diff(k))
-    return acc
-
-
-def _w_2(f: PPoly, d: int) -> PPoly:
-    # (1/2) sum_{a,b} ((a+b) p_a p_b d/dp_{a+b} + a b p_{a+b} d2/dp_a dp_b)
-    acc = PPoly.zero(bound=f.bound)
-    half = Fraction(1, 2)
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            if a + b <= d:
-                acc = _add(acc, half * (a + b), (a, b), f.diff(a + b))
-            acc = _add(acc, half * a * b, (a + b,), f.diff(a).diff(b))
-    return acc
-
-
-def _w_11(f: PPoly, d: int) -> PPoly:
-    # (1/2) (sum_a a(a-1) p_a d/dp_a + sum_{a,b} a b p_a p_b d2/dp_a dp_b)
-    acc = PPoly.zero(bound=f.bound)
-    half = Fraction(1, 2)
-    for a in range(1, d + 1):
-        acc = _add(acc, half * a * (a - 1), (a,), f.diff(a))
-        for b in range(1, d + 1):
-            acc = _add(acc, half * a * b, (a, b), f.diff(a).diff(b))
-    return acc
-
-
-def _w_3(f: PPoly, d: int) -> PPoly:
-    acc = PPoly.zero(bound=f.bound)
-    third = Fraction(1, 3)
-    half = Fraction(1, 2)
-    # (1/3) sum_{a,b,c} a b c p_{a+b+c} d3/dp_a dp_b dp_c
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            for c in range(1, d + 1):
-                acc = _add(acc, third * a * b * c, (a + b + c,),
-                           f.diff(a).diff(b).diff(c))
-    # (1/2) sum_{a+b=c+d} c d (1 - delta_ac delta_bd) p_a p_b d2/dp_c dp_d
-    for c in range(1, d + 1):
-        for e in range(1, d + 1):
-            g = f.diff(c).diff(e)
-            if g.is_zero():
-                continue
-            s = c + e
-            for a in range(1, s):
-                b = s - a
-                if a == c and b == e:
-                    continue
-                acc = _add(acc, half * c * e, (a, b), g)
-    # (1/3) sum_{a,b,c} (a+b+c) (p_a p_b p_c + p_{a+b+c}) d/dp_{a+b+c}
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            for c in range(1, d + 1):
-                s = a + b + c
-                if s > d:
-                    continue
-                g = f.diff(s)
-                acc = _add(acc, third * s, (a, b, c), g)
-                acc = _add(acc, third * s, (s,), g)
-    return acc
-
-
-def _w_21(f: PPoly, d: int) -> PPoly:
-    acc = PPoly.zero(bound=f.bound)
-    half = Fraction(1, 2)
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            s = a + b
-            # (1/2) (a+b)(a+b-2) p_a p_b d/dp_{a+b}
-            if s <= d:
-                acc = _add(acc, half * s * (s - 2), (a, b), f.diff(s))
-            # (1/2) a b (a+b-2) p_{a+b} d2/dp_a dp_b
-            acc = _add(acc, half * a * b * (s - 2), (s,), f.diff(a).diff(b))
-            for c in range(1, d + 1):
-                # (1/2) (a+b) c p_a p_b p_c d2/dp_{a+b} dp_c
-                if s <= d:
-                    acc = _add(acc, half * s * c, (a, b, c), f.diff(s).diff(c))
-                # (1/2) a b c p_a p_{b+c} d3/dp_a dp_b dp_c
-                acc = _add(acc, half * a * b * c, (a, b + c),
-                           f.diff(a).diff(b).diff(c))
-    return acc
-
-
-def _w_111(f: PPoly, d: int) -> PPoly:
-    acc = PPoly.zero(bound=f.bound)
-    sixth = Fraction(1, 6)
-    quarter = Fraction(1, 4)
-    for a in range(1, d + 1):
-        # (1/6) a(a-1)(a-2) p_a d/dp_a
-        acc = _add(acc, sixth * a * (a - 1) * (a - 2), (a,), f.diff(a))
-        for b in range(1, d + 1):
-            # (1/4) a b (a+b-2) p_a p_b d2/dp_a dp_b
-            acc = _add(acc, quarter * a * b * (a + b - 2), (a, b),
-                       f.diff(a).diff(b))
-            for c in range(1, d + 1):
-                # (1/6) a b c p_a p_b p_c d3/dp_a dp_b dp_c
-                acc = _add(acc, sixth * a * b * c, (a, b, c),
-                           f.diff(a).diff(b).diff(c))
-    return acc
-
-
-EXPLICIT_OPS = {
-    (1,): _w_1,
-    (2,): _w_2,
-    (1, 1): _w_11,
-    (3,): _w_3,
-    (2, 1): _w_21,
-    (1, 1, 1): _w_111,
-}
-
-
-def apply_explicit(delta: Partition, f: PPoly) -> PPoly:
-    """Apply one of the six explicitly tabulated operators term by term."""
-    delta = as_partition(delta)
-    if delta not in EXPLICIT_OPS:
-        raise ValueError("no explicit operator tabulated for %s" % (delta,))
-    if f.is_zero():
-        return PPoly.zero(bound=f.bound)
-    return EXPLICIT_OPS[delta](f, f.max_degree())

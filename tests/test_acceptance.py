@@ -14,7 +14,6 @@ from diagram_ops.class_algebra import (
     graded_piece,
     mult_infinity,
     mult_same_degree,
-    oracle_structure_constant,
     structure_constant,
 )
 from diagram_ops.cli import main
@@ -22,13 +21,20 @@ from diagram_ops.characters import phi
 from diagram_ops.hurwitz import (
     generating_function,
     hurwitz_chain,
-    oracle_tuple_count,
     pde_residual,
     simple_hurwitz,
 )
+from diagram_ops.oracles import (
+    EXPLICIT_OPS,
+    apply_explicit,
+    bialternant_eval,
+    eval_at_power_sums,
+    oracle_structure_constant,
+    oracle_tuple_count,
+)
 from diagram_ops.partitions import DiagramSum, partitions_of
-from diagram_ops.psym import bialternant_eval, eval_at_power_sums, exp_p1, schur
-from diagram_ops.w_ops import EXPLICIT_OPS, apply_explicit, apply_spectral, eigenvalue
+from diagram_ops.psym import exp_p1, schur
+from diagram_ops.w_ops import apply_spectral, eigenvalue
 
 SEED = 20101146
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from fractions import Fraction
@@ -20,7 +21,7 @@ from diagram_ops.partitions import (
     partitions_of,
 )
 from diagram_ops.w_ops import eigenvalue
-from oracles import d_r_product, mn_character
+from diagram_ops.oracles import d_r_product, mn_character
 
 # Explicit matrix models of the irreducible representations of S_3,
 # indexed by class representatives, used as a from-scratch oracle.
@@ -188,6 +189,17 @@ def test_char_table_is_shared_and_read_only():
     row[0] = 7
     assert t.entry((4,), (4,)) == 1
     assert t.row((4,)) == [1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("lookup, message", [
+    (lambda t: t.entry((2, 1), (1, 2)), "[1,2] is not a class of S_3"),
+    (lambda t: t.entry((2, 1), (2,)), "[2] is not a class of S_3"),
+    (lambda t: t.entry((1, 2), (2, 1)), "[1,2] is not a shape of S_3"),
+    (lambda t: t.column((1, 2)), "[1,2] is not a class of S_3"),
+], ids=["entry-unsorted-class", "entry-wrong-degree", "entry-unsorted-shape", "column"])
+def test_table_lookup_names_unknown_label(lookup, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lookup(char_table(3))
 
 
 def test_phi_zero_above_degree():

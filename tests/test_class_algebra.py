@@ -9,9 +9,9 @@ from diagram_ops.class_algebra import (
     mult_infinity,
     mult_same_degree,
     mult_sum,
-    oracle_structure_constant,
     structure_constant,
 )
+from diagram_ops.oracles import oracle_structure_constant
 from diagram_ops.partitions import DiagramSum, degree, partitions_of
 from diagram_ops.characters import phi
 

@@ -161,3 +161,12 @@ def test_bounds_and_exit_codes(argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
     assert elapsed < 5, elapsed
+
+
+def test_import_path_leaves_out_oracles_and_dataclasses():
+    code = ("import sys, diagram_ops.cli; "
+            "print([m for m in ('diagram_ops.oracles', 'dataclasses', 'inspect') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr

@@ -8,19 +8,17 @@ from fractions import Fraction
 from diagram_ops.errors import BoundError
 from diagram_ops.hurwitz import (
     MAX_SERIES_PAIRS,
-    BranchSpec,
     _multi_indices,
     generating_function,
     hurwitz3,
     hurwitz_chain,
     hurwitz_padded,
-    oracle_tuple_count,
     pde_residual,
     simple_hurwitz,
 )
 from diagram_ops.partitions import aut_order, partitions_of
 from diagram_ops.psym import exp_p1
-from oracles import series_by_schur
+from diagram_ops.oracles import oracle_tuple_count, series_by_schur
 
 
 def chain_split(deltas, r):
@@ -106,9 +104,14 @@ def test_nonnegativity():
 
 
 def test_hurwitz_padded_examples():
-    assert hurwitz_padded(BranchSpec((((2,), 1),), (2, 1))) == Fraction(1, 2)
-    assert hurwitz_padded(BranchSpec((((3,), 1),), (2,))) == 0
-    assert hurwitz_padded(BranchSpec((((2,), 2),), (1, 1))) == Fraction(1, 2)
+    assert hurwitz_padded((((2,), 1),), (2, 1)) == Fraction(1, 2)
+    assert hurwitz_padded((((3,), 1),), (2,)) == 0
+    assert hurwitz_padded((((2,), 2),), (1, 1)) == Fraction(1, 2)
+
+
+def test_hurwitz_padded_rejects_multiplicity_below_one():
+    with pytest.raises(ValueError, match="multiplicities"):
+        hurwitz_padded((((2,), 0),), (2, 1))
 
 
 def test_hurwitz_padded_two_point_oracle():
@@ -127,9 +130,7 @@ def test_generating_function_single_transposition_coefficients():
         delta = (2,) + (1,) * k
         got = series.coefficient({(2,): 1}, delta)
         assert got == Fraction(1, 2 * math.factorial(k))
-        assert series.bracket({(2,): 1}, delta) == hurwitz_padded(
-            BranchSpec((((2,), 1),), delta)
-        )
+        assert series.bracket({(2,): 1}, delta) == hurwitz_padded((((2,), 1),), delta)
 
 
 def test_generating_function_second_order_vs_oracle():
@@ -150,7 +151,7 @@ def test_series_matches_padded_brackets():
         for n in range(5):
             for delta in partitions_of(n):
                 branches = tuple((p, k) for p, k in beta.items() if k)
-                expected = hurwitz_padded(BranchSpec(branches, delta))
+                expected = hurwitz_padded(branches, delta)
                 assert series.bracket(beta, delta) == expected, (beta, delta)
 
 

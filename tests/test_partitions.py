@@ -20,22 +20,7 @@ from diagram_ops.partitions import (
     partitions_of,
     rho,
 )
-
-
-def cycle_type(perm):
-    n = len(perm)
-    seen = [False] * n
-    lens = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lens.append(length)
-    return tuple(sorted(lens, reverse=True))
+from diagram_ops.oracles import cycle_type
 
 
 def partition_count(n):

@@ -6,8 +6,6 @@ from fractions import Fraction
 from diagram_ops.errors import BoundError, ParseError
 from diagram_ops.psym import (
     PPoly,
-    bialternant_eval,
-    eval_at_power_sums,
     exp_p1,
     from_schur,
     p_monomial,
@@ -17,7 +15,12 @@ from diagram_ops.psym import (
 )
 from diagram_ops.partitions import aut_order, kappa, partitions_of
 from diagram_ops.characters import char_table, d_r
-from oracles import complete_homogeneous, jacobi_trudi
+from diagram_ops.oracles import (
+    bialternant_eval,
+    complete_homogeneous,
+    eval_at_power_sums,
+    jacobi_trudi,
+)
 
 
 def random_poly(rng, max_deg=6, n_terms=5):
