@@ -1,46 +1,59 @@
 """Exact-arithmetic algebra of Young diagrams, symmetric-group characters,
-cut-and-join-type differential operators, and genus-0 Hurwitz numbers."""
+cut-and-join-type differential operators, and genus-0 Hurwitz numbers.
 
-from .partitions import (
-    DiagramSum,
-    as_partition,
-    aut_order,
-    class_size,
-    conjugate,
-    degree,
-    kappa,
-    multiplicity,
-    pad,
-    parse_diagram_sum,
-    parse_partition,
-    partitions_of,
-    rho,
-)
-from .characters import char_table, character, d_r, dimension, phi
-from .class_algebra import (
-    graded_piece,
-    mult_infinity,
-    mult_same_degree,
-    mult_sum,
-    structure_constant,
-)
-from .psym import (
-    PPoly,
-    exp_p1,
-    from_schur,
-    p_monomial,
-    schur,
-    schur_expand,
-)
-from .w_ops import apply_spectral, compose_check, eigenvalue
-from .hurwitz import (
-    HurwitzSeries,
-    generating_function,
-    hurwitz3,
-    hurwitz_chain,
-    hurwitz_padded,
-    pde_residual,
-    simple_hurwitz,
-)
+The public names below are resolved on first access (PEP 562), so
+`import diagram_ops` loads no layer and each name loads only its own
+module and what that module imports.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "partitions": (
+        "DiagramSum",
+        "as_partition",
+        "aut_order",
+        "class_size",
+        "conjugate",
+        "degree",
+        "kappa",
+        "multiplicity",
+        "pad",
+        "parse_diagram_sum",
+        "parse_partition",
+        "partitions_of",
+        "rho",
+    ),
+    "characters": ("char_table", "character", "d_r", "dimension", "phi"),
+    "class_algebra": (
+        "graded_piece",
+        "mult_infinity",
+        "mult_same_degree",
+        "mult_sum",
+        "structure_constant",
+    ),
+    "psym": ("PPoly", "exp_p1", "from_schur", "p_monomial", "schur", "schur_expand"),
+    "w_ops": ("apply_spectral", "eigenvalue"),
+    "hurwitz": (
+        "HurwitzSeries",
+        "generating_function",
+        "hurwitz3",
+        "hurwitz_chain",
+        "hurwitz_padded",
+        "simple_hurwitz",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+

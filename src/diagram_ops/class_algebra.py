@@ -1,15 +1,18 @@
 """Center of the group algebra of S_n and the graded product of diagrams.
 
-mult_same_degree reads every structure constant of a product of two class
+_structure_column reads every structure constant of a product of two class
 sums from the character table in one pass over its rows, and is memoized;
-structure_constant picks one coefficient from it.  The literal
-pair-counting definition lives in diagram_ops.oracles
+mult_same_degree wraps it and structure_constant picks one coefficient.
+The literal pair-counting definition lives in diagram_ops.oracles
 (oracle_structure_constant), which only the tests and selftest import.
 
 mult_infinity implements the graded product on diagrams of arbitrary
-degree: pad both factors to a common degree n with the unit-row embedding,
-multiply inside the degree-n class algebra, and subtract the embeddings of
-the lower graded pieces.
+degree (Ivanov-Kerov, The algebra of conjugacy classes in symmetric
+groups, and partial permutations, 1999): pad both factors to a common
+degree n with the unit-row embedding, multiply inside the degree-n class
+algebra, and subtract the embeddings of the lower graded pieces.  Every
+coefficient on the way is an integer, so the recursion runs on
+{partition: int} dicts and only the public functions build a DiagramSum.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .partitions import (
     as_partition,
     class_size,
     degree,
-    rho_sum,
+    rho_term,
 )
 from .characters import char_table, MAX_TABLE_DEGREE
 
@@ -44,12 +47,13 @@ def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
     d1, d2 = as_partition(d1), as_partition(d2)
     if degree(d2) != degree(d1):
         raise ValueError("mult_same_degree requires equal degrees")
-    return _mult_same_degree(d1, d2)
+    return DiagramSum(zip(char_table(degree(d1)).order, _structure_column(d1, d2)))
 
 
 @functools.lru_cache(maxsize=None)
-def _mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
-    """Every structure constant of d1 * d2 at once, by the Frobenius formula
+def _structure_column(d1: Partition, d2: Partition) -> tuple:
+    """Every structure constant C^d_{d1,d2}, d in table order, by the
+    Frobenius formula
 
         C^d_{d1,d2} = |C_d1| |C_d2| / n! * sum_R chi_R(d1) chi_R(d2) chi_R(d) / dim_R,
 
@@ -67,39 +71,36 @@ def _mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
             for j, chi in enumerate(row):
                 column[j] += weight * chi
     scale = class_size(d1) * class_size(d2)
-    out = {}
+    out = []
     for d, total in zip(table.order, column):
-        value = Fraction(scale * total, n_fact * n_fact)
-        if value.denominator != 1 or value < 0:
+        value, remainder = divmod(scale * total, n_fact * n_fact)
+        if remainder or value < 0:
             raise ConsistencyError(
-                "non-integral structure constant %s for (%s, %s, %s)" % (value, d1, d2, d)
+                "non-integral structure constant %s for (%s, %s, %s)"
+                % (Fraction(scale * total, n_fact * n_fact), d1, d2, d)
             )
-        out[d] = value
-    return DiagramSum(out)
-
-
-def _mult_same_degree_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
-    out = DiagramSum.zero()
-    for p, cp in a.items():
-        for q, cq in b.items():
-            out = out + mult_same_degree(p, q) * (cp * cq)
-    return out
+        out.append(value)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
-def _graded_pieces(d1: Partition, d2: Partition):
-    """All graded pieces {d1 d2}_n, keyed by n, per the defining recursion."""
+def _graded_pieces(d1: Partition, d2: Partition) -> dict:
+    """All graded pieces {d1 d2}_n as {n: {partition: int}}, per the
+    defining recursion."""
     lo = max(degree(d1), degree(d2))
     hi = degree(d1) + degree(d2)
     pieces = {}
     for n in range(lo, hi + 1):
-        prod = _mult_same_degree_sum(
-            rho_sum(DiagramSum.single(d1), n - degree(d1)),
-            rho_sum(DiagramSum.single(d2), n - degree(d2)),
-        )
+        p1, w1 = rho_term(d1, n - degree(d1))
+        p2, w2 = rho_term(d2, n - degree(d2))
+        weight = w1 * w2
+        prod = {d: weight * c
+                for d, c in zip(char_table(n).order, _structure_column(p1, p2)) if c}
         for k in range(lo, n):
-            prod = prod - rho_sum(pieces[k], n - k)
-        pieces[n] = prod
+            for d, c in pieces[k].items():
+                padded, w = rho_term(d, n - k)
+                prod[padded] = prod.get(padded, 0) - w * c
+        pieces[n] = {d: c for d, c in prod.items() if c}
     return pieces
 
 
@@ -111,16 +112,15 @@ def mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
             "mult_infinity total degree %d exceeds bound %d"
             % (degree(d1) + degree(d2), MAX_TABLE_DEGREE)
         )
-    total = DiagramSum.zero()
-    for piece in _graded_pieces(d1, d2).values():
-        total = total + piece
-    return total
+    # the pieces have distinct degrees, so their terms never collide
+    return DiagramSum({d: c for piece in _graded_pieces(d1, d2).values()
+                       for d, c in piece.items()})
 
 
 def graded_piece(d1: Partition, d2: Partition, n: int) -> DiagramSum:
     """Single graded piece {d1 d2}_n of the product."""
     pieces = _graded_pieces(as_partition(d1), as_partition(d2))
-    return pieces.get(n, DiagramSum.zero())
+    return DiagramSum(pieces.get(n))
 
 
 def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:

@@ -1,5 +1,9 @@
 """Command-line front end with deterministic text/JSON output.
 
+Each command imports the layers beyond the character table and the class
+algebra (psym, w_ops, hurwitz, oracles) inside its cmd_* function, so an
+op loads only the modules it runs.
+
 Every degree read from argv is checked against --max-degree, itself at
 most MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success, 2 parse
 error or invalid argument (ValueError), 3 resource bound exceeded,
@@ -12,7 +16,6 @@ import argparse
 import json
 import sys
 
-from . import hurwitz as hz
 from .errors import BoundError, ConsistencyError, ParseError
 from .characters import MAX_TABLE_DEGREE, char_table
 from .class_algebra import mult_sum
@@ -23,8 +26,6 @@ from .partitions import (
     parse_diagram_sum,
     parse_partition,
 )
-from .psym import parse_ppoly, schur
-from .w_ops import apply_spectral, eigenvalue
 
 DEFAULT_SEED = 20101146
 
@@ -63,6 +64,8 @@ def cmd_chartable(args):
 
 
 def cmd_schur(args):
+    from .psym import schur
+
     r = parse_partition(args.r)
     _check_degrees(args, [degree(r)])
     f = schur(r)
@@ -70,6 +73,8 @@ def cmd_schur(args):
 
 
 def cmd_eigenvalue(args):
+    from .w_ops import eigenvalue
+
     delta, r = parse_partition(args.delta), parse_partition(args.r)
     _check_degrees(args, [degree(delta), degree(r)])
     v = eigenvalue(delta, r)
@@ -77,6 +82,9 @@ def cmd_eigenvalue(args):
 
 
 def cmd_wapply(args):
+    from .psym import parse_ppoly
+    from .w_ops import apply_spectral
+
     delta = parse_partition(args.delta)
     f = parse_ppoly(args.poly)
     _check_degrees(args, [degree(delta)] + f.homogeneous_degrees())
@@ -90,20 +98,24 @@ def cmd_wapply(args):
 
 
 def cmd_hurwitz(args):
+    from .hurwitz import hurwitz_chain
+
     classes = [parse_partition(t) for t in args.classes]
     n = args.n if args.n is not None else degree(classes[0])
     _check_degrees(args, [n] + [degree(d) for d in classes])
     for d in classes:
         if degree(d) != n:
             raise ParseError("class %s does not have degree %d" % (format_partition(d), n))
-    value = format_fraction(hz.hurwitz_chain(classes))
+    value = format_fraction(hurwitz_chain(classes))
     _emit(args, value, {"n": n, "branches": [list(d) for d in classes], "value": value})
 
 
 def cmd_evolve(args):
+    from .hurwitz import generating_function
+
     directions = [parse_partition(t) for t in args.directions]
     _check_degrees(args, [args.p_bound] + [degree(d) for d in directions])
-    series = hz.generating_function(directions, p_bound=args.p_bound, order=args.order)
+    series = generating_function(directions, p_bound=args.p_bound, order=args.order)
     obj = series.to_json_obj()
     lines = []
     for term in obj["terms"]:

@@ -35,8 +35,6 @@ from .partitions import (
     partitions_of,
 )
 from .characters import char_table, phi
-from .psym import PPoly
-from .w_ops import apply_spectral
 
 #: Most (beta multi-index, R) pairs, C(order+k, k) times the number of R
 #: with |R| <= p_bound, that generating_function expands.
@@ -127,8 +125,10 @@ class HurwitzSeries:
             fact *= math.factorial(k)
         return self.coefficient(counts, mono) * fact
 
-    def ppoly_at(self, key) -> PPoly:
+    def ppoly_at(self, key):
         """Coefficient of the beta monomial indexed by key, as a PPoly."""
+        from .psym import PPoly
+
         return PPoly(
             {mono: c for (k, mono), c in self.terms.items() if k == key},
             bound=self.p_bound,
@@ -202,27 +202,6 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
                 if total:
                     series.terms[(key, mu)] = Fraction(total, scale * aut_order(mu))
     return series
-
-
-def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
-    """Largest absolute coefficient of dZ/dbeta_Y - W(Y) Z, compared on the
-    beta orders where both truncations are complete (total order < order)."""
-    upsilon = as_partition(upsilon)
-    if upsilon not in series.active:
-        raise ValueError("%s is not an active direction" % (upsilon,))
-    worst = Fraction(0)
-    for indices in _multi_indices(len(series.active), series.order - 1):
-        counts = dict(zip(series.active, indices))
-        key = _beta_key(counts)
-        # d/dbeta_Y picks the coefficient one order up, times its power
-        up = {p: k for p, k in counts.items()}
-        up[upsilon] = up.get(upsilon, 0) + 1
-        deriv = series.ppoly_at(_beta_key(up)) * up[upsilon]
-        applied = apply_spectral(upsilon, series.ppoly_at(key))
-        diff = deriv - applied
-        for c in diff.terms.values():
-            worst = max(worst, abs(c))
-    return worst
 
 
 def simple_hurwitz(n: int, m: int) -> dict:

@@ -9,6 +9,8 @@ Permutations of S_n, enumerated literally up to MAX_ORACLE_DEGREE:
 * oracle_tuple_count: (1/n!) times the number of tuples of permutations
   of the given types whose product is the identity, carrying the number
   of ways to reach each partial product.
+* oracle_mult_infinity: the graded product as a product of sums of
+  partial permutations (Ivanov-Kerov) with supports in range(|d1|+|d2|).
 
 Symmetric functions and characters:
 
@@ -30,6 +32,9 @@ Operators:
 * apply_explicit: the six small diagrams ([1], [2], [1,1], [3], [2,1],
   [1,1,1]) as literal differential operators in the p_k, with every
   summation index clipped at the degree of the argument.
+* compose_check: both sides of W(d1) W(d2) = W(d1 d2).
+* pde_residual: how far the generating function is from solving
+  dZ/dbeta_Y = W(Y) Z.
 
 selftest_suites runs the oracle-equivalence suites of `selftest`.
 """
@@ -43,10 +48,17 @@ import random
 from fractions import Fraction
 
 from .errors import BoundError, ConsistencyError
-from .partitions import Partition, as_partition, class_size, degree, partitions_of
+from .partitions import (
+    DiagramSum,
+    Partition,
+    as_partition,
+    class_size,
+    degree,
+    partitions_of,
+)
 from .characters import char_table, d_r, phi
-from .class_algebra import structure_constant
-from .hurwitz import _beta_key, hurwitz_chain
+from .class_algebra import mult_infinity, structure_constant
+from .hurwitz import HurwitzSeries, _beta_key, _multi_indices, hurwitz_chain
 from .psym import PPoly, schur
 from .w_ops import apply_spectral
 
@@ -136,6 +148,44 @@ def oracle_tuple_count(classes, n: int) -> Fraction:
     # g_k = g^{-1}, whose type equals type(g)
     count = sum(c for g, c in ways.items() if cycle_type(g) == classes[-1])
     return Fraction(count, math.factorial(n))
+
+
+def _partial_permutations(delta: Partition, n: int):
+    """Every partial permutation of cycle type delta with support in
+    range(n), as (support, images of 0..n-1), fixing each point off the
+    support."""
+    out = []
+    for support in itertools.combinations(range(n), degree(delta)):
+        for perm in permutations_of_type(delta):
+            images = list(range(n))
+            for i, j in zip(support, perm):
+                images[i] = support[j]
+            out.append((frozenset(support), tuple(images)))
+    return out
+
+
+def oracle_mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
+    """d1 * d2 as a product of class sums of partial permutations: the sum
+    over all (support, sigma) of type d1 times the one for d2, where
+    (s1, g1)(s2, g2) = (s1 | s2, g1 g2).  Every support of the product lies
+    in range(|d1|+|d2|), so counting there and dividing by the number of
+    partial permutations of each type, C(n, |d|) |C_d|, gives the
+    coefficients."""
+    d1, d2 = as_partition(d1), as_partition(d2)
+    n = degree(d1) + degree(d2)
+    if n > MAX_ORACLE_DEGREE:
+        raise BoundError("partial-permutation oracle beyond S_%d" % MAX_ORACLE_DEGREE)
+    right = _partial_permutations(d2, n)
+    counts = {}
+    for s1, g1 in _partial_permutations(d1, n):
+        for s2, g2 in right:
+            # each point off the support is a trailing 1-cycle of the type
+            cycles = cycle_type(compose(g1, g2))
+            d = cycles[:len(cycles) - (n - len(s1 | s2))]
+            counts[d] = counts.get(d, 0) + 1
+    return DiagramSum({
+        d: Fraction(c, math.comb(n, degree(d)) * class_size(d)) for d, c in counts.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +360,27 @@ def series_by_schur(active, p_bound: int, order: int) -> dict:
     return {slot: v for slot, v in terms.items() if v}
 
 
+def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
+    """Largest absolute coefficient of dZ/dbeta_Y - W(Y) Z, compared on the
+    beta orders where both truncations are complete (total order < order)."""
+    upsilon = as_partition(upsilon)
+    if upsilon not in series.active:
+        raise ValueError("%s is not an active direction" % (upsilon,))
+    worst = Fraction(0)
+    for indices in _multi_indices(len(series.active), series.order - 1):
+        counts = dict(zip(series.active, indices))
+        key = _beta_key(counts)
+        # d/dbeta_Y picks the coefficient one order up, times its power
+        up = {p: k for p, k in counts.items()}
+        up[upsilon] = up.get(upsilon, 0) + 1
+        deriv = series.ppoly_at(_beta_key(up)) * up[upsilon]
+        applied = apply_spectral(upsilon, series.ppoly_at(key))
+        diff = deriv - applied
+        for c in diff.terms.values():
+            worst = max(worst, abs(c))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Explicit differential operators
 #
@@ -447,6 +518,13 @@ def apply_explicit(delta: Partition, f: PPoly) -> PPoly:
     if f.is_zero():
         return PPoly.zero(bound=f.bound)
     return EXPLICIT_OPS[delta](f, f.max_degree())
+
+
+def compose_check(d1: Partition, d2: Partition, f: PPoly):
+    """Return (W(d1) W(d2) f, W(d1*d2) f); the two must agree exactly."""
+    sequential = apply_spectral(d1, apply_spectral(d2, f))
+    combined = apply_spectral(mult_infinity(as_partition(d1), as_partition(d2)), f)
+    return sequential, combined
 
 
 # ---------------------------------------------------------------------------

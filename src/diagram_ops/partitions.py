@@ -196,14 +196,6 @@ class DiagramSum:
     def degrees(self):
         return sorted({degree(p) for p in self._terms})
 
-    def map_terms(self, fn) -> "DiagramSum":
-        """Linear extension: fn maps a partition to a DiagramSum."""
-        out = {}
-        for part, coef in self._terms.items():
-            for q, c in fn(part)._terms.items():
-                out[q] = out.get(q, Fraction(0)) + coef * c
-        return DiagramSum(out)
-
     def __add__(self, other):
         out = dict(self._terms)
         for p, c in other._terms.items():
@@ -244,15 +236,14 @@ def rho(delta: Partition, k: int) -> DiagramSum:
     rho_k(delta) = C(r+k, k) * delta^k where r is the number of unit rows
     already present.
     """
+    return DiagramSum.single(*rho_term(delta, k))
+
+
+def rho_term(delta: Partition, k: int):
+    """rho_k(delta) as the pair (delta^k, C(r+k, k)) of its single term."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    r = multiplicity(delta, 1)
-    return DiagramSum.single(pad(delta, k), math.comb(r + k, k))
-
-
-def rho_sum(s: DiagramSum, k: int) -> DiagramSum:
-    """Linear extension of rho to diagram sums."""
-    return s.map_terms(lambda p: rho(p, k))
+    return pad(delta, k), math.comb(multiplicity(delta, 1) + k, k)
 
 
 def parse_diagram_sum(text: str) -> DiagramSum:

@@ -5,7 +5,8 @@ functions, scale the coefficient of R by the eigenvalue phi_R(delta), and
 reassemble.  The six small diagrams ([1], [2], [1,1], [3], [2,1], [1,1,1])
 also have literal differential operators, diagram_ops.oracles.apply_explicit,
 an independent oracle for this route that only the tests, selftest and
-`wapply --explicit` import.
+`wapply --explicit` import.  The identity W(d1) W(d2) = W(d1 d2) is
+checked there too (compose_check).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 
 from .partitions import DiagramSum, Partition, as_partition
 from .characters import phi
-from .class_algebra import mult_infinity
 from .psym import PPoly, from_schur, schur_expand
 
 
@@ -38,10 +38,3 @@ def apply_spectral(x, f: PPoly) -> PPoly:
                 out[r] = out.get(r, Fraction(0)) + v
     out = {r: c for r, c in out.items() if c}
     return from_schur(out, bound=f.bound)
-
-
-def compose_check(d1: Partition, d2: Partition, f: PPoly):
-    """Return (W(d1) W(d2) f, W(d1*d2) f); the two must agree exactly."""
-    sequential = apply_spectral(d1, apply_spectral(d2, f))
-    combined = apply_spectral(mult_infinity(as_partition(d1), as_partition(d2)), f)
-    return sequential, combined

@@ -21,7 +21,6 @@ from diagram_ops.characters import phi
 from diagram_ops.hurwitz import (
     generating_function,
     hurwitz_chain,
-    pde_residual,
     simple_hurwitz,
 )
 from diagram_ops.oracles import (
@@ -31,6 +30,7 @@ from diagram_ops.oracles import (
     eval_at_power_sums,
     oracle_structure_constant,
     oracle_tuple_count,
+    pde_residual,
 )
 from diagram_ops.partitions import DiagramSum, partitions_of
 from diagram_ops.psym import exp_p1, schur

@@ -11,7 +11,7 @@ from diagram_ops.class_algebra import (
     mult_sum,
     structure_constant,
 )
-from diagram_ops.oracles import oracle_structure_constant
+from diagram_ops.oracles import oracle_mult_infinity, oracle_structure_constant
 from diagram_ops.partitions import DiagramSum, degree, partitions_of
 from diagram_ops.characters import phi
 
@@ -74,6 +74,19 @@ def test_memoized_product_is_read_only():
     with pytest.raises(TypeError):
         mult_same_degree((2,), (2,))._terms[(1, 1)] = 5
     assert mult_same_degree((2,), (2,)).coefficient((1, 1)) == 1
+
+
+def test_mult_infinity_vs_partial_permutation_oracle():
+    pairs = [(d1, d2) for total in range(7) for a in range(total + 1)
+             for d1 in partitions_of(a) for d2 in partitions_of(total - a)]
+    assert len(pairs) == 139
+    for d1, d2 in pairs:
+        assert mult_infinity(d1, d2) == oracle_mult_infinity(d1, d2), (d1, d2)
+
+
+def test_partial_permutation_oracle_bound():
+    with pytest.raises(BoundError):
+        oracle_mult_infinity((4,), (3,))
 
 
 def test_mult_infinity_bound():

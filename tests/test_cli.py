@@ -164,9 +164,31 @@ def test_bounds_and_exit_codes(argv, code):
 
 
 def test_import_path_leaves_out_oracles_and_dataclasses():
-    code = ("import sys, diagram_ops.cli; "
-            "print([m for m in ('diagram_ops.oracles', 'dataclasses', 'inspect') if m in sys.modules])")
+    package = os.path.dirname(diagram_ops.__file__)
+    submodules = ["diagram_ops." + f[:-3] for f in sorted(os.listdir(package))
+                  if f.endswith(".py") and f != "__init__.py"]
+    later = ["diagram_ops." + m for m in ("psym", "w_ops", "hurwitz", "oracles")]
+    run_cli = "from diagram_ops.cli import main; main(sys.argv[1:]); "
+    cases = [
+        ("import diagram_ops.cli; ", [], ["diagram_ops.oracles", "dataclasses", "inspect"]),
+        (run_cli, ["--json", "mult", "[2]", "[2]"], later),
+        (run_cli, ["chartable", "3"], later),
+        (run_cli, ["hurwitz", "[2]", "[2]"], later[:2]),
+        (run_cli, ["evolve", "[2]"], later[:2]),
+        ("import diagram_ops; ", [], submodules),
+        ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [], []),
+    ]
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr
+    for code, argv, absent in cases:
+        code = "import sys; %sprint([m for m in %r if m in sys.modules], file=sys.stderr)" % (
+            code, absent)
+        proc = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "[]\n"), (code, argv, proc.stderr)
+
+
+def test_package_has_no_other_attributes():
+    for name in ("compose_check", "pde_residual", "no_such_name"):
+        assert name not in diagram_ops.__all__
+        with pytest.raises(AttributeError):
+            getattr(diagram_ops, name)

@@ -13,12 +13,11 @@ from diagram_ops.hurwitz import (
     hurwitz3,
     hurwitz_chain,
     hurwitz_padded,
-    pde_residual,
     simple_hurwitz,
 )
 from diagram_ops.partitions import aut_order, partitions_of
 from diagram_ops.psym import exp_p1
-from diagram_ops.oracles import oracle_tuple_count, series_by_schur
+from diagram_ops.oracles import oracle_tuple_count, pde_residual, series_by_schur
 
 
 def chain_split(deltas, r):
@@ -81,6 +80,15 @@ def test_chain_vs_oracle_small():
         quads = [tuple(rng.choice(parts) for _ in range(4)) for _ in range(20)]
         for tup in quads:
             assert hurwitz_chain(tup) == oracle_tuple_count(tup, n), tup
+
+
+def test_chain_vs_oracle_five_and_six_classes_at_n6():
+    rng = random.Random(37)
+    parts = partitions_of(6)
+    for k in (5, 6):
+        for _ in range(5):
+            tup = tuple(rng.choice(parts) for _ in range(k))
+            assert hurwitz_chain(tup) == oracle_tuple_count(tup, 6), tup
 
 
 def test_split_independence():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 from diagram_ops.psym import PPoly, exp_p1, p_monomial, schur
 from diagram_ops.partitions import DiagramSum, degree, partitions_of
-from diagram_ops.oracles import EXPLICIT_OPS, apply_explicit
-from diagram_ops.w_ops import apply_spectral, compose_check, eigenvalue
+from diagram_ops.oracles import EXPLICIT_OPS, apply_explicit, compose_check
+from diagram_ops.w_ops import apply_spectral, eigenvalue
 
 SIX = sorted(EXPLICIT_OPS, key=lambda d: (degree(d), d))
 
