@@ -1,8 +1,19 @@
 """Command-line front end with deterministic text/JSON output.
 
-Each command imports the layers beyond the character table and the class
-algebra (psym, w_ops, hurwitz, oracles) inside its cmd_* function, so an
-op loads only the modules it runs.
+    diagram-ops [--json] [--max-degree N] [--seed S] COMMAND [ARGS]
+
+The COMMANDS table names each command's function, help line, positionals
+and options, and parse_args reads argv against it (argparse would cost an
+op more start-up time than most commands compute).  Global options come
+before the command; command options may come anywhere after it.  Both
+"--opt value" and "--opt=value" work, long options are never abbreviated,
+a token such as "-1" is a value, and "--" ends the options.  -h or --help
+prints help to stdout and exits 0; a usage error prints "usage: ..." and
+"diagram-ops: error: ..." to stderr and exits 2.
+
+Each command imports the layers beyond the character table (class_algebra,
+psym, w_ops, hurwitz, oracles) inside its cmd_* function, so an op loads
+only the modules it runs.
 
 Every degree read from argv is checked against --max-degree, itself at
 most MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success, 2 parse
@@ -12,13 +23,13 @@ error or invalid argument (ValueError), 3 resource bound exceeded,
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import BoundError, ConsistencyError, ParseError
 from .characters import MAX_TABLE_DEGREE, char_table
-from .class_algebra import mult_sum
 from .partitions import (
     degree,
     format_fraction,
@@ -47,6 +58,8 @@ def _emit(args, text_value, json_obj):
 
 
 def cmd_mult(args):
+    from .class_algebra import mult_sum
+
     a = parse_diagram_sum(args.left)
     b = parse_diagram_sum(args.right)
     _check_degrees(args, a.degrees() + b.degrees())
@@ -139,68 +152,171 @@ def cmd_selftest(args):
         raise ConsistencyError("selftest failures: see report")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="diagram-ops",
-        description="Exact algebra of Young diagrams, characters, "
-                    "cut-and-join operators and Hurwitz numbers.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON output")
-    parser.add_argument("--max-degree", type=int, default=10,
-                        help="largest degree of any input (at most %d)" % MAX_TABLE_DEGREE)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub = parser.add_subparsers(dest="command", required=True)
+#: Options read before the command: flag -> (type, default).  Type bool is
+#: a flag that takes no value; a tuple lists the values allowed.
+GLOBAL_OPTIONS = {
+    "--json": (bool, False),
+    "--max-degree": (int, 10),
+    "--seed": (int, DEFAULT_SEED),
+}
 
-    p = sub.add_parser("mult", help="product of two diagram sums")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_mult)
+#: command -> (function, help, positionals, options).  A positional is
+#: (name, type); the last may end in "..." and then takes a list of one or
+#: more text values.  Options are as in GLOBAL_OPTIONS.
+COMMANDS = {
+    "mult": (cmd_mult, "product of two diagram sums", [("left", str), ("right", str)], {}),
+    "chartable": (cmd_chartable, "character table of S_n", [("n", int)], {}),
+    "schur": (cmd_schur, "Schur function in power sums", [("r", str)], {}),
+    "eigenvalue": (cmd_eigenvalue, "eigenvalue of W(delta) on schur(R)",
+                   [("delta", str), ("r", str)], {}),
+    "wapply": (cmd_wapply, "apply W(delta) to a polynomial; --explicit uses the tabulated "
+                           "differential operator",
+               [("delta", str), ("poly", str)], {"--explicit": (bool, False)}),
+    "hurwitz": (cmd_hurwitz, "Hurwitz bracket of equal-degree classes",
+                [("classes...", str)], {"--n": (int, None)}),
+    "evolve": (cmd_evolve, "generating function of Hurwitz numbers",
+               [("directions...", str)], {"--p-bound": (int, 4), "--order": (int, 2)}),
+    "selftest": (cmd_selftest, "run oracle-equivalence suites", [],
+                 {"--level": (("quick", "full"), "quick")}),
+}
 
-    p = sub.add_parser("chartable", help="character table of S_n")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_chartable)
+# As under argparse, "-", a token with a space and a negative number are
+# values, not options.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("schur", help="Schur function in power sums")
-    p.add_argument("r")
-    p.set_defaults(func=cmd_schur)
 
-    p = sub.add_parser("eigenvalue", help="eigenvalue of W(delta) on schur(R)")
-    p.add_argument("delta")
-    p.add_argument("r")
-    p.set_defaults(func=cmd_eigenvalue)
+def _is_option(token):
+    return (token.startswith("-") and token != "-" and " " not in token
+            and not _NEGATIVE_NUMBER.match(token))
 
-    p = sub.add_parser("wapply", help="apply W(delta) to a polynomial")
-    p.add_argument("delta")
-    p.add_argument("poly")
-    p.add_argument("--explicit", action="store_true",
-                   help="use the tabulated differential operator")
-    p.set_defaults(func=cmd_wapply)
 
-    p = sub.add_parser("hurwitz", help="Hurwitz bracket of equal-degree classes")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("classes", nargs="+")
-    p.set_defaults(func=cmd_hurwitz)
+def _dest(name):
+    return name.strip("-.").replace("-", "_")
 
-    p = sub.add_parser("evolve", help="generating function of Hurwitz numbers")
-    p.add_argument("--p-bound", type=int, default=4)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("directions", nargs="+")
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("selftest", help="run oracle-equivalence suites")
-    p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.set_defaults(func=cmd_selftest)
+def _synopsis(options):
+    words = []
+    for flag, (kind, _) in options.items():
+        if kind is bool:
+            words.append("[%s]" % flag)
+        elif isinstance(kind, tuple):
+            words.append("[%s {%s}]" % (flag, ",".join(kind)))
+        else:
+            words.append("[%s N]" % flag)
+    return words
 
-    return parser
+
+def _usage(command):
+    words = ["usage: diagram-ops"] + _synopsis(GLOBAL_OPTIONS)
+    if command is None:
+        words.append("COMMAND ...")
+    else:
+        _, _, positionals, options = COMMANDS[command]
+        words += [command] + _synopsis(options) + [name.upper() for name, _ in positionals]
+    return " ".join(words)
+
+
+def _help(command):
+    if command is None:
+        about = ["Exact algebra of Young diagrams, characters, cut-and-join operators "
+                 "and Hurwitz numbers.", "", "commands:"]
+        about += ["  %-11s %s" % (name, entry[1]) for name, entry in COMMANDS.items()]
+        about += ["", "--json prints JSON; --max-degree bounds every input degree "
+                      "(at most %d); --seed seeds selftest." % MAX_TABLE_DEGREE]
+        options = GLOBAL_OPTIONS
+    else:
+        _, text, _, options = COMMANDS[command]
+        about = [text]
+    defaults = ["%s %s" % (flag, default) for flag, (kind, default) in options.items()
+                if kind is not bool and default is not None]
+    if defaults:
+        about.append("defaults: " + ", ".join(defaults))
+    return "\n".join([_usage(command), ""] + about)
+
+
+def _usage_error(command, reason):
+    print(_usage(command), file=sys.stderr)
+    print("diagram-ops: error: %s" % reason, file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _convert(command, what, kind, text):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            _usage_error(command, "%s must be one of %s, not %r" % (what, ", ".join(kind), text))
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        _usage_error(command, "%s takes an integer, not %r" % (what, text))
+
+
+def _set_defaults(args, options):
+    for flag, (_, default) in options.items():
+        setattr(args, _dest(flag), default)
+
+
+def _read_option(args, command, options, token, tokens):
+    if token in ("-h", "--help"):
+        print(_help(command))
+        raise SystemExit(0)
+    flag, has_value, value = token.partition("=")
+    if flag not in options:
+        _usage_error(command, "unknown option %s" % flag)
+    kind = options[flag][0]
+    if kind is bool:
+        if has_value:
+            _usage_error(command, "%s takes no value" % flag)
+        value = True
+    else:
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                _usage_error(command, "%s needs a value" % flag)
+        value = _convert(command, flag, kind, value)
+    setattr(args, _dest(flag), value)
+
+
+def parse_args(argv):
+    """Read argv against GLOBAL_OPTIONS and COMMANDS; return the command's
+    function and the namespace it reads.  A usage error prints usage to
+    stderr and raises SystemExit(2); -h or --help prints help and exits 0."""
+    args = SimpleNamespace()
+    command, options, values = None, GLOBAL_OPTIONS, []
+    _set_defaults(args, options)
+    tokens = iter(argv)
+    for token in tokens:
+        if command is not None and token == "--":
+            values.extend(tokens)
+        elif _is_option(token):
+            _read_option(args, command, options, token, tokens)
+        elif command is None:
+            if token not in COMMANDS:
+                _usage_error(None, "unknown command %r (choose from %s)"
+                             % (token, ", ".join(COMMANDS)))
+            command, options = token, COMMANDS[token][3]
+            _set_defaults(args, options)
+        else:
+            values.append(token)
+    if command is None:
+        _usage_error(None, "a command is required")
+    func, _, positionals, _ = COMMANDS[command]
+    if len(values) < len(positionals):
+        _usage_error(command, "missing %s" % positionals[len(values)][0].upper())
+    if len(values) > len(positionals) and not (positionals and positionals[-1][0].endswith("...")):
+        _usage_error(command, "unexpected argument %r" % values[len(positionals)])
+    for i, (name, kind) in enumerate(positionals):
+        value = values[i:] if name.endswith("...") else _convert(command, name, kind, values[i])
+        setattr(args, _dest(name), value)
+    return func, args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    func, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.max_degree > MAX_TABLE_DEGREE:
             raise BoundError("max degree is capped at %d" % MAX_TABLE_DEGREE)
-        args.func(args)
+        func(args)
         return 0
     except ValueError as e:
         _fail(args, "parse", e)

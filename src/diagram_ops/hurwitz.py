@@ -40,6 +40,14 @@ from .characters import char_table, phi
 #: with |R| <= p_bound, that generating_function expands.
 MAX_SERIES_PAIRS = 100_000
 
+#: Largest total beta-order that generating_function expands.  The pair
+#: bound caps the time, but the coefficients' denominators grow like
+#: order!, so one direction at a high order printed tens of megabytes.  At
+#: order 100 and p_bound 12 one direction prints at most about 4 MB of
+#: JSON in under 1 s, no more than the pair bound already admits for two
+#: directions (order 25: 5.6 MB in 1.7 s).
+MAX_SERIES_ORDER = 100
+
 
 def hurwitz3(d1: Partition, d2: Partition, d3: Partition) -> Fraction:
     """Three-point bracket, C^{d3}_{d1,d2} / z_{d3}."""
@@ -164,8 +172,9 @@ def _multi_indices(k: int, total: int) -> list:
 
 def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     """Z = sum_{|R| <= p_bound} d_R exp(sum_Y beta_Y phi_R(Y)) schur(R),
-    expanded to total beta-order <= order; above MAX_SERIES_PAIRS (beta
-    multi-index, R) pairs it raises BoundError before building anything.
+    expanded to total beta-order <= order; above MAX_SERIES_ORDER, or above
+    MAX_SERIES_PAIRS (beta multi-index, R) pairs, it raises BoundError
+    before building anything.
 
     The beta-degree-0 term is the truncation of e^{p_1}, i.e. the
     unbranched covers, including the empty one for the empty diagram.
@@ -176,6 +185,8 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order > MAX_SERIES_ORDER:
+        raise BoundError("series order %d exceeds bound %d" % (order, MAX_SERIES_ORDER))
     active = sorted({as_partition(p) for p in active}, key=partition_sort_key)
     pairs = math.comb(order + len(active), len(active)) * sum(
         len(partitions_of(n)) for n in range(p_bound + 1))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diagram_ops
 
-from diagram_ops.cli import main
+from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, main
 
 
 def run(capsys, *argv):
@@ -151,6 +154,7 @@ EIGHT_DIRECTIONS = ["[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]", "[4]", "[3
     (["--max-degree", "12", "wapply", "[2]", "p13"], 3),
     (["wapply", "[2]", "p1^100000000"], 3),
     (["evolve", "--p-bound", "2", "--order", "8"] + EIGHT_DIRECTIONS, 0),
+    (["evolve", "--p-bound", "10", "--order", "718", "[2]"], 3),
 ], ids=lambda v: " ".join(v)[:48] if isinstance(v, list) else str(v))
 def test_bounds_and_exit_codes(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -168,13 +172,16 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
     submodules = ["diagram_ops." + f[:-3] for f in sorted(os.listdir(package))
                   if f.endswith(".py") and f != "__init__.py"]
     later = ["diagram_ops." + m for m in ("psym", "w_ops", "hurwitz", "oracles")]
+    parser = ["argparse", "gettext", "locale"]
+    no_algebra = ["diagram_ops.class_algebra"] + parser
     run_cli = "from diagram_ops.cli import main; main(sys.argv[1:]); "
     cases = [
-        ("import diagram_ops.cli; ", [], ["diagram_ops.oracles", "dataclasses", "inspect"]),
-        (run_cli, ["--json", "mult", "[2]", "[2]"], later),
-        (run_cli, ["chartable", "3"], later),
-        (run_cli, ["hurwitz", "[2]", "[2]"], later[:2]),
-        (run_cli, ["evolve", "[2]"], later[:2]),
+        ("import diagram_ops.cli; ", [],
+         ["diagram_ops.oracles", "dataclasses", "inspect"] + parser),
+        (run_cli, ["--json", "mult", "[2]", "[2]"], later + parser),
+        (run_cli, ["chartable", "3"], later + no_algebra),
+        (run_cli, ["hurwitz", "[2]", "[2]"], later[:2] + no_algebra),
+        (run_cli, ["evolve", "[2]"], later[:2] + no_algebra),
         ("import diagram_ops; ", [], submodules),
         ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [], []),
     ]
@@ -192,3 +199,116 @@ def test_package_has_no_other_attributes():
         assert name not in diagram_ops.__all__
         with pytest.raises(AttributeError):
             getattr(diagram_ops, name)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "3"],
+    ["--cache-dir", "x", "chartable", "3"],
+    ["chartable", "3", "--json"],
+    ["wapply", "--implicit", "[2]", "p2"],
+    ["mult", "-x", "[2]"],
+    ["mult", "[1]"],
+    ["hurwitz", "--n", "2"],
+    ["chartable", "3", "4"],
+    ["selftest", "quick"],
+    ["hurwitz", "[2]", "--n"],
+    ["--max-degree"],
+    ["evolve", "--order", "--p-bound", "2", "[2]"],
+    ["chartable", "three"],
+    ["--seed", "1.5", "selftest"],
+    ["evolve", "--order=two", "[2]"],
+    ["selftest", "--level", "medium"],
+    ["--json=1", "chartable", "3"],
+    ["--max", "4", "chartable", "3"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and err.startswith("usage: diagram-ops ")
+    assert "\ndiagram-ops: error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--help"], list(COMMANDS)),
+    (["-h"], list(COMMANDS)),
+    (["mult", "--help"], ["mult LEFT RIGHT"]),
+    (["--json", "evolve", "[2]", "-h"], ["evolve [--p-bound N] [--order N] DIRECTIONS..."]),
+])
+def test_help(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == "" and out.startswith("usage: diagram-ops ")
+    assert all(name in out for name in names)
+
+
+@pytest.mark.parametrize("usual, other", [
+    (["--max-degree", "4", "chartable", "4"], ["--max-degree=4", "chartable", "4"]),
+    (["--max-degree", "4", "chartable", "5"], ["--max-degree=4", "chartable", "5"]),
+    (["--json", "evolve", "--order", "1", "[2]"], ["--json", "evolve", "--order=1", "[2]"]),
+    (["evolve", "--p-bound", "2", "--order", "1", "[2]"], ["evolve", "[2]", "--order=1", "--p-bound", "2"]),
+    (["hurwitz", "--n", "2", "[2]", "[2]"], ["hurwitz", "[2]", "--n", "2", "[2]"]),
+    (["mult", "[1]", "[2]"], ["mult", "--", "[1]", "[2]"]),
+])
+def test_equivalent_argv(capsys, usual, other):
+    expected = run(capsys, *usual)
+    assert expected[0] in (0, 3) and expected[1] + expected[2]
+    assert run(capsys, *other) == expected
+
+
+INTEGER = st.integers(-3, 6).map(str)
+TEXT = st.sampled_from([
+    "[]", "[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[2,2]", "[3,1]", "[1,3]", "[0]", "[4,2]",
+    "2*[2] + [1]", "1/2*[2,1]", "-1*[2] + [3]", "p1", "p2^2", "2*p2*p1",
+    "1/3*p1^3 + -1/3*p3", "p0", "p1^100000000", "1",
+])
+JUNK = st.sampled_from(["", "-", "-x", "--", "--max", "--json", "-h", "[", "[2,", "*", "1e3",
+                        "quick"] + list(COMMANDS))
+
+
+def _option(flag, kind):
+    if kind is bool:
+        return st.just([flag])
+    value = INTEGER if kind is int else st.sampled_from(["quick", "medium"])
+    return st.one_of(value.map(lambda v: [flag, v]), value.map(lambda v: [flag + "=" + v]))
+
+
+def _options(options):
+    return [_option(flag, kind) for flag, (kind, _) in options.items()]
+
+
+@st.composite
+def _command_argv(draw):
+    """Global options, a command, then its positionals and options in any
+    order, sometimes with a junk token, a missing or an extra value."""
+    argv = sum(draw(st.lists(st.one_of(*_options(GLOBAL_OPTIONS)), max_size=2)), [])
+    name = draw(st.sampled_from(list(COMMANDS)))
+    _, _, positionals, options = COMMANDS[name]
+    units = [[draw(INTEGER if kind is int else TEXT)] for _, kind in positionals]
+    if positionals and positionals[-1][0].endswith("..."):
+        units += [[t] for t in draw(st.lists(TEXT, max_size=3))]
+    if options:
+        units += draw(st.lists(st.one_of(*_options(options)), max_size=2))
+    units += [[t] for t in draw(st.lists(JUNK, max_size=1))]
+    units = draw(st.permutations(units))
+    if units and draw(st.integers(0, 3)) == 0:
+        units = units[:-1]
+    return argv + [name] + sum(units, [])
+
+
+ARGV = st.one_of(_command_argv(), st.lists(st.one_of(TEXT, INTEGER, JUNK), max_size=6))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    assert code in (0, 2, 3, 4, ("SystemExit", 0), ("SystemExit", 2)), (argv, code)

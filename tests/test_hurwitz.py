@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from diagram_ops.errors import BoundError
 from diagram_ops.hurwitz import (
+    MAX_SERIES_ORDER,
     MAX_SERIES_PAIRS,
     _multi_indices,
     generating_function,
@@ -184,6 +185,13 @@ def test_generating_function_size_bound():
     assert 368 * 272 > MAX_SERIES_PAIRS
     with pytest.raises(BoundError):
         generating_function([(2,)], p_bound=12, order=367)
+    # within the order bound: C(12, 4) = 495 multi-indices times 272 diagrams
+    assert 495 * 272 > MAX_SERIES_PAIRS
+    with pytest.raises(BoundError):
+        generating_function([(1,), (2,), (3,), (4,)], p_bound=12, order=8)
+    with pytest.raises(BoundError):
+        generating_function([(2,)], p_bound=1, order=MAX_SERIES_ORDER + 1)
+    assert generating_function([(2,)], p_bound=1, order=MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
     with pytest.raises(ValueError):
         generating_function([(2,)], p_bound=2, order=-1)
 
