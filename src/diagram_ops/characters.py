@@ -50,7 +50,8 @@ def character(r: Partition, delta: Partition) -> int:
 
 
 def dimension(r: Partition) -> int:
-    """Dimension of the irreducible labelled by r, via hook lengths."""
+    """Dimension of the irreducible labelled by r, via hook lengths; an
+    independent check of the table's [1^n] column, which phi reads."""
     n = degree(r)
     if n == 0:
         return 1
@@ -64,27 +65,26 @@ def dimension(r: Partition) -> int:
     return dim
 
 
-@functools.lru_cache(maxsize=None)
 def d_r(r: Partition) -> Fraction:
     """dim(r) / |r|!, the Plancherel weight of the irreducible r."""
-    n = degree(r)
-    return Fraction(dimension(r), math.factorial(n))
+    return Fraction(dimension(r), math.factorial(degree(r)))
 
 
-@functools.lru_cache(maxsize=None)
 def phi(r: Partition, delta: Partition) -> Fraction:
     """Normalized character: the eigenvalue of the diagram operator of
     delta on the Schur function of r.
 
     phi_R(delta) = kappa(delta) * chi_R(delta padded to degree |R|)
                    / (d_R * (|R|-|delta|)!)
-    and 0 when |R| < |delta|.
+    and 0 when |R| < |delta|; dim_R = |R|! d_R is the table's [1^|R|] entry.
     """
-    k = degree(r) - degree(delta)
+    n = degree(r)
+    k = n - degree(delta)
     if k < 0:
         return Fraction(0)
     chi = character(r, pad(delta, k))
-    return kappa(delta) * chi / (d_r(r) * math.factorial(k))
+    dim = char_table(n).entry(r, (1,) * n)
+    return kappa(delta) * chi * math.factorial(n) / (dim * math.factorial(k))
 
 
 class CharacterTable:
@@ -116,6 +116,19 @@ class CharacterTable:
         except KeyError:
             kind, label = ("class", delta) if tuple(r) in self.rows else ("shape", r)
             raise self._unknown(kind, label) from None
+
+    def weighted_sum(self, weights) -> list:
+        """sum_R w_R chi_R(mu) for every class mu, in column order, for
+        integer weights {R: w_R}; rows of weight 0, common in products of
+        characters, are skipped.  An unknown shape raises ValueError."""
+        out = [0] * len(self.order)
+        for r, w in weights.items():
+            row = self.rows.get(tuple(r))
+            if row is None:
+                raise self._unknown("shape", r)
+            if w:
+                out = [a + w * x for a, x in zip(out, row)]
+        return out
 
     def _unknown(self, kind: str, label) -> ValueError:
         return ValueError("%s is not a %s of S_%d (parts must be decreasing and sum to %d)"
@@ -185,7 +198,7 @@ def _build_table(n: int) -> CharacterTable:
 
 
 def char_table(n: int) -> CharacterTable:
-    """Character table of S_n, built once per process and shared."""
+    """Character table of S_n, built once per process and shared: the only memo."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_TABLE_DEGREE:

@@ -1,7 +1,7 @@
 """Center of the group algebra of S_n and the graded product of diagrams.
 
 _structure_column reads every structure constant of a product of two class
-sums from the character table in one pass over its rows, and is memoized;
+sums from the character table as one table-times-vector product;
 mult_same_degree wraps it and structure_constant picks one coefficient.
 The literal pair-counting definition lives in diagram_ops.oracles
 (oracle_structure_constant), which only the tests and selftest import.
@@ -17,7 +17,6 @@ coefficient on the way is an integer, so the recursion runs on
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -50,26 +49,21 @@ def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
     return DiagramSum(zip(char_table(degree(d1)).order, _structure_column(d1, d2)))
 
 
-@functools.lru_cache(maxsize=None)
 def _structure_column(d1: Partition, d2: Partition) -> tuple:
     """Every structure constant C^d_{d1,d2}, d in table order, by the
     Frobenius formula
 
         C^d_{d1,d2} = |C_d1| |C_d2| / n! * sum_R chi_R(d1) chi_R(d2) chi_R(d) / dim_R,
 
-    in one pass over the character-table rows.  n!/dim_R is an integer, so
-    the sum is taken in integers over n!^2 and divided once at the end.
+    as one weighted sum of table rows.  n!/dim_R is an integer, so the sum
+    is taken in integers over n!^2 and divided once at the end.
     """
     n = degree(d1)
     table = char_table(n)
     n_fact = math.factorial(n)
     i1, i2, i_dim = (table.column(d) for d in (d1, d2, (1,) * n))
-    column = [0] * len(table.order)
-    for row in table.rows.values():
-        weight = row[i1] * row[i2] * (n_fact // row[i_dim])
-        if weight:
-            for j, chi in enumerate(row):
-                column[j] += weight * chi
+    column = table.weighted_sum({r: row[i1] * row[i2] * (n_fact // row[i_dim])
+                                 for r, row in table.rows.items()})
     scale = class_size(d1) * class_size(d2)
     out = []
     for d, total in zip(table.order, column):
@@ -83,12 +77,14 @@ def _structure_column(d1: Partition, d2: Partition) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
 def _graded_pieces(d1: Partition, d2: Partition) -> dict:
     """All graded pieces {d1 d2}_n as {n: {partition: int}}, per the
     defining recursion."""
     lo = max(degree(d1), degree(d2))
     hi = degree(d1) + degree(d2)
+    if hi > MAX_TABLE_DEGREE:
+        raise BoundError("mult_infinity total degree %d exceeds bound %d"
+                         % (hi, MAX_TABLE_DEGREE))
     pieces = {}
     for n in range(lo, hi + 1):
         p1, w1 = rho_term(d1, n - degree(d1))
@@ -106,15 +102,9 @@ def _graded_pieces(d1: Partition, d2: Partition) -> dict:
 
 def mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
     """Full product d1 * d2 in the algebra of diagrams of arbitrary degree."""
-    d1, d2 = as_partition(d1), as_partition(d2)
-    if degree(d1) + degree(d2) > MAX_TABLE_DEGREE:
-        raise BoundError(
-            "mult_infinity total degree %d exceeds bound %d"
-            % (degree(d1) + degree(d2), MAX_TABLE_DEGREE)
-        )
+    pieces = _graded_pieces(as_partition(d1), as_partition(d2))
     # the pieces have distinct degrees, so their terms never collide
-    return DiagramSum({d: c for piece in _graded_pieces(d1, d2).values()
-                       for d, c in piece.items()})
+    return DiagramSum({d: c for piece in pieces.values() for d, c in piece.items()})
 
 
 def graded_piece(d1: Partition, d2: Partition, n: int) -> DiagramSum:
@@ -125,8 +115,11 @@ def graded_piece(d1: Partition, d2: Partition, n: int) -> DiagramSum:
 
 def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
     """Bilinear extension of mult_infinity to diagram sums."""
-    out = DiagramSum.zero()
+    out = {}
     for p, cp in a.items():
         for q, cq in b.items():
-            out = out + mult_infinity(p, q) * (cp * cq)
-    return out
+            weight = cp * cq
+            for piece in _graded_pieces(p, q).values():
+                for d, c in piece.items():
+                    out[d] = out.get(d, 0) + weight * c
+    return DiagramSum(out)

@@ -18,7 +18,6 @@ power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .errors import BoundError
@@ -197,19 +196,16 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     keys = [_beta_key(dict(zip(active, counts))) for counts in multi_indices]
     for n in range(p_bound + 1):
         table = char_table(n)
-        dims = [table.entry(r, (1,) * n) for r in table.order]
-        columns = list(zip(*(table.rows[r] for r in table.order)))
-        eigs = [[phi(r, y) for r in table.order] for y in active]
-        q = [math.lcm(*(e.denominator for e in row)) for row in eigs]
-        num = [[e.numerator * (qy // e.denominator) for e in row] for row, qy in zip(eigs, q)]
+        i_dim = table.column((1,) * n)
+        eigs = [[phi(r, y) for y in active] for r in table.rows]
+        q = [math.lcm(*(e.denominator for e in col)) for col in zip(*eigs)]
+        num = [[e.numerator * (qy // e.denominator) for e, qy in zip(row, q)] for row in eigs]
         for key, counts in zip(keys, multi_indices):
-            powers = [(row, k) for row, k in zip(num, counts) if k]
-            weights = [dim * math.prod(row[j] ** k for row, k in powers)
-                       for j, dim in enumerate(dims)]
+            column = table.weighted_sum({r: chis[i_dim] * math.prod(map(pow, nums, counts))
+                                         for (r, chis), nums in zip(table.rows.items(), num)})
             scale = math.factorial(n) * math.prod(
                 qy ** k * math.factorial(k) for qy, k in zip(q, counts))
-            for mu, column in zip(table.order, columns):
-                total = sum(map(operator.mul, weights, column))
+            for mu, total in zip(table.order, column):
                 if total:
                     series.terms[(key, mu)] = Fraction(total, scale * aut_order(mu))
     return series

@@ -156,8 +156,8 @@ def parse_fraction(text: str) -> Fraction:
 class DiagramSum:
     """Finitely supported Fraction-linear combination of partitions.
 
-    Immutable, with read-only terms since memoized products are shared;
-    arithmetic returns new sums and never stores zero terms.
+    Immutable, with read-only terms, so a sum can be passed and kept
+    without copying; arithmetic returns new sums and never stores zero terms.
     """
 
     __slots__ = ("_terms",)

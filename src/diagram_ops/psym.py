@@ -15,7 +15,6 @@ only the tests and selftest import.
 
 from __future__ import annotations
 
-import functools
 import math
 import types
 from fractions import Fraction
@@ -50,7 +49,8 @@ def _monomial_sort_key(mono: Partition):
 
 class PPoly:
     """Sparse exact polynomial in the variables p_1, p_2, ...; terms is
-    read-only, because memoized values such as schur(r) are shared."""
+    read-only, so a PPoly is a value that can be passed and kept without
+    copying."""
 
     __slots__ = ("terms", "bound")
 
@@ -95,10 +95,6 @@ class PPoly:
 
     def truncate(self, bound) -> "PPoly":
         return PPoly(self.terms, bound=_merge_bounds(self.bound, bound))
-
-    def graded_piece(self, n: int) -> "PPoly":
-        return PPoly({m: c for m, c in self.terms.items() if degree(m) == n},
-                     bound=self.bound)
 
     def homogeneous_degrees(self):
         return sorted({degree(m) for m in self.terms})
@@ -194,10 +190,10 @@ def parse_ppoly(text: str) -> PPoly:
         mono = []
         for i, factor in enumerate(factors):
             if factor.startswith("p"):
-                body, _, exp = factor[1:].partition("^")
-                if not body.isdigit() or (exp and not exp.isdigit()):
+                body, caret, exp = factor[1:].partition("^")
+                if not body.isdecimal() or (caret and not exp.isdecimal()):
                     raise ParseError("malformed power-sum factor %r" % factor, 0)
-                k, m = int(body), int(exp) if exp else 1
+                k, m = int(body), int(exp) if caret else 1
                 if k < 1:
                     raise ParseError("power-sum index must be >= 1 in %r" % factor, 0)
                 if k * m > MAX_ENUM_DEGREE:
@@ -217,16 +213,10 @@ def p_monomial(delta: Partition) -> PPoly:
     return PPoly({tuple(delta): kappa(delta)})
 
 
-@functools.lru_cache(maxsize=None)
 def schur(r: Partition) -> PPoly:
     """Schur function of r in power sums by the Frobenius formula
-    s_R = sum_mu chi_R(mu) p_mu / z_mu, read from the character table.
-
-    Results are cached; PPoly values are treated as immutable everywhere.
-    """
-    r = tuple(r)
-    table = char_table(degree(r))
-    return PPoly({mu: Fraction(chi, aut_order(mu)) for mu, chi in zip(table.order, table.rows[r])})
+    s_R = sum_mu chi_R(mu) p_mu / z_mu, read from the character table."""
+    return from_schur({tuple(r): 1})
 
 
 def schur_expand(f: PPoly) -> dict:
@@ -234,23 +224,31 @@ def schur_expand(f: PPoly) -> dict:
     from p_delta = sum_R chi_R(delta) schur(R)."""
     out = {}
     for n in f.homogeneous_degrees():
-        piece = f.graded_piece(n)
         table = char_table(n)
-        for r in table.order:
-            c = Fraction(0)
-            for mono, coef in piece.terms.items():
-                c += coef * table.entry(r, mono)
+        piece = [(table.column(m), c) for m, c in f.terms.items() if degree(m) == n]
+        for r, row in table.rows.items():
+            c = sum(coef * row[j] for j, coef in piece)
             if c:
                 out[r] = c
     return out
 
 
 def from_schur(coeffs: dict, bound=None) -> PPoly:
-    """sum_R c_R * schur(R); inverse of schur_expand."""
-    total = PPoly.zero(bound=bound)
+    """sum_R c_R * schur(R), truncated to bound; inverse of schur_expand.
+    Per degree the c_R share a denominator q, so the p_mu coefficients are
+    one integer weighted sum of table rows, divided by q z_mu."""
+    by_degree = {}
     for r, c in coeffs.items():
-        total = total + schur(tuple(r)) * c
-    return total
+        by_degree.setdefault(degree(r), {})[tuple(r)] = Fraction(c)
+    terms = {}
+    for n, cs in by_degree.items():
+        table = char_table(n)
+        q = math.lcm(*(c.denominator for c in cs.values()))
+        column = table.weighted_sum({r: c.numerator * (q // c.denominator) for r, c in cs.items()})
+        for mu, total in zip(table.order, column):
+            if total:
+                terms[mu] = Fraction(total, q * aut_order(mu))
+    return PPoly(terms, bound=bound)
 
 
 def exp_p1(n: int) -> PPoly:

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -196,10 +197,31 @@ def test_char_table_is_shared_and_read_only():
     (lambda t: t.entry((2, 1), (2,)), "[2] is not a class of S_3"),
     (lambda t: t.entry((1, 2), (2, 1)), "[1,2] is not a shape of S_3"),
     (lambda t: t.column((1, 2)), "[1,2] is not a class of S_3"),
-], ids=["entry-unsorted-class", "entry-wrong-degree", "entry-unsorted-shape", "column"])
+    (lambda t: t.weighted_sum({(3,): 1, (1, 2): 0}), "[1,2] is not a shape of S_3"),
+    (lambda t: t.weighted_sum({(2,): 1}), "[2] is not a shape of S_3"),
+], ids=["entry-unsorted-class", "entry-wrong-degree", "entry-unsorted-shape", "column",
+        "weighted-sum-unsorted-shape", "weighted-sum-wrong-degree"])
 def test_table_lookup_names_unknown_label(lookup, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         lookup(char_table(3))
+
+
+def test_weighted_sum_matches_double_loop():
+    rng = random.Random(5)
+    for n in range(9):
+        table = char_table(n)
+        for _ in range(4):
+            weights = {r: rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)])
+                       for r in table.rows}
+            expected = [0] * len(table.order)
+            for r, row in table.rows.items():
+                for j, chi in enumerate(row):
+                    expected[j] += weights[r] * chi
+            assert table.weighted_sum(weights) == expected
+            some = dict(rng.sample(sorted(weights.items()), rng.randint(0, len(weights))))
+            assert table.weighted_sum(some) == [
+                sum(w * table.rows[r][j] for r, w in some.items())
+                for j in range(len(table.order))]
 
 
 def test_phi_zero_above_degree():

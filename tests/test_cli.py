@@ -153,6 +153,7 @@ EIGHT_DIRECTIONS = ["[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]", "[4]", "[3
     (["--max-degree", "12", "chartable", "13"], 3),
     (["--max-degree", "12", "wapply", "[2]", "p13"], 3),
     (["wapply", "[2]", "p1^100000000"], 3),
+    (["wapply", "[1]", "p2^"], 2),
     (["evolve", "--p-bound", "2", "--order", "8"] + EIGHT_DIRECTIONS, 0),
     (["evolve", "--p-bound", "10", "--order", "718", "[2]"], 3),
 ], ids=lambda v: " ".join(v)[:48] if isinstance(v, list) else str(v))

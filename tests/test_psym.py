@@ -103,6 +103,21 @@ def test_schur_round_trip():
         assert from_schur(schur_expand(f)) == f
 
 
+def test_from_schur_fractional_and_bounded():
+    rng = random.Random(17)
+    shapes = [r for n in range(7) for r in partitions_of(n)]
+    for bound in (None, 6, 4, 2, 0):
+        for _ in range(5):
+            coeffs = {r: Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                      for r in rng.sample(shapes, 8)}
+            expected = PPoly.zero()
+            for r, c in coeffs.items():
+                expected = expected + schur(r) * c
+            got = from_schur(coeffs, bound=bound)
+            assert got == expected.truncate(bound)
+            assert got.bound == bound
+
+
 def test_p_delta_expansion_gives_characters():
     for n in range(1, 7):
         table = char_table(n)
@@ -208,7 +223,7 @@ def test_parse_ppoly():
     assert parse_ppoly(schur((2, 2)).to_text()) == schur((2, 2))
     with pytest.raises(ParseError):
         parse_ppoly("1/3*q2")
-    for text in ("p0", "2*p0^2", "p1 + p00"):
+    for text in ("p0", "2*p0^2", "p1 + p00", "p1^", "2*p2*p1^", "p\u00b2", "p1^\u00b2"):
         with pytest.raises(ParseError):
             parse_ppoly(text)
 
