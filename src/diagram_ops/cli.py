@@ -96,17 +96,15 @@ def cmd_eigenvalue(args):
 
 def cmd_wapply(args):
     from .psym import parse_ppoly
-    from .w_ops import apply_spectral
 
     delta = parse_partition(args.delta)
     f = parse_ppoly(args.poly)
     _check_degrees(args, [degree(delta)] + f.homogeneous_degrees())
     if args.explicit:
-        from .oracles import apply_explicit
-
-        result = apply_explicit(delta, f)
+        from .oracles import apply_explicit as apply_operator
     else:
-        result = apply_spectral(delta, f)
+        from .w_ops import apply_spectral as apply_operator
+    result = apply_operator(delta, f)
     _emit(args, result.to_text(), result.to_json_obj())
 
 
@@ -169,8 +167,7 @@ COMMANDS = {
     "schur": (cmd_schur, "Schur function in power sums", [("r", str)], {}),
     "eigenvalue": (cmd_eigenvalue, "eigenvalue of W(delta) on schur(R)",
                    [("delta", str), ("r", str)], {}),
-    "wapply": (cmd_wapply, "apply W(delta) to a polynomial; --explicit uses the tabulated "
-                           "differential operator",
+    "wapply": (cmd_wapply, "apply W(delta) to a polynomial; --explicit uses partial permutations",
                [("delta", str), ("poly", str)], {"--explicit": (bool, False)}),
     "hurwitz": (cmd_hurwitz, "Hurwitz bracket of equal-degree classes",
                 [("classes...", str)], {"--n": (int, None)}),

@@ -33,7 +33,7 @@ from .partitions import (
     partition_sort_key,
     partitions_of,
 )
-from .characters import char_table, phi
+from .characters import MAX_TABLE_DEGREE, char_table, phi
 
 #: Most (beta multi-index, R) pairs, C(order+k, k) times the number of R
 #: with |R| <= p_bound, that generating_function expands.
@@ -171,9 +171,9 @@ def _multi_indices(k: int, total: int) -> list:
 
 def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     """Z = sum_{|R| <= p_bound} d_R exp(sum_Y beta_Y phi_R(Y)) schur(R),
-    expanded to total beta-order <= order; above MAX_SERIES_ORDER, or above
-    MAX_SERIES_PAIRS (beta multi-index, R) pairs, it raises BoundError
-    before building anything.
+    expanded to total beta-order <= order; above MAX_SERIES_ORDER, with
+    p_bound above MAX_TABLE_DEGREE, or above MAX_SERIES_PAIRS (beta
+    multi-index, R) pairs, it raises BoundError before building anything.
 
     The beta-degree-0 term is the truncation of e^{p_1}, i.e. the
     unbranched covers, including the empty one for the empty diagram.
@@ -186,6 +186,10 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
         raise ValueError("order must be nonnegative")
     if order > MAX_SERIES_ORDER:
         raise BoundError("series order %d exceeds bound %d" % (order, MAX_SERIES_ORDER))
+    if p_bound < 0:
+        raise ValueError("p_bound must be nonnegative")
+    if p_bound > MAX_TABLE_DEGREE:
+        raise BoundError("p_bound %d exceeds bound %d" % (p_bound, MAX_TABLE_DEGREE))
     active = sorted({as_partition(p) for p in active}, key=partition_sort_key)
     pairs = math.comb(order + len(active), len(active)) * sum(
         len(partitions_of(n)) for n in range(p_bound + 1))

@@ -29,10 +29,12 @@ Symmetric functions and characters:
 
 Operators:
 
-* apply_explicit: the six small diagrams ([1], [2], [1,1], [3], [2,1],
-  [1,1,1]) as literal differential operators in the p_k, with every
-  summation index clipped at the degree of the argument.
-* compose_check: both sides of W(d1) W(d2) = W(d1 d2).
+* apply_explicit: W(delta) for every diagram with |delta| <=
+  MAX_ORACLE_DEGREE, as the action of the partial permutations of type
+  delta on one permutation of type mu for each monomial p_mu.
+* cut_and_join: W([2]) as the literal differential operator in the p_k.
+* compose_check: both sides of W(d1) W(d2) = W(d1 d2), the left by
+  apply_explicit, the right by apply_spectral on the graded product.
 * pde_residual: how far the generating function is from solving
   dZ/dbeta_Y = W(Y) Z.
 
@@ -41,6 +43,7 @@ selftest_suites runs the oracle-equivalence suites of `selftest`.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -64,6 +67,13 @@ from .w_ops import apply_spectral
 
 #: Largest n for which brute-force S_n enumeration is allowed.
 MAX_ORACLE_DEGREE = 6
+
+#: Most partial permutations, class_size(delta) times the sum of
+#: C(|mu|, |delta|) over the monomials p_mu of f, that apply_explicit
+#: enumerates.  Each costs about 6 us at |mu| = 12 (2-core VM, Python
+#: 3.11), so an op stays under about 1.5 s; the diagrams with |delta| <= 3
+#: on all 272 monomials of degree <= 12 need at most 107,430.
+MAX_ORACLE_ACTIONS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +99,7 @@ def cycle_type(perm) -> Partition:
 
 def compose(p, q):
     """(p after q): i -> p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple([p[i] for i in q])
 
 
 def invert(p):
@@ -151,17 +161,25 @@ def oracle_tuple_count(classes, n: int) -> Fraction:
 
 
 def _partial_permutations(delta: Partition, n: int):
-    """Every partial permutation of cycle type delta with support in
+    """Yield every partial permutation of cycle type delta with support in
     range(n), as (support, images of 0..n-1), fixing each point off the
     support."""
-    out = []
     for support in itertools.combinations(range(n), degree(delta)):
         for perm in permutations_of_type(delta):
             images = list(range(n))
             for i, j in zip(support, perm):
                 images[i] = support[j]
-            out.append((frozenset(support), tuple(images)))
-    return out
+            yield frozenset(support), tuple(images)
+
+
+def _permutation_of_type(mu: Partition):
+    """One permutation of cycle type mu, its cycles on consecutive points."""
+    images = []
+    for part in mu:
+        start = len(images)
+        images += range(start + 1, start + part)
+        images.append(start)
+    return tuple(images)
 
 
 def oracle_mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
@@ -175,7 +193,7 @@ def oracle_mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
     n = degree(d1) + degree(d2)
     if n > MAX_ORACLE_DEGREE:
         raise BoundError("partial-permutation oracle beyond S_%d" % MAX_ORACLE_DEGREE)
-    right = _partial_permutations(d2, n)
+    right = list(_partial_permutations(d2, n))
     counts = {}
     for s1, g1 in _partial_permutations(d1, n):
         for s2, g2 in right:
@@ -382,147 +400,52 @@ def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Explicit differential operators
-#
-# Each implementation receives the argument f and the index clip D
-# (the graded degree of f): any derivative index above D annihilates f,
-# and the operators preserve graded degree, so sums are finite.
+# Operators
 
-def _add(acc: PPoly, coef, monomial, g: PPoly) -> PPoly:
-    """acc + coef * p_monomial * g, skipping zero derivatives."""
-    if g.is_zero():
-        return acc
-    return acc + PPoly({tuple(sorted(monomial, reverse=True)): Fraction(coef)}) * g
+def apply_explicit(delta: Partition, f: PPoly) -> PPoly:
+    """W(delta) f by the partial-permutation action (Ivanov-Kerov), reading
+    no character table: with pi of type mu on n = |mu| points, W(delta) p_mu
+    is the sum of p_type(alpha pi) over the partial permutations alpha of
+    type delta with support in range(n).  Above MAX_ORACLE_DEGREE, or above
+    MAX_ORACLE_ACTIONS partial permutations, it raises BoundError before
+    any work."""
+    delta = as_partition(delta)
+    k = degree(delta)
+    if k > MAX_ORACLE_DEGREE:
+        raise BoundError("explicit operator beyond |delta| = %d" % MAX_ORACLE_DEGREE)
+    actions = class_size(delta) * sum(math.comb(degree(mu), k) for mu in f.terms)
+    if actions > MAX_ORACLE_ACTIONS:
+        raise BoundError("%d partial permutations exceed bound %d" % (actions, MAX_ORACLE_ACTIONS))
+    out = {}
+    for mu, coef in f.terms.items():
+        pi = _permutation_of_type(mu)
+        counts = collections.Counter(
+            cycle_type(compose(alpha, pi)) for _, alpha in _partial_permutations(delta, len(pi)))
+        for nu, c in counts.items():
+            out[nu] = out.get(nu, 0) + coef * c
+    return PPoly(out, bound=f.bound)
 
 
-def _w_1(f: PPoly, d: int) -> PPoly:
-    # sum_k k p_k d/dp_k  (the grading operator)
+def cut_and_join(f: PPoly) -> PPoly:
+    """W([2]) f as the literal cut-and-join differential operator
+    (1/2) sum_{a,b} ((a+b) p_a p_b d/dp_{a+b} + a b p_{a+b} d2/dp_a dp_b),
+    every index clipped at the graded degree of f: a derivative by a
+    higher p_k annihilates f, and the operator preserves graded degree."""
+    d = f.max_degree()
     acc = PPoly.zero(bound=f.bound)
-    for k in range(1, d + 1):
-        acc = _add(acc, k, (k,), f.diff(k))
-    return acc
-
-
-def _w_2(f: PPoly, d: int) -> PPoly:
-    # (1/2) sum_{a,b} ((a+b) p_a p_b d/dp_{a+b} + a b p_{a+b} d2/dp_a dp_b)
-    acc = PPoly.zero(bound=f.bound)
-    half = Fraction(1, 2)
     for a in range(1, d + 1):
         for b in range(1, d + 1):
             if a + b <= d:
-                acc = _add(acc, half * (a + b), (a, b), f.diff(a + b))
-            acc = _add(acc, half * a * b, (a + b,), f.diff(a).diff(b))
+                acc = acc + PPoly({(a, b): Fraction(a + b, 2)}) * f.diff(a + b)
+            acc = acc + PPoly({(a + b,): Fraction(a * b, 2)}) * f.diff(a).diff(b)
     return acc
-
-
-def _w_11(f: PPoly, d: int) -> PPoly:
-    # (1/2) (sum_a a(a-1) p_a d/dp_a + sum_{a,b} a b p_a p_b d2/dp_a dp_b)
-    acc = PPoly.zero(bound=f.bound)
-    half = Fraction(1, 2)
-    for a in range(1, d + 1):
-        acc = _add(acc, half * a * (a - 1), (a,), f.diff(a))
-        for b in range(1, d + 1):
-            acc = _add(acc, half * a * b, (a, b), f.diff(a).diff(b))
-    return acc
-
-
-def _w_3(f: PPoly, d: int) -> PPoly:
-    acc = PPoly.zero(bound=f.bound)
-    third = Fraction(1, 3)
-    half = Fraction(1, 2)
-    # (1/3) sum_{a,b,c} a b c p_{a+b+c} d3/dp_a dp_b dp_c
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            for c in range(1, d + 1):
-                acc = _add(acc, third * a * b * c, (a + b + c,),
-                           f.diff(a).diff(b).diff(c))
-    # (1/2) sum_{a+b=c+d} c d (1 - delta_ac delta_bd) p_a p_b d2/dp_c dp_d
-    for c in range(1, d + 1):
-        for e in range(1, d + 1):
-            g = f.diff(c).diff(e)
-            if g.is_zero():
-                continue
-            s = c + e
-            for a in range(1, s):
-                b = s - a
-                if a == c and b == e:
-                    continue
-                acc = _add(acc, half * c * e, (a, b), g)
-    # (1/3) sum_{a,b,c} (a+b+c) (p_a p_b p_c + p_{a+b+c}) d/dp_{a+b+c}
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            for c in range(1, d + 1):
-                s = a + b + c
-                if s > d:
-                    continue
-                g = f.diff(s)
-                acc = _add(acc, third * s, (a, b, c), g)
-                acc = _add(acc, third * s, (s,), g)
-    return acc
-
-
-def _w_21(f: PPoly, d: int) -> PPoly:
-    acc = PPoly.zero(bound=f.bound)
-    half = Fraction(1, 2)
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            s = a + b
-            # (1/2) (a+b)(a+b-2) p_a p_b d/dp_{a+b}
-            if s <= d:
-                acc = _add(acc, half * s * (s - 2), (a, b), f.diff(s))
-            # (1/2) a b (a+b-2) p_{a+b} d2/dp_a dp_b
-            acc = _add(acc, half * a * b * (s - 2), (s,), f.diff(a).diff(b))
-            for c in range(1, d + 1):
-                # (1/2) (a+b) c p_a p_b p_c d2/dp_{a+b} dp_c
-                if s <= d:
-                    acc = _add(acc, half * s * c, (a, b, c), f.diff(s).diff(c))
-                # (1/2) a b c p_a p_{b+c} d3/dp_a dp_b dp_c
-                acc = _add(acc, half * a * b * c, (a, b + c),
-                           f.diff(a).diff(b).diff(c))
-    return acc
-
-
-def _w_111(f: PPoly, d: int) -> PPoly:
-    acc = PPoly.zero(bound=f.bound)
-    sixth = Fraction(1, 6)
-    quarter = Fraction(1, 4)
-    for a in range(1, d + 1):
-        # (1/6) a(a-1)(a-2) p_a d/dp_a
-        acc = _add(acc, sixth * a * (a - 1) * (a - 2), (a,), f.diff(a))
-        for b in range(1, d + 1):
-            # (1/4) a b (a+b-2) p_a p_b d2/dp_a dp_b
-            acc = _add(acc, quarter * a * b * (a + b - 2), (a, b),
-                       f.diff(a).diff(b))
-            for c in range(1, d + 1):
-                # (1/6) a b c p_a p_b p_c d3/dp_a dp_b dp_c
-                acc = _add(acc, sixth * a * b * c, (a, b, c),
-                           f.diff(a).diff(b).diff(c))
-    return acc
-
-
-EXPLICIT_OPS = {
-    (1,): _w_1,
-    (2,): _w_2,
-    (1, 1): _w_11,
-    (3,): _w_3,
-    (2, 1): _w_21,
-    (1, 1, 1): _w_111,
-}
-
-
-def apply_explicit(delta: Partition, f: PPoly) -> PPoly:
-    """Apply one of the six explicitly tabulated operators term by term."""
-    delta = as_partition(delta)
-    if delta not in EXPLICIT_OPS:
-        raise ValueError("no explicit operator tabulated for %s" % (delta,))
-    if f.is_zero():
-        return PPoly.zero(bound=f.bound)
-    return EXPLICIT_OPS[delta](f, f.max_degree())
 
 
 def compose_check(d1: Partition, d2: Partition, f: PPoly):
-    """Return (W(d1) W(d2) f, W(d1*d2) f); the two must agree exactly."""
-    sequential = apply_spectral(d1, apply_spectral(d2, f))
+    """Return (W(d1) W(d2) f, W(d1*d2) f), the first by the partial-permutation
+    action and the second by the eigenvalues of the graded product; the two
+    must agree exactly."""
+    sequential = apply_explicit(d1, apply_explicit(d2, f))
     combined = apply_spectral(mult_infinity(as_partition(d1), as_partition(d2)), f)
     return sequential, combined
 
@@ -556,6 +479,10 @@ def selftest_suites(level: str, seed: int):
     for n in range(1, min(n_max, 4) + 1):
         cube = list(itertools.product(partitions_of(n), repeat=3))
         chains += [(t, n) for t in (rng.sample(cube, 60) if len(cube) > 60 else cube)]
+    if level == "full":
+        chains += [(tuple(rng.choice(parts6) for _ in range(k)), 6)
+                   for k in (4, 5) for _ in range(5)]
+    deltas = [d for n in range(1, n_max) for d in partitions_of(n)]
     polys = [PPoly({mono: 1}) for n in range(n_max + 1) for mono in partitions_of(n)]
     suites = [
         _suite("structure_constants_vs_oracle",
@@ -564,7 +491,7 @@ def selftest_suites(level: str, seed: int):
                (hurwitz_chain(t) == oracle_tuple_count(t, n) for t, n in chains)),
         _suite("explicit_vs_spectral_operators",
                (apply_explicit(delta, f) == apply_spectral(delta, f)
-                for delta in sorted(EXPLICIT_OPS, key=lambda d: (degree(d), d)) for f in polys)),
+                for delta in deltas for f in polys)),
         _suite("character_table_orthogonality", map(_orthogonal, range(1, n_max + 1))),
         _suite("class_sizes_sum_to_factorial",
                (sum(map(class_size, partitions_of(n))) == math.factorial(n)

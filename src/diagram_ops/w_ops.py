@@ -2,11 +2,10 @@
 
 apply_spectral works for every diagram: expand the argument in Schur
 functions, scale the coefficient of R by the eigenvalue phi_R(delta), and
-reassemble.  The six small diagrams ([1], [2], [1,1], [3], [2,1], [1,1,1])
-also have literal differential operators, diagram_ops.oracles.apply_explicit,
-an independent oracle for this route that only the tests, selftest and
-`wapply --explicit` import.  The identity W(d1) W(d2) = W(d1 d2) is
-checked there too (compose_check).
+reassemble.  diagram_ops.oracles, which only the tests, selftest and
+`wapply --explicit` import, checks this route against apply_explicit, the
+partial-permutation action that reads no character table, and checks
+W(d1) W(d2) = W(d1 d2) across the two routes (compose_check).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from diagram_ops.errors import BoundError
 from diagram_ops.class_algebra import (
@@ -146,3 +147,17 @@ def test_spectral_consistency():
                     (c * phi(r, d) for d, c in product.items()), Fraction(0)
                 )
                 assert total == phi(r, d1) * phi(r, d2)
+
+
+def diagrams(max_degree):
+    return st.integers(0, max_degree).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_phi_multiplicative_property(data):
+    d1 = data.draw(diagrams(8))
+    d2 = data.draw(diagrams(8 - degree(d1)))
+    r = data.draw(diagrams(8))
+    total = sum((c * phi(r, d) for d, c in mult_infinity(d1, d2).items()), Fraction(0))
+    assert total == phi(r, d1) * phi(r, d2)

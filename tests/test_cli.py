@@ -143,7 +143,10 @@ EIGHT_DIRECTIONS = ["[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]", "[4]", "[3
 
 @pytest.mark.parametrize("argv, code", [
     (["chartable", "-1"], 2),
-    (["wapply", "--explicit", "[4]", "p4"], 2),
+    (["wapply", "--explicit", "[4]", "p4"], 0),
+    (["wapply", "--explicit", "[7]", "p7"], 3),
+    (["--max-degree", "12", "wapply", "--explicit", "[3,2,1]",
+      "p12 + p11*p1 + p10*p2 + p9*p3"], 3),
     (["evolve", "--p-bound", "-1", "[2]"], 2),
     (["eigenvalue", "[2]", "[%s]" % ",".join(["1"] * 1200)], 3),
     (["--max-degree", "4", "mult", "[3,3]", "[2,2]"], 3),

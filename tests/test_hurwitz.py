@@ -5,6 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from diagram_ops import hurwitz
 from diagram_ops.errors import BoundError
 from diagram_ops.hurwitz import (
     MAX_SERIES_ORDER,
@@ -180,7 +181,7 @@ def test_generating_function_matches_schur_sum():
         assert series.terms == series_by_schur(series.active, p_bound, order)
 
 
-def test_generating_function_size_bound():
+def test_generating_function_size_bound(monkeypatch):
     # 368 multi-indices times the 272 diagrams of degree <= 12
     assert 368 * 272 > MAX_SERIES_PAIRS
     with pytest.raises(BoundError):
@@ -194,6 +195,15 @@ def test_generating_function_size_bound():
     assert generating_function([(2,)], p_bound=1, order=MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
     with pytest.raises(ValueError):
         generating_function([(2,)], p_bound=2, order=-1)
+    with pytest.raises(ValueError):
+        generating_function([(2,)], p_bound=-3, order=2)
+
+    def fail(n):
+        raise AssertionError("built a table past the bound")
+
+    monkeypatch.setattr(hurwitz, "char_table", fail)
+    with pytest.raises(BoundError):
+        generating_function([(2,), (3, 1)], p_bound=13, order=20)
 
 
 def test_pde_residual_zero():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from diagram_ops.errors import BoundError, ParseError
 from diagram_ops.partitions import (
@@ -12,6 +13,7 @@ from diagram_ops.partitions import (
     class_size,
     conjugate,
     degree,
+    format_partition,
     kappa,
     multiplicity,
     pad,
@@ -180,3 +182,16 @@ def test_diagram_sum_text_round_trip():
 def test_diagram_sum_canonical_order():
     s = DiagramSum([((1, 1, 1), 1), ((3,), 1), ((2,), 1)])
     assert [p for p, _ in s.items()] == [(2,), (3,), (1, 1, 1)]
+
+
+PARTITIONS = st.lists(st.integers(1, 40), max_size=12).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+COEFFICIENTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(PARTITIONS, st.dictionaries(PARTITIONS, COEFFICIENTS, max_size=5))
+def test_text_round_trip_property(delta, terms):
+    assert parse_partition(format_partition(delta)) == delta
+    s = DiagramSum(terms)
+    assert parse_diagram_sum(s.to_text()) == s

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from diagram_ops.errors import BoundError, ParseError
 from diagram_ops.psym import (
@@ -242,3 +243,16 @@ def test_kappa_normalization():
     for n in range(1, 6):
         for delta in partitions_of(n):
             assert p_monomial(delta).coefficient(delta) == kappa(delta)
+
+
+# each factor p_k^m stays within the parser's degree bound
+MONOMIALS = st.lists(st.integers(1, 6), max_size=4).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(st.dictionaries(MONOMIALS, st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                       max_size=6))
+def test_text_round_trip_property(terms):
+    f = PPoly(terms)
+    assert parse_ppoly(f.to_text()) == f

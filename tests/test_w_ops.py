@@ -1,12 +1,16 @@
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
-from diagram_ops.psym import PPoly, exp_p1, p_monomial, schur
-from diagram_ops.partitions import DiagramSum, degree, partitions_of
-from diagram_ops.oracles import EXPLICIT_OPS, apply_explicit, compose_check
+from diagram_ops import oracles
+from diagram_ops.errors import BoundError
+from diagram_ops.psym import PPoly, exp_p1, p_monomial, parse_ppoly, schur
+from diagram_ops.partitions import DiagramSum, class_size, partitions_of
+from diagram_ops.oracles import MAX_ORACLE_ACTIONS, apply_explicit, compose_check, cut_and_join
 from diagram_ops.w_ops import apply_spectral, eigenvalue
 
-SIX = sorted(EXPLICIT_OPS, key=lambda d: (degree(d), d))
+SIX = [d for n in range(1, 4) for d in partitions_of(n)]
+UP_TO_4 = [d for n in range(1, 5) for d in partitions_of(n)]
 
 
 def test_eigenvalue_examples():
@@ -44,17 +48,36 @@ def test_explicit_hand_values():
     assert apply_explicit((1, 1), PPoly.variable(2)) == PPoly.variable(2)
 
 
-def test_explicit_rejects_unknown():
-    with pytest.raises(ValueError):
-        apply_explicit((4,), PPoly.variable(2))
+def test_explicit_bounds(monkeypatch):
+    with pytest.raises(BoundError):
+        apply_explicit((7,), PPoly.variable(7))
+    # 4 * C(12, 6) * 120 partial permutations, refused before any is built
+    f = parse_ppoly("p12 + p11*p1 + p10*p2 + p9*p3")
+    assert 4 * 924 * class_size((3, 2, 1)) > MAX_ORACLE_ACTIONS
+
+    def fail(*args):
+        raise AssertionError("enumerated past the bound")
+
+    monkeypatch.setattr(oracles, "_partial_permutations", fail)
+    with pytest.raises(BoundError):
+        apply_explicit((3, 2, 1), f)
 
 
 def test_explicit_matches_spectral_on_monomials():
-    for delta in SIX:
+    for delta in UP_TO_4:
         for n in range(7):
             for mono in partitions_of(n):
                 f = PPoly({mono: 1})
                 assert apply_explicit(delta, f) == apply_spectral(delta, f), (delta, mono)
+
+
+def test_cut_and_join_matches_both_routes():
+    for n in range(9):
+        for mono in partitions_of(n):
+            f = PPoly({mono: 1})
+            expected = cut_and_join(f)
+            assert apply_explicit((2,), f) == expected, mono
+            assert apply_spectral((2,), f) == expected, mono
 
 
 def test_explicit_eigenvector_property():
@@ -84,6 +107,14 @@ def test_homomorphism_property():
             for f in basis:
                 a, b = compose_check(d1, d2, f)
                 assert a == b, (d1, d2, f)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(UP_TO_4), st.sampled_from(UP_TO_4),
+       st.integers(0, 6).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+def test_compose_check_property(d1, d2, mono):
+    a, b = compose_check(d1, d2, PPoly({mono: 1}))
+    assert a == b
 
 
 def test_spectral_preserves_degree():
