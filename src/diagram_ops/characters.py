@@ -4,6 +4,11 @@ char_table(n) builds the table of S_n once per process.  Characters,
 Schur functions, structure constants and Hurwitz brackets all read it, so
 it is shared read-only: rows are tuples behind a mapping proxy.
 
+phi_column writes the normalized character phi once, and spectral_sum,
+the one sum S_P(mu) = sum_R d_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it:
+structure constants, Hurwitz brackets, padded brackets and the generating
+function's coefficients are all values of S_P.
+
 Tables are built by the Murnaghan-Nakayama rule read as addition: column
 mu expands p_mu in Schur functions by adding border strips of sizes mu_i
 to the empty shape (Macdonald, Symmetric Functions, I.3 ex. 11 and I.7).
@@ -24,10 +29,10 @@ from .errors import BoundError, ConsistencyError
 from .partitions import (
     Partition,
     as_partition,
+    aut_order,
     class_size,
     degree,
     format_partition,
-    kappa,
     pad,
     partitions_of,
 )
@@ -72,19 +77,49 @@ def d_r(r: Partition) -> Fraction:
 
 def phi(r: Partition, delta: Partition) -> Fraction:
     """Normalized character: the eigenvalue of the diagram operator of
-    delta on the Schur function of r.
+    delta on the Schur function of r, read from phi_column.  The parts of
+    delta may come in any order."""
+    r = as_partition(r)
+    nums, q = phi_column(degree(r), delta)
+    # rows and classes share the table's one order
+    return Fraction(nums[char_table(degree(r)).column(r)], q)
 
-    phi_R(delta) = kappa(delta) * chi_R(delta padded to degree |R|)
-                   / (d_R * (|R|-|delta|)!)
-    and 0 when |R| < |delta|; dim_R = |R|! d_R is the table's [1^|R|] entry.
-    """
-    n = degree(r)
-    k = n - degree(delta)
-    if k < 0:
-        return Fraction(0)
-    chi = character(r, pad(delta, k))
-    dim = char_table(n).entry(r, (1,) * n)
-    return kappa(delta) * chi * math.factorial(n) / (dim * math.factorial(k))
+
+def phi_column(n: int, delta: Partition):
+    """phi_R(delta) for every R of degree n, in table order, as integer
+    numerators over one denominator q, divided by their gcd:
+
+        phi_R(delta) = chi_R(delta 1^j) (n!/dim_R) / (z_delta j!),  j = n - |delta|,
+
+    and a zero column when |delta| > n.  The parts of delta may come in
+    any order, as in character."""
+    delta = as_partition(sorted(delta, reverse=True))
+    table = char_table(n)
+    j = n - degree(delta)
+    if j < 0:
+        return [0] * len(table.order), 1
+    i_delta, i_dim = table.column(pad(delta, j)), table.column((1,) * n)
+    n_fact = math.factorial(n)
+    nums = [row[i_delta] * (n_fact // row[i_dim]) for row in table.rows.values()]
+    q = aut_order(delta) * math.factorial(j)
+    g = math.gcd(q, *nums)
+    return [x // g for x in nums], q // g
+
+
+def spectral_sum(n: int, powers):
+    """S_P(mu) = sum_R d_R prod_Y phi_R(Y)^k_Y chi_R(mu) for every class mu
+    of degree n and powers P = {Y: k_Y}, as (column, q): the value at the
+    i-th class of the table's order is column[i] / q.  With d_R = dim_R/n!
+    it is one integer weighted sum of the rows of the table of S_n."""
+    table = char_table(n)
+    i_dim = table.column((1,) * n)
+    weights = [row[i_dim] for row in table.rows.values()]
+    q = math.factorial(n)
+    for y, k in powers.items():
+        nums, q_y = phi_column(n, y)
+        weights = [w * x ** k for w, x in zip(weights, nums)]
+        q *= q_y ** k
+    return table.weighted_sum(dict(zip(table.rows, weights))), q
 
 
 class CharacterTable:

@@ -1,8 +1,9 @@
 """Center of the group algebra of S_n and the graded product of diagrams.
 
 _structure_column reads every structure constant of a product of two class
-sums from the character table as one table-times-vector product;
-mult_same_degree wraps it and structure_constant picks one coefficient.
+sums as one spectral sum (characters.spectral_sum) over the character
+table; mult_same_degree wraps it and structure_constant picks one
+coefficient.
 The literal pair-counting definition lives in diagram_ops.oracles
 (oracle_structure_constant), which only the tests and selftest import.
 
@@ -17,7 +18,7 @@ coefficient on the way is an integer, so the recursion runs on
 
 from __future__ import annotations
 
-import math
+import collections
 from fractions import Fraction
 
 from .errors import BoundError, ConsistencyError
@@ -25,11 +26,10 @@ from .partitions import (
     DiagramSum,
     Partition,
     as_partition,
-    class_size,
     degree,
     rho_term,
 )
-from .characters import char_table, MAX_TABLE_DEGREE
+from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
 
 
 def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
@@ -50,28 +50,22 @@ def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
 
 
 def _structure_column(d1: Partition, d2: Partition) -> tuple:
-    """Every structure constant C^d_{d1,d2}, d in table order, by the
-    Frobenius formula
+    """Every structure constant C^d_{d1,d2}, d in table order, as the
+    spectral sum S_{d1,d2}(d): by the Frobenius formula
 
-        C^d_{d1,d2} = |C_d1| |C_d2| / n! * sum_R chi_R(d1) chi_R(d2) chi_R(d) / dim_R,
+        C^d_{d1,d2} = sum_R d_R phi_R(d1) phi_R(d2) chi_R(d),
 
-    as one weighted sum of table rows.  n!/dim_R is an integer, so the sum
-    is taken in integers over n!^2 and divided once at the end.
+    an integer, which is checked.
     """
     n = degree(d1)
-    table = char_table(n)
-    n_fact = math.factorial(n)
-    i1, i2, i_dim = (table.column(d) for d in (d1, d2, (1,) * n))
-    column = table.weighted_sum({r: row[i1] * row[i2] * (n_fact // row[i_dim])
-                                 for r, row in table.rows.items()})
-    scale = class_size(d1) * class_size(d2)
+    column, q = spectral_sum(n, collections.Counter((d1, d2)))
     out = []
-    for d, total in zip(table.order, column):
-        value, remainder = divmod(scale * total, n_fact * n_fact)
+    for d, total in zip(char_table(n).order, column):
+        value, remainder = divmod(total, q)
         if remainder or value < 0:
             raise ConsistencyError(
                 "non-integral structure constant %s for (%s, %s, %s)"
-                % (Fraction(scale * total, n_fact * n_fact), d1, d2, d)
+                % (Fraction(total, q), d1, d2, d)
             )
         out.append(value)
     return tuple(out)

@@ -1,11 +1,13 @@
 """Genus-0 disconnected Hurwitz numbers and their generating function.
 
-Brackets <D1,...,Dk> are read from the character table of S_n by the
-Frobenius-Mednykh formula (Lando-Zvonkin, Graphs on Surfaces, App. A):
+Brackets are values of characters.spectral_sum, the Frobenius-Mednykh
+character sum (Lando-Zvonkin, Graphs on Surfaces, App. A) written with the
+eigenvalues phi:
 
-    <C_1,...,C_k> = (n!)^-2 prod_i |C_i| sum_R prod_i chi_R(C_i) dim_R^(2-k),
+    <C_1,...,C_k> = S_{C_1...C_k-1}(C_k) / z_{C_k},
 
-one sum over the irreducibles for every k >= 1.  Every value is
+one sum over the irreducibles for every k >= 1.  A padded bracket is the
+same sum with phi read at the degree of the last class.  Every value is
 cross-checked, in the tests and selftest, against the literal
 permutation-tuple count diagram_ops.oracles.oracle_tuple_count; nothing
 here imports that module.
@@ -17,6 +19,7 @@ power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
 
 from __future__ import annotations
 
+import collections
 import math
 from fractions import Fraction
 
@@ -25,15 +28,12 @@ from .partitions import (
     Partition,
     as_partition,
     aut_order,
-    class_size,
     degree,
     format_partition,
-    multiplicity,
-    pad,
     partition_sort_key,
     partitions_of,
 )
-from .characters import MAX_TABLE_DEGREE, char_table, phi
+from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
 
 #: Most (beta multi-index, R) pairs, C(order+k, k) times the number of R
 #: with |R| <= p_bound, that generating_function expands.
@@ -56,46 +56,31 @@ def hurwitz3(d1: Partition, d2: Partition, d3: Partition) -> Fraction:
 def hurwitz_chain(deltas) -> Fraction:
     """Bracket <D1,...,Dk> of equal-degree diagrams: (1/n!) times the number
     of k-tuples of permutations of these cycle types whose product is the
-    identity, by the Frobenius-Mednykh character sum."""
+    identity, the padded bracket <(D1,1),...,(Dk-1,1)|Dk>."""
     deltas = [as_partition(d) for d in deltas]
     if not deltas:
         raise ValueError("hurwitz_chain requires at least one diagram")
     n = degree(deltas[0])
     if any(degree(d) != n for d in deltas):
         raise ValueError("hurwitz_chain requires equal degrees")
-    table = char_table(n)
-    cols = [table.column(d) for d in deltas]
-    i_dim = table.column((1,) * n)
-    total = Fraction(0)
-    for row in table.rows.values():
-        chi = math.prod(row[c] for c in cols)
-        if chi:
-            total += chi * Fraction(row[i_dim]) ** (2 - len(deltas))
-    sizes = math.prod(class_size(d) for d in deltas)
-    return total * sizes / math.factorial(n) ** 2
+    return hurwitz_padded([(d, 1) for d in deltas[:-1]], deltas[-1])
 
 
 def hurwitz_padded(branches, delta) -> Fraction:
     """Padded bracket <(D1,n1),...,(Dk,nk)|D> for branches ((Di, ni), ...),
-    ni >= 1: each marked diagram Di is raised to the degree of D by the
-    unit-row embedding, whose binomial coefficient enters once per
-    repetition; zero when some marked diagram is too large."""
+    ni >= 1: the spectral sum S_{D1^n1...Dk^nk}(D) / z_D.  phi_R(Di) at
+    degree |D| carries the unit-row embedding of Di, so the bracket is zero
+    when some marked diagram is too large."""
     delta = as_partition(delta)
     branches = [(as_partition(p), int(m)) for p, m in branches]
     if any(m < 1 for _, m in branches):
         raise ValueError("branch multiplicities must be >= 1")
-    n = degree(delta)
-    factor = Fraction(1)
-    chain = []
+    powers = collections.Counter()
     for part, mult in branches:
-        k = n - degree(part)
-        if k < 0:
-            return Fraction(0)
-        r = multiplicity(part, 1)
-        factor *= Fraction(math.comb(r + k, k)) ** mult
-        chain.extend([pad(part, k)] * mult)
-    chain.append(delta)
-    return factor * hurwitz_chain(chain)
+        powers[part] += mult
+    n = degree(delta)
+    column, q = spectral_sum(n, powers)
+    return Fraction(column[char_table(n).column(delta)], q * aut_order(delta))
 
 
 def _beta_key(counts: dict) -> tuple:
@@ -127,10 +112,7 @@ class HurwitzSeries:
 
     def bracket(self, counts: dict, mono) -> Fraction:
         """Taylor coefficient times prod n_i!: the padded Hurwitz bracket."""
-        fact = 1
-        for k in counts.values():
-            fact *= math.factorial(k)
-        return self.coefficient(counts, mono) * fact
+        return self.coefficient(counts, mono) * math.prod(map(math.factorial, counts.values()))
 
     def ppoly_at(self, key):
         """Coefficient of the beta monomial indexed by key, as a PPoly."""
@@ -177,10 +159,7 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
 
     The beta-degree-0 term is the truncation of e^{p_1}, i.e. the
     unbranched covers, including the empty one for the empty diagram.
-    With phi_R(Y) = P_R(Y) / q_Y over a common denominator q_Y for |R| = n,
-    the coefficient of beta^k p_mu is one integer sum over a table's rows:
-
-        sum_R dim_R prod_Y P_R(Y)^k_Y chi_R(mu) / (n! z_mu prod_Y q_Y^k_Y k_Y!).
+    The coefficient of beta^k p_mu is the spectral sum S_k(mu) / (z_mu prod_Y k_Y!).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -199,17 +178,11 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     multi_indices = _multi_indices(len(active), order)
     keys = [_beta_key(dict(zip(active, counts))) for counts in multi_indices]
     for n in range(p_bound + 1):
-        table = char_table(n)
-        i_dim = table.column((1,) * n)
-        eigs = [[phi(r, y) for y in active] for r in table.rows]
-        q = [math.lcm(*(e.denominator for e in col)) for col in zip(*eigs)]
-        num = [[e.numerator * (qy // e.denominator) for e, qy in zip(row, q)] for row in eigs]
+        classes = char_table(n).order
         for key, counts in zip(keys, multi_indices):
-            column = table.weighted_sum({r: chis[i_dim] * math.prod(map(pow, nums, counts))
-                                         for (r, chis), nums in zip(table.rows.items(), num)})
-            scale = math.factorial(n) * math.prod(
-                qy ** k * math.factorial(k) for qy, k in zip(q, counts))
-            for mu, total in zip(table.order, column):
+            column, q = spectral_sum(n, dict(zip(active, counts)))
+            scale = q * math.prod(map(math.factorial, counts))
+            for mu, total in zip(classes, column):
                 if total:
                     series.terms[(key, mu)] = Fraction(total, scale * aut_order(mu))
     return series
@@ -219,9 +192,4 @@ def simple_hurwitz(n: int, m: int) -> dict:
     """Disconnected m-transposition Hurwitz numbers of degree n: for each
     diagram of degree n, the bracket <([2], m) | delta>."""
     series = generating_function([(2,)], p_bound=n, order=m)
-    counts = {(2,): m} if m else {}
-    fact = math.factorial(m)
-    return {
-        delta: series.coefficient(counts, delta) * fact
-        for delta in partitions_of(n)
-    }
+    return {delta: series.bracket({(2,): m}, delta) for delta in partitions_of(n)}

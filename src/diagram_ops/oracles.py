@@ -36,7 +36,7 @@ Operators:
 * compose_check: both sides of W(d1) W(d2) = W(d1 d2), the left by
   apply_explicit, the right by apply_spectral on the graded product.
 * pde_residual: how far the generating function is from solving
-  dZ/dbeta_Y = W(Y) Z.
+  dZ/dbeta_Y = W(Y) Z, with W(Y) by apply_explicit.
 
 selftest_suites runs the oracle-equivalence suites of `selftest`.
 """
@@ -380,7 +380,9 @@ def series_by_schur(active, p_bound: int, order: int) -> dict:
 
 def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
     """Largest absolute coefficient of dZ/dbeta_Y - W(Y) Z, compared on the
-    beta orders where both truncations are complete (total order < order)."""
+    beta orders where both truncations are complete (total order < order).
+    W(Y) is apply_explicit, which reads no character table, so a table
+    error in Z shows as a nonzero residual."""
     upsilon = as_partition(upsilon)
     if upsilon not in series.active:
         raise ValueError("%s is not an active direction" % (upsilon,))
@@ -392,7 +394,7 @@ def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
         up = {p: k for p, k in counts.items()}
         up[upsilon] = up.get(upsilon, 0) + 1
         deriv = series.ppoly_at(_beta_key(up)) * up[upsilon]
-        applied = apply_spectral(upsilon, series.ppoly_at(key))
+        applied = apply_explicit(upsilon, series.ppoly_at(key))
         diff = deriv - applied
         for c in diff.terms.values():
             worst = max(worst, abs(c))

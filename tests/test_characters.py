@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -12,6 +13,8 @@ from diagram_ops.characters import (
     d_r,
     dimension,
     phi,
+    phi_column,
+    spectral_sum,
 )
 from diagram_ops.partitions import (
     class_size,
@@ -228,6 +231,42 @@ def test_phi_zero_above_degree():
     for r in partitions_of(2):
         for delta in partitions_of(4):
             assert phi(r, delta) == 0
+
+
+def test_phi_accepts_any_cycle_order():
+    assert phi((3, 1, 1, 1), (1, 2, 1)) == phi((3, 1, 1, 1), (2, 1, 1)) == -18
+    for nr in range(7):
+        for r in partitions_of(nr):
+            for nd in range(6):
+                for delta in partitions_of(nd):
+                    value = phi(r, delta)
+                    for order in set(itertools.permutations(delta)):
+                        assert phi(r, order) == value, (r, order)
+
+
+def test_phi_column_is_reduced():
+    for n in range(9):
+        for nd in range(n + 2):
+            for delta in partitions_of(nd):
+                nums, q = phi_column(n, delta)
+                assert len(nums) == len(partitions_of(n))
+                assert q > 0 and math.gcd(q, *nums) == 1
+                assert any(nums) == (nd <= n)
+
+
+def test_spectral_sum_matches_fraction_sum():
+    rng = random.Random(11)
+    for n in range(7):
+        order = char_table(n).order
+        diagrams = [p for m in range(n + 2) for p in partitions_of(m)]
+        for _ in range(6):
+            powers = {y: rng.randint(0, 3) for y in rng.sample(diagrams, min(3, len(diagrams)))}
+            column, q = spectral_sum(n, powers)
+            expected = [
+                sum((d_r(r) * math.prod(phi(r, y) ** k for y, k in powers.items())
+                     * character(r, mu) for r in order), Fraction(0))
+                for mu in order]
+            assert [Fraction(x, q) for x in column] == expected, (n, powers)
 
 
 def test_phi_multiplicativity_small():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import diagram_ops
 
+from diagram_ops import characters, oracles
+from diagram_ops.class_algebra import mult_same_degree
 from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, main
+from diagram_ops.errors import ConsistencyError
 
 
 def run(capsys, *argv):
@@ -114,6 +118,33 @@ def test_selftest_quick_deterministic(capsys):
     report = json.loads(out1)
     assert report["ok"] is True
     assert all(s["failures"] == 0 for s in report["suites"])
+
+
+def test_consistency_error_exits_4(capsys, monkeypatch):
+    # the table of S_4 with chi_[2,1,1]([2,2]) negated
+    real = characters._build_table
+    table = real(4)
+    rows = {r: list(row) for r, row in table.rows.items()}
+    rows[(2, 1, 1)][table.column((2, 2))] *= -1
+    broken = characters.CharacterTable(4, table.order, rows)
+    monkeypatch.setattr(characters, "_build_table", lambda n: broken if n == 4 else real(n))
+    message = "non-integral structure constant 9/4 for ((2, 2), (2, 2), (2, 2))"
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        mult_same_degree((2, 2), (2, 2))
+    code, out, err = run(capsys, "mult", "[2,2]", "[2,2]")
+    assert (code, out, err) == (4, "", "error (consistency): %s\n" % message)
+    code, out, _ = run(capsys, "--json", "mult", "[2,2]", "[2,2]")
+    assert code == 4
+    assert json.loads(out) == {"error": {"kind": "consistency", "msg": message}}
+
+
+def test_selftest_failure_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(oracles, "oracle_structure_constant", lambda *classes: -1)
+    code, out, err = run(capsys, "selftest")
+    assert code == 4
+    assert "structure_constants_vs_oracle: 161 cases, 161 failures" in out
+    assert out.endswith("selftest quick: FAIL\n")
+    assert err == "error (consistency): selftest failures: see report\n"
 
 
 def test_evolve_p_bound_8(capsys):

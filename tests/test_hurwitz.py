@@ -17,7 +17,7 @@ from diagram_ops.hurwitz import (
     hurwitz_padded,
     simple_hurwitz,
 )
-from diagram_ops.partitions import aut_order, partitions_of
+from diagram_ops.partitions import aut_order, multiplicity, pad, partitions_of
 from diagram_ops.psym import exp_p1
 from diagram_ops.oracles import oracle_tuple_count, pde_residual, series_by_schur
 
@@ -124,9 +124,22 @@ def test_hurwitz_padded_rejects_multiplicity_below_one():
         hurwitz_padded((((2,), 0),), (2, 1))
 
 
-def test_hurwitz_padded_two_point_oracle():
-    # <([2],1) | [2,1]>: pairs (g, g^{-1}) of type [2,1] in S_3
-    assert oracle_tuple_count([(2, 1), (2, 1)], 3) == Fraction(1, 2)
+def test_hurwitz_padded_vs_tuple_oracle():
+    # a branch (Y, m) is m copies of Y padded to degree n, each weighted by
+    # the unit-row binomial C(r + k, k), r = the unit rows of Y, k = n - |Y|
+    rng = random.Random(41)
+    for n in range(1, 6):
+        marks = [(y, m) for d in range(n + 1) for y in partitions_of(d) for m in (1, 2)]
+        cases = [(b,) for b in marks] + [tuple(rng.sample(marks, 2)) for _ in range(12)]
+        for branches in cases:
+            chain, weight = [], 1
+            for y, m in branches:
+                k = n - sum(y)
+                chain += [pad(y, k)] * m
+                weight *= math.comb(multiplicity(y, 1) + k, k) ** m
+            for delta in partitions_of(n):
+                expected = weight * oracle_tuple_count(chain + [delta], n)
+                assert hurwitz_padded(branches, delta) == expected, (branches, delta)
 
 
 def test_generating_function_beta_zero():
