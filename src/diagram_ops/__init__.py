@@ -32,8 +32,8 @@ _EXPORTS = {
         "mult_sum",
         "structure_constant",
     ),
-    "psym": ("PPoly", "exp_p1", "from_schur", "p_monomial", "schur", "schur_expand"),
-    "w_ops": ("apply_spectral", "eigenvalue"),
+    "psym": ("PPoly", "apply_spectral", "exp_p1", "from_schur", "p_monomial", "schur",
+             "schur_expand"),
     "hurwitz": (
         "HurwitzSeries",
         "generating_function",

@@ -12,12 +12,12 @@ prints help to stdout and exits 0; a usage error prints "usage: ..." and
 "diagram-ops: error: ..." to stderr and exits 2.
 
 Each command imports the layers beyond the character table (class_algebra,
-psym, w_ops, hurwitz, oracles) inside its cmd_* function, so an op loads
-only the modules it runs.
+psym, hurwitz, oracles) inside its cmd_* function, so an op loads only the
+modules it runs: eigenvalue reads phi from the table and loads none.
 
-Every degree read from argv is checked against --max-degree, itself at
-most MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success, 2 parse
-error or invalid argument (ValueError), 3 resource bound exceeded,
+Every degree read from argv is checked against --max-degree, itself
+between 0 and MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success,
+2 parse error or invalid argument (ValueError), 3 resource bound exceeded,
 4 internal consistency failure (oracle mismatch, corrupt data).
 """
 
@@ -29,7 +29,7 @@ import sys
 from types import SimpleNamespace
 
 from .errors import BoundError, ConsistencyError, ParseError
-from .characters import MAX_TABLE_DEGREE, char_table
+from .characters import MAX_TABLE_DEGREE, char_table, phi
 from .partitions import (
     degree,
     format_fraction,
@@ -86,11 +86,9 @@ def cmd_schur(args):
 
 
 def cmd_eigenvalue(args):
-    from .w_ops import eigenvalue
-
     delta, r = parse_partition(args.delta), parse_partition(args.r)
     _check_degrees(args, [degree(delta), degree(r)])
-    v = eigenvalue(delta, r)
+    v = phi(r, delta)
     _emit(args, format_fraction(v), {"value": format_fraction(v)})
 
 
@@ -103,7 +101,7 @@ def cmd_wapply(args):
     if args.explicit:
         from .oracles import apply_explicit as apply_operator
     else:
-        from .w_ops import apply_spectral as apply_operator
+        from .psym import apply_spectral as apply_operator
     result = apply_operator(delta, f)
     _emit(args, result.to_text(), result.to_json_obj())
 
@@ -311,6 +309,8 @@ def parse_args(argv):
 def main(argv=None) -> int:
     func, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        if args.max_degree < 0:
+            raise ParseError("max degree %d is negative" % args.max_degree)
         if args.max_degree > MAX_TABLE_DEGREE:
             raise BoundError("max degree is capped at %d" % MAX_TABLE_DEGREE)
         func(args)

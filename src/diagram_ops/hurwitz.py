@@ -118,10 +118,7 @@ class HurwitzSeries:
         """Coefficient of the beta monomial indexed by key, as a PPoly."""
         from .psym import PPoly
 
-        return PPoly(
-            {mono: c for (k, mono), c in self.terms.items() if k == key},
-            bound=self.p_bound,
-        )
+        return PPoly({mono: c for (k, mono), c in self.terms.items() if k == key})
 
     def to_json_obj(self):
         items = sorted(

@@ -62,8 +62,7 @@ from .partitions import (
 from .characters import char_table, d_r, phi
 from .class_algebra import mult_infinity, structure_constant
 from .hurwitz import HurwitzSeries, _beta_key, _multi_indices, hurwitz_chain
-from .psym import PPoly, schur
-from .w_ops import apply_spectral
+from .psym import PPoly, apply_spectral, schur
 
 #: Largest n for which brute-force S_n enumeration is allowed.
 MAX_ORACLE_DEGREE = 6
@@ -425,7 +424,7 @@ def apply_explicit(delta: Partition, f: PPoly) -> PPoly:
             cycle_type(compose(alpha, pi)) for _, alpha in _partial_permutations(delta, len(pi)))
         for nu, c in counts.items():
             out[nu] = out.get(nu, 0) + coef * c
-    return PPoly(out, bound=f.bound)
+    return PPoly(out)
 
 
 def cut_and_join(f: PPoly) -> PPoly:
@@ -434,7 +433,7 @@ def cut_and_join(f: PPoly) -> PPoly:
     every index clipped at the graded degree of f: a derivative by a
     higher p_k annihilates f, and the operator preserves graded degree."""
     d = f.max_degree()
-    acc = PPoly.zero(bound=f.bound)
+    acc = PPoly.zero()
     for a in range(1, d + 1):
         for b in range(1, d + 1):
             if a + b <= d:

@@ -146,7 +146,15 @@ def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
+_FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(text: str) -> Fraction:
+    """Parse an optional sign, ASCII digits and an optional '/digits'.
+    Anything else, an exponent or a decimal point included, is refused
+    before any arithmetic."""
+    if _FRACTION_RE.fullmatch(text) is None:
+        raise ParseError("malformed rational %r" % text, 0)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

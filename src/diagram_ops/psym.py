@@ -4,13 +4,14 @@ A monomial p_{l1} p_{l2} ... (l1 >= l2 >= ...) is keyed by its exponent
 partition (l1, l2, ...); its graded degree is l1 + l2 + ... (deg p_k = k).
 Coefficients are Fractions; zero terms are never stored.
 
-A PPoly may carry a truncation bound N: monomials of graded degree above N
-are dropped by every operation, and the bound is contagious (the minimum
-of the operand bounds).
-
 Schur functions are read from the character table; the bialternant and
 Jacobi-Trudi routes that check them live in diagram_ops.oracles, which
 only the tests and selftest import.
+
+The operator W(delta) of a diagram has eigenvalue phi_R(delta) on schur(R),
+so apply_spectral is a Schur expansion, a scale and a reassembly; oracles
+checks it against apply_explicit, the partial-permutation action, which
+reads no character table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from fractions import Fraction
 from .errors import BoundError, ParseError
 from .partitions import (
     MAX_ENUM_DEGREE,
+    DiagramSum,
     Partition,
+    as_partition,
     aut_order,
     degree,
     format_fraction,
@@ -30,15 +33,7 @@ from .partitions import (
     multiplicity,
     parse_fraction,
 )
-from .characters import char_table
-
-
-def _merge_bounds(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+from .characters import char_table, phi
 
 
 def _monomial_sort_key(mono: Partition):
@@ -52,33 +47,30 @@ class PPoly:
     read-only, so a PPoly is a value that can be passed and kept without
     copying."""
 
-    __slots__ = ("terms", "bound")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, bound=None):
-        self.bound = bound
+    def __init__(self, terms=None):
         d = {}
         if terms:
             for mono, coef in (terms.items() if hasattr(terms, "items") else terms):
-                c = Fraction(coef)
                 key = tuple(sorted(mono, reverse=True))
-                if c and (bound is None or degree(key) <= bound):
-                    d[key] = d.get(key, Fraction(0)) + c
+                d[key] = d.get(key, Fraction(0)) + Fraction(coef)
         self.terms = types.MappingProxyType({m: c for m, c in d.items() if c})
 
     @classmethod
-    def zero(cls, bound=None):
-        return cls(bound=bound)
+    def zero(cls):
+        return cls()
 
     @classmethod
-    def one(cls, bound=None):
-        return cls({(): Fraction(1)}, bound=bound)
+    def one(cls):
+        return cls({(): Fraction(1)})
 
     @classmethod
-    def variable(cls, k: int, bound=None):
+    def variable(cls, k: int):
         """The single power sum p_k."""
         if k < 1:
             raise ValueError("power-sum index must be >= 1")
-        return cls({(k,): Fraction(1)}, bound=bound)
+        return cls({(k,): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -93,9 +85,6 @@ class PPoly:
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))
 
-    def truncate(self, bound) -> "PPoly":
-        return PPoly(self.terms, bound=_merge_bounds(self.bound, bound))
-
     def homogeneous_degrees(self):
         return sorted({degree(m) for m in self.terms})
 
@@ -105,12 +94,12 @@ class PPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
-        return PPoly(out, bound=_merge_bounds(self.bound, other.bound))
+        return PPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PPoly({m: -c for m, c in self.terms.items()}, bound=self.bound)
+        return PPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -120,17 +109,13 @@ class PPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return PPoly({m: c * v for m, v in self.terms.items()}, bound=self.bound)
-        bound = _merge_bounds(self.bound, other.bound)
+            return PPoly({m: c * v for m, v in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
-            d1 = degree(m1)
             for m2, c2 in other.terms.items():
-                if bound is not None and d1 + degree(m2) > bound:
-                    continue
                 key = tuple(sorted(m1 + m2, reverse=True))
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return PPoly(out, bound=bound)
+        return PPoly(out)
 
     __rmul__ = __mul__
 
@@ -151,7 +136,7 @@ class PPoly:
             reduced.remove(k)
             key = tuple(reduced)
             out[key] = out.get(key, Fraction(0)) + m * coef
-        return PPoly(out, bound=self.bound)
+        return PPoly(out)
 
     def to_text(self) -> str:
         if not self.terms:
@@ -168,7 +153,6 @@ class PPoly:
 
     def to_json_obj(self):
         return {
-            "bound": self.bound,
             "terms": [
                 {"mono": list(m), "coef": format_fraction(c)} for m, c in self.items()
             ],
@@ -233,8 +217,8 @@ def schur_expand(f: PPoly) -> dict:
     return out
 
 
-def from_schur(coeffs: dict, bound=None) -> PPoly:
-    """sum_R c_R * schur(R), truncated to bound; inverse of schur_expand.
+def from_schur(coeffs: dict) -> PPoly:
+    """sum_R c_R * schur(R); inverse of schur_expand.
     Per degree the c_R share a denominator q, so the p_mu coefficients are
     one integer weighted sum of table rows, divided by q z_mu."""
     by_degree = {}
@@ -248,7 +232,24 @@ def from_schur(coeffs: dict, bound=None) -> PPoly:
         for mu, total in zip(table.order, column):
             if total:
                 terms[mu] = Fraction(total, q * aut_order(mu))
-    return PPoly(terms, bound=bound)
+    return PPoly(terms)
+
+
+def apply_spectral(x, f: PPoly) -> PPoly:
+    """Apply the operator of a diagram (or, linearly, of a diagram sum)."""
+    if isinstance(x, DiagramSum):
+        directions = list(x.items())
+    else:
+        directions = [(as_partition(x), Fraction(1))]
+    coeffs = schur_expand(f)
+    out = {}
+    for delta, weight in directions:
+        for r, c in coeffs.items():
+            v = weight * c * phi(r, delta)
+            if v:
+                out[r] = out.get(r, Fraction(0)) + v
+    out = {r: c for r, c in out.items() if c}
+    return from_schur(out)
 
 
 def exp_p1(n: int) -> PPoly:
@@ -256,4 +257,4 @@ def exp_p1(n: int) -> PPoly:
     if n < 0:
         raise ValueError("truncation bound must be nonnegative")
     terms = {(1,) * k: Fraction(1, math.factorial(k)) for k in range(n + 1)}
-    return PPoly(terms, bound=n)
+    return PPoly(terms)

@@ -24,7 +24,6 @@ from diagram_ops.partitions import (
     pad,
     partitions_of,
 )
-from diagram_ops.w_ops import eigenvalue
 from diagram_ops.oracles import d_r_product, mn_character
 
 # Explicit matrix models of the irreducible representations of S_3,
@@ -69,7 +68,7 @@ def test_character_above_table_bound():
     with pytest.raises(BoundError):
         character((13,), (13,))
     with pytest.raises(BoundError):
-        eigenvalue((2,), (1,) * 1200)
+        phi((1,) * 1200, (2,))
 
 
 def test_character_validates_shape():

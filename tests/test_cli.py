@@ -46,6 +46,9 @@ def test_eigenvalue(capsys):
 def test_schur(capsys):
     code, out, _ = run(capsys, "schur", "[2,1]")
     assert code == 0 and out == "1/3*p1^3 + -1/3*p3\n"
+    code, out, _ = run(capsys, "--json", "schur", "[2,1]")
+    assert code == 0 and out == ('{"terms": [{"coef": "1/3", "mono": [1, 1, 1]}, '
+                                 '{"coef": "-1/3", "mono": [3]}]}\n')
 
 
 def test_hurwitz(capsys):
@@ -65,6 +68,8 @@ def test_wapply(capsys):
     assert code == 0 and out == "1*p1^2\n"
     code2, out2, _ = run(capsys, "wapply", "--explicit", "[2]", "1*p2")
     assert code2 == 0 and out2 == out
+    code, out, _ = run(capsys, "--json", "wapply", "[2]", "1*p2")
+    assert code == 0 and out == '{"terms": [{"coef": "1", "mono": [1, 1]}]}\n'
 
 
 def test_chartable(capsys):
@@ -188,6 +193,9 @@ EIGHT_DIRECTIONS = ["[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]", "[4]", "[3
     (["--max-degree", "12", "wapply", "[2]", "p13"], 3),
     (["wapply", "[2]", "p1^100000000"], 3),
     (["wapply", "[1]", "p2^"], 2),
+    (["mult", "1e30000000*[1]", "[1]"], 2),
+    (["wapply", "[1]", "1e30000000*p1"], 2),
+    (["--max-degree", "-5", "chartable", "0"], 2),
     (["evolve", "--p-bound", "2", "--order", "8"] + EIGHT_DIRECTIONS, 0),
     (["evolve", "--p-bound", "10", "--order", "718", "[2]"], 3),
 ], ids=lambda v: " ".join(v)[:48] if isinstance(v, list) else str(v))
@@ -206,7 +214,7 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
     package = os.path.dirname(diagram_ops.__file__)
     submodules = ["diagram_ops." + f[:-3] for f in sorted(os.listdir(package))
                   if f.endswith(".py") and f != "__init__.py"]
-    later = ["diagram_ops." + m for m in ("psym", "w_ops", "hurwitz", "oracles")]
+    later = ["diagram_ops." + m for m in ("psym", "hurwitz", "oracles")]
     parser = ["argparse", "gettext", "locale"]
     no_algebra = ["diagram_ops.class_algebra"] + parser
     run_cli = "from diagram_ops.cli import main; main(sys.argv[1:]); "
@@ -215,8 +223,11 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
          ["diagram_ops.oracles", "dataclasses", "inspect"] + parser),
         (run_cli, ["--json", "mult", "[2]", "[2]"], later + parser),
         (run_cli, ["chartable", "3"], later + no_algebra),
-        (run_cli, ["hurwitz", "[2]", "[2]"], later[:2] + no_algebra),
-        (run_cli, ["evolve", "[2]"], later[:2] + no_algebra),
+        (run_cli, ["eigenvalue", "[2]", "[3]"], later + no_algebra),
+        (run_cli, ["schur", "[2,1]"], later[1:] + no_algebra),
+        (run_cli, ["wapply", "[2]", "1*p2"], later[1:] + no_algebra),
+        (run_cli, ["hurwitz", "[2]", "[2]"], later[:1] + no_algebra),
+        (run_cli, ["evolve", "[2]"], later[:1] + no_algebra),
         ("import diagram_ops; ", [], submodules),
         ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [], []),
     ]

@@ -18,6 +18,7 @@ from diagram_ops.partitions import (
     multiplicity,
     pad,
     parse_diagram_sum,
+    parse_fraction,
     parse_partition,
     partitions_of,
     rho,
@@ -151,6 +152,14 @@ def test_parse_partition():
         parse_partition("[1,]")
     with pytest.raises(ParseError):
         parse_partition("[0]")
+
+
+def test_parse_fraction():
+    assert parse_fraction("-3/4") == Fraction(-3, 4)
+    assert parse_fraction("+12") == 12
+    for bad in ["1e3", "0.5", " 1", "1 ", "1_000", "1/0", "3/-4", "/2", "", "\u0663"]:
+        with pytest.raises(ParseError):
+            parse_fraction(bad)
 
 
 def test_as_partition_rejects_bad_parts():
