@@ -10,7 +10,6 @@ import importlib
 
 _EXPORTS = {
     "partitions": (
-        "DiagramSum",
         "as_partition",
         "aut_order",
         "class_size",
@@ -19,17 +18,18 @@ _EXPORTS = {
         "kappa",
         "multiplicity",
         "pad",
-        "parse_diagram_sum",
         "parse_partition",
         "partitions_of",
-        "rho",
     ),
-    "characters": ("char_table", "character", "d_r", "dimension", "phi"),
+    "characters": ("char_table", "character", "phi"),
     "class_algebra": (
+        "DiagramSum",
         "graded_piece",
         "mult_infinity",
         "mult_same_degree",
         "mult_sum",
+        "parse_diagram_sum",
+        "rho",
         "structure_constant",
     ),
     "psym": ("PPoly", "apply_spectral", "exp_p1", "from_schur", "p_monomial", "schur",
@@ -37,7 +37,6 @@ _EXPORTS = {
     "hurwitz": (
         "HurwitzSeries",
         "generating_function",
-        "hurwitz3",
         "hurwitz_chain",
         "hurwitz_padded",
         "simple_hurwitz",

@@ -54,27 +54,6 @@ def character(r: Partition, delta: Partition) -> int:
     return char_table(degree(r)).entry(r, delta)
 
 
-def dimension(r: Partition) -> int:
-    """Dimension of the irreducible labelled by r, via hook lengths; an
-    independent check of the table's [1^n] column, which phi reads."""
-    n = degree(r)
-    if n == 0:
-        return 1
-    from .partitions import conjugate
-
-    t = conjugate(r)
-    dim = math.factorial(n)
-    for i, row in enumerate(r):
-        for j in range(row):
-            dim //= row - j + t[j] - i - 1
-    return dim
-
-
-def d_r(r: Partition) -> Fraction:
-    """dim(r) / |r|!, the Plancherel weight of the irreducible r."""
-    return Fraction(dimension(r), math.factorial(degree(r)))
-
-
 def phi(r: Partition, delta: Partition) -> Fraction:
     """Normalized character: the eigenvalue of the diagram operator of
     delta on the Schur function of r, read from phi_column.  The parts of
@@ -168,9 +147,6 @@ class CharacterTable:
     def _unknown(self, kind: str, label) -> ValueError:
         return ValueError("%s is not a %s of S_%d (parts must be decreasing and sum to %d)"
                           % (format_partition(label), kind, self.n, self.n))
-
-    def row(self, r: Partition):
-        return list(self.rows[tuple(r)])
 
     def check_orthogonality(self):
         """Raise ConsistencyError unless row orthogonality holds exactly."""

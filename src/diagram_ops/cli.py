@@ -13,7 +13,13 @@ prints help to stdout and exits 0; a usage error prints "usage: ..." and
 
 Each command imports the layers beyond the character table (class_algebra,
 psym, hurwitz, oracles) inside its cmd_* function, so an op loads only the
-modules it runs: eigenvalue reads phi from the table and loads none.
+modules it runs: eigenvalue reads phi from the table and loads none.  JSON
+is written by to_json, not the json module, whose import costs an op more
+than most commands compute.
+
+run() is the entry point of `diagram-ops` and `python -m diagram_ops.cli`;
+main(argv) returns the exit code without leaving the process, for callers
+that run the CLI in process.
 
 Every degree read from argv is checked against --max-degree, itself
 between 0 and MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success,
@@ -23,20 +29,15 @@ between 0 and MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import json
+import gc
+import os
 import re
 import sys
 from types import SimpleNamespace
 
 from .errors import BoundError, ConsistencyError, ParseError
 from .characters import MAX_TABLE_DEGREE, char_table, phi
-from .partitions import (
-    degree,
-    format_fraction,
-    format_partition,
-    parse_diagram_sum,
-    parse_partition,
-)
+from .partitions import degree, format_fraction, format_partition, parse_partition
 
 DEFAULT_SEED = 20101146
 
@@ -50,15 +51,55 @@ def _check_degrees(args, degrees):
             raise BoundError("degree %d exceeds max degree %d" % (n, args.max_degree))
 
 
+#: The escapes json.dumps writes for these characters; every other
+#: character outside ' '..'~' becomes \uXXXX, as a surrogate pair above U+FFFF.
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+                 "\r": "\\r", "\t": "\\t"}
+
+
+def _json_string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"%s"' % text
+    out = []
+    for ch in text:
+        c = ord(ch)
+        if ch in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[ch])
+        elif 0x20 <= c < 0x7F:
+            out.append(ch)
+        elif c < 0x10000:
+            out.append("\\u%04x" % c)
+        else:
+            c -= 0x10000
+            out.append("\\u%04x\\u%04x" % (0xD800 | c >> 10, 0xDC00 | c & 0x3FF))
+    return '"%s"' % "".join(out)
+
+
+def to_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True), byte for byte, for the values the
+    commands print: dicts with str keys, lists, str, int, bool and None."""
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        return "{%s}" % ", ".join("%s: %s" % (_json_string(k), to_json(v))
+                                  for k, v in sorted(obj.items()))
+    if isinstance(obj, list):
+        return "[%s]" % ", ".join(map(to_json, obj))
+    raise TypeError("cannot write %s as JSON" % type(obj).__name__)
+
+
 def _emit(args, text_value, json_obj):
-    if args.json:
-        print(json.dumps(json_obj, sort_keys=True))
-    else:
-        print(text_value)
+    print(to_json(json_obj) if args.json else text_value)
 
 
 def cmd_mult(args):
-    from .class_algebra import mult_sum
+    from .class_algebra import mult_sum, parse_diagram_sum
 
     a = parse_diagram_sum(args.left)
     b = parse_diagram_sum(args.right)
@@ -139,7 +180,7 @@ def cmd_selftest(args):
 
     report = selftest_suites(args.level, args.seed)
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        print(to_json(report))
     else:
         for s in report["suites"]:
             print("%s: %d cases, %d failures" % (s["name"], s["cases"], s["failures"]))
@@ -328,10 +369,30 @@ def main(argv=None) -> int:
 
 def _fail(args, kind, exc):
     if args.json:
-        print(json.dumps({"error": {"kind": kind, "msg": str(exc)}}, sort_keys=True))
+        print(to_json({"error": {"kind": kind, "msg": str(exc)}}))
     else:
         print("error (%s): %s" % (kind, exc), file=sys.stderr)
 
 
+def run():
+    """Exit with main()'s code.  A reader that closed stdout early gets
+    exit code 1 and no traceback.  gc.freeze() first moves every object into
+    the permanent generation, so the collections the interpreter runs at
+    exit skip objects that are about to be thrown away."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs advise: later flushes write to devnull, not the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

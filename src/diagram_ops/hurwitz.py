@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .errors import BoundError
 from .partitions import (
-    Partition,
     as_partition,
     aut_order,
     degree,
@@ -46,11 +45,6 @@ MAX_SERIES_PAIRS = 100_000
 #: JSON in under 1 s, no more than the pair bound already admits for two
 #: directions (order 25: 5.6 MB in 1.7 s).
 MAX_SERIES_ORDER = 100
-
-
-def hurwitz3(d1: Partition, d2: Partition, d3: Partition) -> Fraction:
-    """Three-point bracket, C^{d3}_{d1,d2} / z_{d3}."""
-    return hurwitz_chain((d1, d2, d3))
 
 
 def hurwitz_chain(deltas) -> Fraction:

@@ -22,8 +22,9 @@ Symmetric functions and characters:
 * mn_character: one character by the Murnaghan-Nakayama recursion,
   removing border strips as beta-number moves b -> b - t, memoized per
   (shape, class).
-* d_r_product: the Plancherel weight dim(r)/|r|! by a product formula
-  instead of hook lengths.
+* dimension / d_r: dim(r) by hook lengths and the Plancherel weight
+  dim(r)/|r|!, independent checks of the table's [1^n] column, which phi
+  reads; d_r_product: the same weight by a product formula.
 * series_by_schur: the generating function's coefficients summed term by
   term in Fractions, d_R prod_Y phi_R(Y)^k_Y / k_Y! times schur(R).
 
@@ -52,15 +53,15 @@ from fractions import Fraction
 
 from .errors import BoundError, ConsistencyError
 from .partitions import (
-    DiagramSum,
     Partition,
     as_partition,
     class_size,
+    conjugate,
     degree,
     partitions_of,
 )
-from .characters import char_table, d_r, phi
-from .class_algebra import mult_infinity, structure_constant
+from .characters import char_table, phi
+from .class_algebra import DiagramSum, mult_infinity, structure_constant
 from .hurwitz import HurwitzSeries, _beta_key, _multi_indices, hurwitz_chain
 from .psym import PPoly, apply_spectral, schur
 
@@ -339,6 +340,22 @@ def mn_character(shape: Partition, cls: Partition) -> int:
     for smaller, sign in _strip_removals(shape, t):
         total += sign * mn_character(smaller, rest)
     return total
+
+
+def dimension(r: Partition) -> int:
+    """Dimension of the irreducible labelled by r, via hook lengths."""
+    n = degree(r)
+    t = conjugate(r)
+    dim = math.factorial(n)
+    for i, row in enumerate(r):
+        for j in range(row):
+            dim //= row - j + t[j] - i - 1
+    return dim
+
+
+def d_r(r: Partition) -> Fraction:
+    """dim(r) / |r|!, the Plancherel weight of the irreducible r."""
+    return Fraction(dimension(r), math.factorial(degree(r)))
 
 
 def d_r_product(r: Partition) -> Fraction:

@@ -3,17 +3,16 @@
 A partition is represented canonically as a tuple of weakly decreasing
 positive integers; the empty tuple is the empty diagram of degree 0.
 Tuples are hashable and immutable, so they are used directly as dict keys
-throughout the package.
-
-DiagramSum is a finitely supported map partition -> Fraction, covering
-linear combinations of diagrams of possibly mixed degrees.
+throughout the package.  Every op loads this module; DiagramSum, the
+linear combinations of diagrams that only mult reads, lives in
+class_algebra.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import types
+import sys
 from fractions import Fraction
 
 from .errors import BoundError, ParseError
@@ -116,7 +115,7 @@ def partition_sort_key(delta: Partition):
     return (degree(delta), tuple(-p for p in delta))
 
 
-_PARTITION_RE = re.compile(r"\[(\d+(,\d+)*)?\]")
+_PARTITION_RE = re.compile(r"\[([0-9]+(,[0-9]+)*)?\]")
 
 
 def parse_partition(text: str) -> Partition:
@@ -143,7 +142,13 @@ def format_partition(delta: Partition) -> str:
 
 
 def format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+    """'n' or 'n/d'; a numerator or denominator longer than the
+    interpreter's int-to-string limit raises BoundError."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+    except ValueError:
+        raise BoundError("result has more digits than the limit of %d, "
+                         "sys.get_int_max_str_digits()" % sys.get_int_max_str_digits()) from None
 
 
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -159,118 +164,3 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError("malformed rational %r" % text, 0) from None
-
-
-class DiagramSum:
-    """Finitely supported Fraction-linear combination of partitions.
-
-    Immutable, with read-only terms, so a sum can be passed and kept
-    without copying; arithmetic returns new sums and never stores zero terms.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for part, coef in (terms.items() if hasattr(terms, "items") else terms):
-                c = Fraction(coef)
-                if c:
-                    key = as_partition(part)
-                    d[key] = d.get(key, Fraction(0)) + c
-        self._terms = types.MappingProxyType({p: c for p, c in d.items() if c})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def single(cls, delta: Partition, coef=1):
-        return cls({as_partition(delta): Fraction(coef)})
-
-    def items(self):
-        """Terms in canonical order (degree, then reverse-lex)."""
-        return sorted(self._terms.items(), key=lambda kv: partition_sort_key(kv[0]))
-
-    def coefficient(self, delta: Partition) -> Fraction:
-        return self._terms.get(tuple(delta), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def graded_piece(self, n: int) -> "DiagramSum":
-        return DiagramSum({p: c for p, c in self._terms.items() if degree(p) == n})
-
-    def degrees(self):
-        return sorted({degree(p) for p in self._terms})
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return DiagramSum(out)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        c = Fraction(scalar)
-        return DiagramSum({p: c * v for p, v in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, DiagramSum) and self._terms == other._terms
-
-    def __repr__(self):
-        return "DiagramSum(%s)" % self.to_text()
-
-    def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(
-            "%s*%s" % (format_fraction(c), format_partition(p)) for p, c in self.items()
-        )
-
-    def to_json_obj(self):
-        return [
-            {"coef": format_fraction(c), "partition": list(p)} for p, c in self.items()
-        ]
-
-
-def rho(delta: Partition, k: int) -> DiagramSum:
-    """Embedding adding k unit rows with binomial multiplicity.
-
-    rho_k(delta) = C(r+k, k) * delta^k where r is the number of unit rows
-    already present.
-    """
-    return DiagramSum.single(*rho_term(delta, k))
-
-
-def rho_term(delta: Partition, k: int):
-    """rho_k(delta) as the pair (delta^k, C(r+k, k)) of its single term."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return pad(delta, k), math.comb(multiplicity(delta, 1) + k, k)
-
-
-def parse_diagram_sum(text: str) -> DiagramSum:
-    """Parse 'coef*partition + coef*partition + ...'.
-
-    A bare partition is accepted as shorthand for coefficient 1.
-    """
-    s = text.strip()
-    if not s:
-        raise ParseError("empty diagram sum", 0)
-    if s == "0":
-        return DiagramSum.zero()
-    terms = []
-    for chunk in s.split(" + "):
-        chunk = chunk.strip()
-        if "*" in chunk:
-            coef_text, _, part_text = chunk.partition("*")
-            coef = parse_fraction(coef_text)
-        else:
-            coef, part_text = Fraction(1), chunk
-        terms.append((parse_partition(part_text), coef))
-    return DiagramSum(terms)

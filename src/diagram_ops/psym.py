@@ -23,7 +23,6 @@ from fractions import Fraction
 from .errors import BoundError, ParseError
 from .partitions import (
     MAX_ENUM_DEGREE,
-    DiagramSum,
     Partition,
     as_partition,
     aut_order,
@@ -159,6 +158,10 @@ class PPoly:
         }
 
 
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdecimal()
+
+
 def parse_ppoly(text: str) -> PPoly:
     """Parse the textual form produced by PPoly.to_text, e.g.
     '1/3*p1^3 + -1/3*p3' or '2' or 'p2*p1^2'."""
@@ -175,7 +178,7 @@ def parse_ppoly(text: str) -> PPoly:
         for i, factor in enumerate(factors):
             if factor.startswith("p"):
                 body, caret, exp = factor[1:].partition("^")
-                if not body.isdecimal() or (caret and not exp.isdecimal()):
+                if not _is_digits(body) or (caret and not _is_digits(exp)):
                     raise ParseError("malformed power-sum factor %r" % factor, 0)
                 k, m = int(body), int(exp) if caret else 1
                 if k < 1:
@@ -236,8 +239,9 @@ def from_schur(coeffs: dict) -> PPoly:
 
 
 def apply_spectral(x, f: PPoly) -> PPoly:
-    """Apply the operator of a diagram (or, linearly, of a diagram sum)."""
-    if isinstance(x, DiagramSum):
+    """Apply the operator of a diagram (or, linearly, of a diagram sum,
+    told by its items, so that this module need not load class_algebra)."""
+    if hasattr(x, "items"):
         directions = list(x.items())
     else:
         directions = [(as_partition(x), Fraction(1))]

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from diagram_ops.class_algebra import (
+    DiagramSum,
     graded_piece,
     mult_infinity,
     mult_same_degree,
@@ -31,7 +32,7 @@ from diagram_ops.oracles import (
     oracle_tuple_count,
     pde_residual,
 )
-from diagram_ops.partitions import DiagramSum, partitions_of
+from diagram_ops.partitions import partitions_of
 from diagram_ops.psym import apply_spectral, exp_p1, schur
 
 SEED = 20101146

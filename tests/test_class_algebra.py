@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from diagram_ops.errors import BoundError
 from diagram_ops.class_algebra import (
+    DiagramSum,
     graded_piece,
     mult_infinity,
     mult_same_degree,
@@ -13,7 +14,7 @@ from diagram_ops.class_algebra import (
     structure_constant,
 )
 from diagram_ops.oracles import oracle_mult_infinity, oracle_structure_constant
-from diagram_ops.partitions import DiagramSum, degree, partitions_of
+from diagram_ops.partitions import degree, partitions_of
 from diagram_ops.characters import phi
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import diagram_ops
 
 from diagram_ops import characters, oracles
 from diagram_ops.class_algebra import mult_same_degree
-from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, main
+from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, main, to_json
 from diagram_ops.errors import ConsistencyError
 
 
@@ -198,6 +199,9 @@ EIGHT_DIRECTIONS = ["[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]", "[4]", "[3
     (["--max-degree", "-5", "chartable", "0"], 2),
     (["evolve", "--p-bound", "2", "--order", "8"] + EIGHT_DIRECTIONS, 0),
     (["evolve", "--p-bound", "10", "--order", "718", "[2]"], 3),
+    (["mult", "7" * 3000 + "*[1]", "7" * 3000 + "*[1]"], 3),
+    (["schur", "[\u0663]"], 2),
+    (["wapply", "[2]", "p\u0663"], 2),
 ], ids=lambda v: " ".join(v)[:48] if isinstance(v, list) else str(v))
 def test_bounds_and_exit_codes(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -215,7 +219,7 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
     submodules = ["diagram_ops." + f[:-3] for f in sorted(os.listdir(package))
                   if f.endswith(".py") and f != "__init__.py"]
     later = ["diagram_ops." + m for m in ("psym", "hurwitz", "oracles")]
-    parser = ["argparse", "gettext", "locale"]
+    parser = ["argparse", "gettext", "json", "locale"]
     no_algebra = ["diagram_ops.class_algebra"] + parser
     run_cli = "from diagram_ops.cli import main; main(sys.argv[1:]); "
     cases = [
@@ -228,8 +232,9 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
         (run_cli, ["wapply", "[2]", "1*p2"], later[1:] + no_algebra),
         (run_cli, ["hurwitz", "[2]", "[2]"], later[:1] + no_algebra),
         (run_cli, ["evolve", "[2]"], later[:1] + no_algebra),
-        ("import diagram_ops; ", [], submodules),
-        ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [], []),
+        ("import diagram_ops; ", [], submodules + ["json"]),
+        ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [],
+         ["json"]),
     ]
     env = dict(os.environ, PYTHONPATH=SRC)
     for code, argv, absent in cases:
@@ -238,6 +243,65 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
         proc = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
                               text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "[]\n"), (code, argv, proc.stderr)
+
+
+def test_in_process_main_leaves_gc_unfrozen(capsys):
+    assert run(capsys, "--json", "chartable", "3")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.get_freeze_count() == 0
+
+
+def _cli_process(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "diagram_ops.cli"] + argv, env=env,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["chartable", "3"], ["--json", "mult", "[1,3]", "[2]"]],
+                         ids=" ".join)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write fails
+    try:
+        proc = _cli_process(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_started_without_stdout_exits_with_its_code():
+    # with fd 1 closed at start-up the interpreter sets sys.stdout to None
+    proc = _cli_process(["chartable", "3"], stderr=subprocess.PIPE, text=True,
+                        preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_run_freezes_and_exits_with_the_code_of_main():
+    code = ("import atexit, gc, sys; from diagram_ops.cli import run; "
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); run()")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv, exit_code in [(["chartable", "2"], 0), (["--help"], 0), (["chartable", "x"], 2),
+                            (["chartable", "99"], 3)]:
+        proc = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == exit_code
+        assert proc.stderr.endswith("True\n") and "Traceback" not in proc.stderr
+
+
+JSON_CHARS = st.one_of(st.characters(exclude_categories=()),
+                       st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\ud800\udfff\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(JSON_CHARS)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(JSON_CHARS, max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(JSON_VALUES)
+def test_to_json_matches_json_dumps(value):
+    assert to_json(value) == json.dumps(value, sort_keys=True)
 
 
 def test_package_has_no_other_attributes():

@@ -12,7 +12,6 @@ from diagram_ops.hurwitz import (
     MAX_SERIES_PAIRS,
     _multi_indices,
     generating_function,
-    hurwitz3,
     hurwitz_chain,
     hurwitz_padded,
     simple_hurwitz,
@@ -34,11 +33,11 @@ def chain_split(deltas, r):
 
 
 def test_hurwitz3_examples():
-    assert hurwitz3((2,), (2,), (1, 1)) == Fraction(1, 2)
-    assert hurwitz3((2, 1), (2, 1), (3,)) == 1
+    assert hurwitz_chain([(2,), (2,), (1, 1)]) == Fraction(1, 2)
+    assert hurwitz_chain([(2, 1), (2, 1), (3,)]) == 1
     for n in range(1, 5):
         identity = (1,) * n
-        assert hurwitz3(identity, identity, identity) == Fraction(1, math.factorial(n))
+        assert hurwitz_chain([identity, identity, identity]) == Fraction(1, math.factorial(n))
 
 
 def test_chain_base_cases():
@@ -46,7 +45,7 @@ def test_chain_base_cases():
     assert hurwitz_chain([(2,)]) == 0
     assert hurwitz_chain([(2, 1), (2, 1)]) == Fraction(1, 2)
     assert hurwitz_chain([(3,), (2, 1)]) == 0
-    assert hurwitz_chain([(2,), (2,), (1, 1)]) == hurwitz3((2,), (2,), (1, 1))
+    assert hurwitz_chain([(2,), (1, 1), (2,)]) == Fraction(1, 2)
 
 
 def test_chain_four_transpositions():

@@ -6,8 +6,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from diagram_ops.errors import BoundError, ParseError
+from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum, rho
 from diagram_ops.partitions import (
-    DiagramSum,
     as_partition,
     aut_order,
     class_size,
@@ -17,11 +17,9 @@ from diagram_ops.partitions import (
     kappa,
     multiplicity,
     pad,
-    parse_diagram_sum,
     parse_fraction,
     parse_partition,
     partitions_of,
-    rho,
 )
 from diagram_ops.oracles import cycle_type
 

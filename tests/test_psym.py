@@ -15,10 +15,11 @@ from diagram_ops.psym import (
     schur_expand,
 )
 from diagram_ops.partitions import aut_order, kappa, partitions_of
-from diagram_ops.characters import char_table, d_r
+from diagram_ops.characters import char_table
 from diagram_ops.oracles import (
     bialternant_eval,
     complete_homogeneous,
+    d_r,
     eval_at_power_sums,
     jacobi_trudi,
 )

@@ -1,3 +1,7 @@
+"""The diagram operators W(delta): psym.apply_spectral against the
+partial-permutation action and the literal cut-and-join operator of
+diagram_ops.oracles."""
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -6,7 +10,8 @@ from diagram_ops import oracles
 from diagram_ops.errors import BoundError
 from diagram_ops.characters import phi
 from diagram_ops.psym import PPoly, apply_spectral, exp_p1, p_monomial, parse_ppoly, schur
-from diagram_ops.partitions import DiagramSum, class_size, degree, partitions_of
+from diagram_ops.class_algebra import DiagramSum
+from diagram_ops.partitions import class_size, degree, partitions_of
 from diagram_ops.oracles import MAX_ORACLE_ACTIONS, apply_explicit, compose_check, cut_and_join
 
 SIX = [d for n in range(1, 4) for d in partitions_of(n)]
