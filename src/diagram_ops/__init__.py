@@ -29,7 +29,6 @@ _EXPORTS = {
         "mult_same_degree",
         "mult_sum",
         "parse_diagram_sum",
-        "rho",
         "structure_constant",
     ),
     "psym": ("PPoly", "apply_spectral", "exp_p1", "from_schur", "p_monomial", "schur",

@@ -5,9 +5,10 @@ Schur functions, structure constants and Hurwitz brackets all read it, so
 it is shared read-only: rows are tuples behind a mapping proxy.
 
 phi_column writes the normalized character phi once, and spectral_sum,
-the one sum S_P(mu) = sum_R d_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it:
-structure constants, Hurwitz brackets, padded brackets and the generating
-function's coefficients are all values of S_P.
+the one sum S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it:
+structure constants, Hurwitz brackets, simple Hurwitz numbers and the
+generating function's coefficients are its values at w_R = d_R, and
+Schur functions and every W(delta) f its values at other weights.
 
 Tables are built by the Murnaghan-Nakayama rule read as addition: column
 mu expands p_mu in Schur functions by adding border strips of sizes mu_i
@@ -25,12 +26,11 @@ import math
 import types
 from fractions import Fraction
 
-from .errors import BoundError, ConsistencyError
+from .errors import BoundError
 from .partitions import (
     Partition,
     as_partition,
     aut_order,
-    class_size,
     degree,
     format_partition,
     pad,
@@ -85,20 +85,27 @@ def phi_column(n: int, delta: Partition):
     return [x // g for x in nums], q // g
 
 
-def spectral_sum(n: int, powers):
-    """S_P(mu) = sum_R d_R prod_Y phi_R(Y)^k_Y chi_R(mu) for every class mu
-    of degree n and powers P = {Y: k_Y}, as (column, q): the value at the
-    i-th class of the table's order is column[i] / q.  With d_R = dim_R/n!
-    it is one integer weighted sum of the rows of the table of S_n."""
+def spectral_sum(n: int, powers, weights=None):
+    """S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu) for every class mu
+    of degree n, powers P = {Y: k_Y} and integer weights {R: w_R}, by
+    default the Plancherel weights d_R = dim_R/n!, as (column, q): the
+    value at the i-th class of the table's order is column[i] / q.  It is
+    one integer weighted sum of the rows of the table of S_n; an unknown
+    shape raises ValueError."""
     table = char_table(n)
-    i_dim = table.column((1,) * n)
-    weights = [row[i_dim] for row in table.rows.values()]
-    q = math.factorial(n)
+    if weights is None:
+        i_dim = table.column((1,) * n)
+        ws, q = [row[i_dim] for row in table.rows.values()], math.factorial(n)
+    else:
+        for r in weights:
+            if r not in table.rows:
+                raise table._unknown("shape", r)
+        ws, q = [weights.get(r, 0) for r in table.rows], 1
     for y, k in powers.items():
         nums, q_y = phi_column(n, y)
-        weights = [w * x ** k for w, x in zip(weights, nums)]
+        ws = [w * x ** k for w, x in zip(ws, nums)]
         q *= q_y ** k
-    return table.weighted_sum(dict(zip(table.rows, weights))), q
+    return table.weighted_sum({r: w for r, w in zip(table.rows, ws) if w}), q
 
 
 class CharacterTable:
@@ -147,22 +154,6 @@ class CharacterTable:
     def _unknown(self, kind: str, label) -> ValueError:
         return ValueError("%s is not a %s of S_%d (parts must be decreasing and sum to %d)"
                           % (format_partition(label), kind, self.n, self.n))
-
-    def check_orthogonality(self):
-        """Raise ConsistencyError unless row orthogonality holds exactly."""
-        sizes = [class_size(p) for p in self.order]
-        n_fact = math.factorial(self.n)
-        labels = self.order
-        for a in labels:
-            for b in labels:
-                s = sum(
-                    sz * x * y
-                    for sz, x, y in zip(sizes, self.rows[a], self.rows[b])
-                )
-                if s != (n_fact if a == b else 0):
-                    raise ConsistencyError(
-                        "orthogonality failure for rows %s, %s" % (a, b)
-                    )
 
     def to_json_obj(self):
         return {

@@ -6,7 +6,7 @@ because only mult reads and prints one.
 
 _structure_column reads every structure constant of a product of two class
 sums as one spectral sum (characters.spectral_sum) over the character
-table; mult_same_degree wraps it and structure_constant picks one
+table; mult_same_degree wraps it and structure_constant reads one
 coefficient.
 The literal pair-counting definition lives in diagram_ops.oracles
 (oracle_structure_constant), which only the tests and selftest import.
@@ -47,7 +47,7 @@ class DiagramSum:
     """Finitely supported Fraction-linear combination of partitions.
 
     Immutable, with read-only terms, so a sum can be passed and kept
-    without copying; arithmetic returns new sums and never stores zero terms.
+    without copying; zero terms are never stored.
     """
 
     __slots__ = ("_terms",)
@@ -77,29 +77,8 @@ class DiagramSum:
     def coefficient(self, delta: Partition) -> Fraction:
         return self._terms.get(tuple(delta), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def graded_piece(self, n: int) -> "DiagramSum":
-        return DiagramSum({p: c for p, c in self._terms.items() if degree(p) == n})
-
     def degrees(self):
         return sorted({degree(p) for p in self._terms})
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return DiagramSum(out)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        c = Fraction(scalar)
-        return DiagramSum({p: c * v for p, v in self._terms.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, DiagramSum) and self._terms == other._terms
@@ -120,17 +99,10 @@ class DiagramSum:
         ]
 
 
-def rho(delta: Partition, k: int) -> DiagramSum:
-    """Embedding adding k unit rows with binomial multiplicity.
-
-    rho_k(delta) = C(r+k, k) * delta^k where r is the number of unit rows
-    already present.
-    """
-    return DiagramSum.single(*rho_term(delta, k))
-
-
 def rho_term(delta: Partition, k: int):
-    """rho_k(delta) as the pair (delta^k, C(r+k, k)) of its single term."""
+    """The embedding rho_k adding k unit rows with binomial multiplicity,
+    rho_k(delta) = C(r+k, k) delta^k where r is the number of unit rows
+    already present, as the pair (delta^k, C(r+k, k)) of its single term."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     return pad(delta, k), math.comb(multiplicity(delta, 1) + k, k)
@@ -161,10 +133,10 @@ def parse_diagram_sum(text: str) -> DiagramSum:
 def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
     """C^d_{d1,d2}: multiplicity of the class sum of d in the product of the
     class sums of d1 and d2 inside the center of the group algebra."""
-    d = as_partition(d)
-    if degree(d) != degree(d1):
+    d1, d2, d = as_partition(d1), as_partition(d2), as_partition(d)
+    if not degree(d1) == degree(d2) == degree(d):
         raise ValueError("structure_constant requires equal degrees")
-    return int(mult_same_degree(d1, d2).coefficient(d))
+    return _structure_column(d1, d2)[char_table(degree(d)).column(d)]
 
 
 def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:

@@ -28,6 +28,7 @@ from .partitions import (
     as_partition,
     aut_order,
     degree,
+    format_fraction,
     format_partition,
     partition_sort_key,
     partitions_of,
@@ -38,9 +39,10 @@ from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
 #: with |R| <= p_bound, that generating_function expands.
 MAX_SERIES_PAIRS = 100_000
 
-#: Largest total beta-order that generating_function expands.  The pair
-#: bound caps the time, but the coefficients' denominators grow like
-#: order!, so one direction at a high order printed tens of megabytes.  At
+#: Largest total beta-order that generating_function expands, and the
+#: most transpositions simple_hurwitz takes.  The pair bound caps the
+#: time, but the coefficients' denominators grow like order!, so one
+#: direction at a high order printed tens of megabytes.  At
 #: order 100 and p_bound 12 one direction prints at most about 4 MB of
 #: JSON in under 1 s, no more than the pair bound already admits for two
 #: directions (order 25: 5.6 MB in 1.7 s).
@@ -104,10 +106,6 @@ class HurwitzSeries:
         key = _beta_key({as_partition(p): k for p, k in counts.items()})
         return self.terms.get((key, tuple(sorted(mono, reverse=True))), Fraction(0))
 
-    def bracket(self, counts: dict, mono) -> Fraction:
-        """Taylor coefficient times prod n_i!: the padded Hurwitz bracket."""
-        return self.coefficient(counts, mono) * math.prod(map(math.factorial, counts.values()))
-
     def ppoly_at(self, key):
         """Coefficient of the beta monomial indexed by key, as a PPoly."""
         from .psym import PPoly
@@ -127,7 +125,7 @@ class HurwitzSeries:
                 {
                     "beta": {format_partition(p): k for p, k in key},
                     "mono": list(mono),
-                    "coef": "%s" % c,
+                    "coef": format_fraction(c),
                 }
                 for (key, mono), c in items
             ],
@@ -181,6 +179,12 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
 
 def simple_hurwitz(n: int, m: int) -> dict:
     """Disconnected m-transposition Hurwitz numbers of degree n: for each
-    diagram of degree n, the bracket <([2], m) | delta>."""
-    series = generating_function([(2,)], p_bound=n, order=m)
-    return {delta: series.bracket({(2,): m}, delta) for delta in partitions_of(n)}
+    diagram delta of degree n, the bracket <([2], m) | delta>, read from
+    the one spectral sum S_{[2]^m}(delta) / z_delta."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    if m > MAX_SERIES_ORDER:
+        raise BoundError("%d transpositions exceed bound %d" % (m, MAX_SERIES_ORDER))
+    column, q = spectral_sum(n, {(2,): m})
+    return {delta: Fraction(total, q * aut_order(delta))
+            for delta, total in zip(char_table(n).order, column)}

@@ -22,6 +22,8 @@ Symmetric functions and characters:
 * mn_character: one character by the Murnaghan-Nakayama recursion,
   removing border strips as beta-number moves b -> b - t, memoized per
   (shape, class).
+* check_orthogonality: the row orthogonality of a whole character table;
+  a failure ends selftest with ConsistencyError.
 * dimension / d_r: dim(r) by hook lengths and the Plancherel weight
   dim(r)/|r|!, independent checks of the table's [1^n] column, which phi
   reads; d_r_product: the same weight by a product formula.
@@ -477,11 +479,17 @@ def _suite(name: str, agreements) -> dict:
     return {"name": name, "cases": len(agreements), "failures": agreements.count(False)}
 
 
-def _orthogonal(n: int) -> bool:
-    try:
-        char_table(n).check_orthogonality()
-    except ConsistencyError:
-        return False
+def check_orthogonality(table) -> bool:
+    """True when the rows of a character table are orthogonal exactly,
+    sum_mu |C_mu| chi_a(mu) chi_b(mu) = n! [a = b]; otherwise raise
+    ConsistencyError naming the first pair of rows that fails."""
+    sizes = [class_size(p) for p in table.order]
+    n_fact = math.factorial(table.n)
+    for a in table.order:
+        for b in table.order:
+            s = sum(sz * x * y for sz, x, y in zip(sizes, table.rows[a], table.rows[b]))
+            if s != (n_fact if a == b else 0):
+                raise ConsistencyError("orthogonality failure for rows %s, %s" % (a, b))
     return True
 
 
@@ -510,7 +518,8 @@ def selftest_suites(level: str, seed: int):
         _suite("explicit_vs_spectral_operators",
                (apply_explicit(delta, f) == apply_spectral(delta, f)
                 for delta in deltas for f in polys)),
-        _suite("character_table_orthogonality", map(_orthogonal, range(1, n_max + 1))),
+        _suite("character_table_orthogonality",
+               (check_orthogonality(char_table(n)) for n in range(1, n_max + 1))),
         _suite("class_sizes_sum_to_factorial",
                (sum(map(class_size, partitions_of(n))) == math.factorial(n)
                 for n in range(1, n_max + 3))),

@@ -9,9 +9,9 @@ Jacobi-Trudi routes that check them live in diagram_ops.oracles, which
 only the tests and selftest import.
 
 The operator W(delta) of a diagram has eigenvalue phi_R(delta) on schur(R),
-so apply_spectral is a Schur expansion, a scale and a reassembly; oracles
-checks it against apply_explicit, the partial-permutation action, which
-reads no character table.
+so apply_spectral is a Schur expansion read back through the one spectral
+sum (characters.spectral_sum); oracles checks it against apply_explicit,
+the partial-permutation action, which reads no character table.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .partitions import (
     multiplicity,
     parse_fraction,
 )
-from .characters import char_table, phi
+from .characters import char_table, spectral_sum
 
 
 def _monomial_sort_key(mono: Partition):
@@ -220,40 +220,33 @@ def schur_expand(f: PPoly) -> dict:
     return out
 
 
-def from_schur(coeffs: dict) -> PPoly:
-    """sum_R c_R * schur(R); inverse of schur_expand.
-    Per degree the c_R share a denominator q, so the p_mu coefficients are
-    one integer weighted sum of table rows, divided by q z_mu."""
+def from_schur(coeffs: dict, powers=()) -> PPoly:
+    """sum_R c_R prod_Y phi_R(Y)^k_Y schur(R) for powers {Y: k_Y}; with
+    no powers, the inverse of schur_expand.  Per degree the c_R share a
+    denominator q, so the p_mu coefficients are one spectral sum with
+    integer weights, divided by q z_mu."""
     by_degree = {}
     for r, c in coeffs.items():
         by_degree.setdefault(degree(r), {})[tuple(r)] = Fraction(c)
     terms = {}
     for n, cs in by_degree.items():
-        table = char_table(n)
         q = math.lcm(*(c.denominator for c in cs.values()))
-        column = table.weighted_sum({r: c.numerator * (q // c.denominator) for r, c in cs.items()})
-        for mu, total in zip(table.order, column):
+        weights = {r: c.numerator * (q // c.denominator) for r, c in cs.items()}
+        column, q_p = spectral_sum(n, dict(powers), weights)
+        for mu, total in zip(char_table(n).order, column):
             if total:
-                terms[mu] = Fraction(total, q * aut_order(mu))
+                terms[mu] = Fraction(total, q * q_p * aut_order(mu))
     return PPoly(terms)
 
 
 def apply_spectral(x, f: PPoly) -> PPoly:
-    """Apply the operator of a diagram (or, linearly, of a diagram sum,
-    told by its items, so that this module need not load class_algebra)."""
-    if hasattr(x, "items"):
-        directions = list(x.items())
-    else:
-        directions = [(as_partition(x), Fraction(1))]
+    """Apply the operator W(delta) of a diagram, from_schur(schur_expand(f),
+    {delta: 1}), or linearly that of a diagram sum, told by its items so
+    that this module need not load class_algebra."""
     coeffs = schur_expand(f)
-    out = {}
-    for delta, weight in directions:
-        for r, c in coeffs.items():
-            v = weight * c * phi(r, delta)
-            if v:
-                out[r] = out.get(r, Fraction(0)) + v
-    out = {r: c for r, c in out.items() if c}
-    return from_schur(out)
+    if not hasattr(x, "items"):
+        return from_schur(coeffs, {as_partition(x): 1})
+    return sum((from_schur(coeffs, {delta: 1}) * w for delta, w in x.items()), PPoly.zero())
 
 
 def exp_p1(n: int) -> PPoly:

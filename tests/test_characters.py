@@ -6,8 +6,9 @@ import re
 import pytest
 from fractions import Fraction
 
-from diagram_ops.errors import BoundError
+from diagram_ops.errors import BoundError, ConsistencyError
 from diagram_ops.characters import (
+    CharacterTable,
     char_table,
     character,
     phi,
@@ -22,7 +23,7 @@ from diagram_ops.partitions import (
     pad,
     partitions_of,
 )
-from diagram_ops.oracles import d_r, d_r_product, dimension, mn_character
+from diagram_ops.oracles import check_orthogonality, d_r, d_r_product, dimension, mn_character
 
 # Explicit matrix models of the irreducible representations of S_3,
 # indexed by class representatives, used as a from-scratch oracle.
@@ -108,7 +109,7 @@ def test_d_r():
 def test_row_and_column_orthogonality():
     for n in range(1, 9):
         table = char_table(n)
-        table.check_orthogonality()
+        check_orthogonality(table)
         # column form: sum_R chi_R(a) chi_R(b) = z_a [a = b]
         parts = table.order
         for a in parts:
@@ -116,6 +117,10 @@ def test_row_and_column_orthogonality():
                 s = sum(table.entry(r, a) * table.entry(r, b) for r in parts)
                 expected = math.factorial(n) // class_size(a) if a == b else 0
                 assert s == expected
+    t3 = char_table(3)
+    broken = CharacterTable(3, t3.order, {**t3.rows, (3,): (1, 1, -1)})
+    with pytest.raises(ConsistencyError, match=re.escape("orthogonality failure for rows (3,), (2, 1)")):
+        check_orthogonality(broken)
 
 
 def test_conjugate_sign_relation():
@@ -169,7 +174,7 @@ def test_char_table_matches_mn_recursion():
             for j, delta in enumerate(table.order):
                 assert table.rows[r][j] == mn_character(r, delta), (r, delta)
                 assert table.column(delta) == j
-        table.check_orthogonality()
+        check_orthogonality(table)
 
 
 def test_char_table_bound():
@@ -262,6 +267,13 @@ def test_spectral_sum_matches_fraction_sum():
                      * character(r, mu) for r in order), Fraction(0))
                 for mu in order]
             assert [Fraction(x, q) for x in column] == expected, (n, powers)
+            weights = {r: rng.randint(-5, 5) for r in rng.sample(order, (len(order) + 1) // 2)}
+            column, q = spectral_sum(n, powers, weights)
+            expected = [
+                sum((weights.get(r, 0) * math.prod(phi(r, y) ** k for y, k in powers.items())
+                     * character(r, mu) for r in order), Fraction(0))
+                for mu in order]
+            assert [Fraction(x, q) for x in column] == expected, (n, powers, weights)
 
 
 def test_phi_multiplicativity_small():

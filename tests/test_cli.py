@@ -32,6 +32,10 @@ def test_mult_examples(capsys):
     assert code == 0 and out == "1*[1,1] + 3*[3] + 2*[2,2]\n"
     code, out, _ = run(capsys, "mult", "[]", "[3]")
     assert code == 0 and out == "1*[3]\n"
+    code, out, _ = run(capsys, "--json", "mult", "[2]", "[2]")
+    assert code == 0 and out == ('{"result": [{"coef": "1", "partition": [1, 1]}, '
+                                 '{"coef": "3", "partition": [3]}, '
+                                 '{"coef": "2", "partition": [2, 2]}]}\n')
 
 
 def test_mult_accepts_sum_syntax(capsys):
@@ -57,11 +61,7 @@ def test_hurwitz(capsys):
     assert code == 0 and out == "1/2\n"
     code, out, _ = run(capsys, "--json", "hurwitz", "[2]", "[2]", "[1,1]")
     assert code == 0
-    assert json.loads(out) == {
-        "n": 2,
-        "branches": [[2], [2], [1, 1]],
-        "value": "1/2",
-    }
+    assert out == '{"branches": [[2], [2], [1, 1]], "n": 2, "value": "1/2"}\n'
 
 
 def test_wapply(capsys):
@@ -90,6 +90,14 @@ def test_evolve_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert {"beta": {"[2]": 1}, "coef": "1/2", "mono": [2]} in obj["terms"]
+    assert out == ('{"order": 1, "p_bound": 2, "terms": ['
+                   '{"beta": {}, "coef": "1", "mono": []}, '
+                   '{"beta": {}, "coef": "1", "mono": [1]}, '
+                   '{"beta": {}, "coef": "1/2", "mono": [1, 1]}, '
+                   '{"beta": {"[2]": 1}, "coef": "1/2", "mono": [2]}]}\n')
+    code, out, _ = run(capsys, "evolve", "--p-bound", "2", "--order", "1", "[2]")
+    assert code == 0 and out == ("1 | p_[] : 1\n1 | p_[1] : 1\n1 | p_[1,1] : 1/2\n"
+                                 "b[2]^1 | p_[2] : 1/2\n")
 
 
 def test_parse_error_exit_code(capsys):
@@ -305,7 +313,7 @@ def test_to_json_matches_json_dumps(value):
 
 
 def test_package_has_no_other_attributes():
-    for name in ("compose_check", "pde_residual", "no_such_name"):
+    for name in ("compose_check", "pde_residual", "rho", "no_such_name"):
         assert name not in diagram_ops.__all__
         with pytest.raises(AttributeError):
             getattr(diagram_ops, name)

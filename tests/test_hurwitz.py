@@ -152,13 +152,14 @@ def test_generating_function_single_transposition_coefficients():
         delta = (2,) + (1,) * k
         got = series.coefficient({(2,): 1}, delta)
         assert got == Fraction(1, 2 * math.factorial(k))
-        assert series.bracket({(2,): 1}, delta) == hurwitz_padded((((2,), 1),), delta)
+        assert series.coefficient({(2,): 1}, delta) == hurwitz_padded((((2,), 1),), delta)
 
 
 def test_generating_function_second_order_vs_oracle():
     series = generating_function([(2,)], p_bound=2, order=2)
     assert series.coefficient({(2,): 2}, (1, 1)) == Fraction(1, 2) * Fraction(1, 2)
-    assert series.bracket({(2,): 2}, (1, 1)) == oracle_tuple_count([(2,), (2,)], 2)
+    bracket = series.coefficient({(2,): 2}, (1, 1)) * math.factorial(2)
+    assert bracket == oracle_tuple_count([(2,), (2,)], 2)
 
 
 def test_series_matches_padded_brackets():
@@ -174,7 +175,8 @@ def test_series_matches_padded_brackets():
             for delta in partitions_of(n):
                 branches = tuple((p, k) for p, k in beta.items() if k)
                 expected = hurwitz_padded(branches, delta)
-                assert series.bracket(beta, delta) == expected, (beta, delta)
+                bracket = series.coefficient(beta, delta) * math.prod(map(math.factorial, counts))
+                assert bracket == expected, (beta, delta)
 
 
 def test_multi_indices_match_product_filter():
@@ -230,7 +232,7 @@ def test_pde_residual_requires_active_direction():
         pde_residual((3,), series)
 
 
-def test_simple_hurwitz_rows():
+def test_simple_hurwitz_rows(monkeypatch):
     assert simple_hurwitz(2, 2) == {(2,): 0, (1, 1): Fraction(1, 2)}
     row = simple_hurwitz(3, 2)
     assert row == {(3,): 1, (2, 1): 0, (1, 1, 1): Fraction(1, 2)}
@@ -239,6 +241,18 @@ def test_simple_hurwitz_rows():
         for delta, value in row.items():
             expected = Fraction(1, math.factorial(n)) if delta == (1,) * n else 0
             assert value == expected
+    with pytest.raises(BoundError):
+        simple_hurwitz(13, 1)
+
+    def fail(*args):
+        raise AssertionError("summed before checking the input")
+
+    monkeypatch.setattr(hurwitz, "spectral_sum", fail)
+    for n, m in [(-1, 2), (2, -1), (-3, -3)]:
+        with pytest.raises(ValueError):
+            simple_hurwitz(n, m)
+    with pytest.raises(BoundError):
+        simple_hurwitz(3, MAX_SERIES_ORDER + 1)
 
 
 def test_simple_hurwitz_vs_oracle():

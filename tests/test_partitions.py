@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from diagram_ops.errors import BoundError, ParseError
-from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum, rho
+from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum, rho_term
 from diagram_ops.partitions import (
     as_partition,
     aut_order,
@@ -107,17 +107,17 @@ def test_pad_composes():
 
 
 def test_rho_examples():
-    assert rho((1,), 1) == DiagramSum.single((1, 1), 2)
-    assert rho((2,), 1) == DiagramSum.single((2, 1), 1)
-    assert rho((1, 1), 2) == DiagramSum.single((1, 1, 1, 1), 6)
+    assert rho_term((1,), 1) == ((1, 1), 2)
+    assert rho_term((2,), 1) == ((2, 1), 1)
+    assert rho_term((1, 1), 2) == ((1, 1, 1, 1), 6)
 
 
 def test_rho_degree_shift():
     for p in [(), (2,), (2, 1), (3, 1, 1)]:
-        assert rho(p, 0) == DiagramSum.single(p, 1)
+        assert rho_term(p, 0) == (p, 1)
         for k in range(4):
-            for q, _ in rho(p, k).items():
-                assert degree(q) == degree(p) + k
+            q, _ = rho_term(p, k)
+            assert degree(q) == degree(p) + k
 
 
 def test_partitions_of():
@@ -170,11 +170,11 @@ def test_as_partition_rejects_bad_parts():
 def test_diagram_sum_arithmetic():
     a = DiagramSum.single((2,), 2)
     b = DiagramSum.single((2,), -2)
-    assert (a + b).is_zero()
-    s = DiagramSum.single((1,), Fraction(1, 2)) + DiagramSum.single((2, 1))
+    assert DiagramSum(a.items() + b.items()) == DiagramSum.zero()
+    s = DiagramSum(DiagramSum.single((1,), Fraction(1, 2)).items() + DiagramSum.single((2, 1)).items())
     assert s.coefficient((1,)) == Fraction(1, 2)
-    assert s.graded_piece(3) == DiagramSum.single((2, 1))
-    assert (3 * s).coefficient((1,)) == Fraction(3, 2)
+    assert DiagramSum((p, c) for p, c in s.items() if degree(p) == 3) == DiagramSum.single((2, 1))
+    assert DiagramSum((p, 3 * c) for p, c in s.items()).coefficient((1,)) == Fraction(3, 2)
 
 
 def test_diagram_sum_text_round_trip():

@@ -115,6 +115,9 @@ def test_from_schur_fractional_and_bounded():
         for r, c in coeffs.items():
             expected = expected + schur(r) * c
         assert from_schur(coeffs) == expected
+    for coeffs in [{(3,): 1, (1, 2): 0}, {(2, 1): 1, (2,): 1, (1, 2): 1}]:
+        with pytest.raises(ValueError, match=r"\[1,2\] is not a shape of S_3"):
+            from_schur(coeffs, {(2,): 1})
 
 
 def test_p_delta_expansion_gives_characters():

@@ -10,7 +10,7 @@ from diagram_ops import oracles
 from diagram_ops.errors import BoundError
 from diagram_ops.characters import phi
 from diagram_ops.psym import PPoly, apply_spectral, exp_p1, p_monomial, parse_ppoly, schur
-from diagram_ops.class_algebra import DiagramSum
+from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum
 from diagram_ops.partitions import class_size, degree, partitions_of
 from diagram_ops.oracles import MAX_ORACLE_ACTIONS, apply_explicit, compose_check, cut_and_join
 
@@ -137,3 +137,6 @@ def test_spectral_linear_over_diagram_sums():
     combined = apply_spectral(s, f)
     split = apply_spectral((2,), f) * Fraction(1, 2) + apply_spectral((1,), f) * 3
     assert combined == split
+    for s in [DiagramSum.zero(), parse_diagram_sum("1/2*[2] + 3*[1] + -1*[2,1]")]:
+        explicit = sum((apply_explicit(d, f) * c for d, c in s.items()), PPoly.zero())
+        assert apply_spectral(s, f) == explicit, s
