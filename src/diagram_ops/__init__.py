@@ -15,7 +15,6 @@ _EXPORTS = {
         "class_size",
         "conjugate",
         "degree",
-        "kappa",
         "multiplicity",
         "pad",
         "parse_partition",
@@ -31,8 +30,7 @@ _EXPORTS = {
         "parse_diagram_sum",
         "structure_constant",
     ),
-    "psym": ("PPoly", "apply_spectral", "exp_p1", "from_schur", "p_monomial", "schur",
-             "schur_expand"),
+    "psym": ("PPoly", "apply_spectral", "from_schur", "schur", "schur_expand"),
     "hurwitz": (
         "HurwitzSeries",
         "generating_function",

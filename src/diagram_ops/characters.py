@@ -4,8 +4,9 @@ char_table(n) builds the table of S_n once per process.  Characters,
 Schur functions, structure constants and Hurwitz brackets all read it, so
 it is shared read-only: rows are tuples behind a mapping proxy.
 
-phi_column writes the normalized character phi once, and spectral_sum,
-the one sum S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it:
+phi_column writes the normalized character phi, an integer, as one
+column per diagram, and spectral_sum, the one sum
+S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it:
 structure constants, Hurwitz brackets, simple Hurwitz numbers and the
 generating function's coefficients are its values at w_R = d_R, and
 Schur functions and every W(delta) f its values at other weights.
@@ -24,9 +25,8 @@ from __future__ import annotations
 import functools
 import math
 import types
-from fractions import Fraction
 
-from .errors import BoundError
+from .errors import BoundError, ConsistencyError
 from .partitions import (
     Partition,
     as_partition,
@@ -54,44 +54,46 @@ def character(r: Partition, delta: Partition) -> int:
     return char_table(degree(r)).entry(r, delta)
 
 
-def phi(r: Partition, delta: Partition) -> Fraction:
+def phi(r: Partition, delta: Partition) -> int:
     """Normalized character: the eigenvalue of the diagram operator of
     delta on the Schur function of r, read from phi_column.  The parts of
     delta may come in any order."""
     r = as_partition(r)
-    nums, q = phi_column(degree(r), delta)
     # rows and classes share the table's one order
-    return Fraction(nums[char_table(degree(r)).column(r)], q)
+    return phi_column(degree(r), delta)[char_table(degree(r)).column(r)]
 
 
-def phi_column(n: int, delta: Partition):
-    """phi_R(delta) for every R of degree n, in table order, as integer
-    numerators over one denominator q, divided by their gcd:
+def phi_column(n: int, delta: Partition) -> list:
+    """phi_R(delta) for every R of degree n, in table order:
 
         phi_R(delta) = chi_R(delta 1^j) (n!/dim_R) / (z_delta j!),  j = n - |delta|,
 
-    and a zero column when |delta| > n.  The parts of delta may come in
-    any order, as in character."""
+    the central character of the class of delta 1^j times C(m_1 + j, j),
+    m_1 the unit rows of delta, so an integer, which is checked; a zero
+    column when |delta| > n.  The parts of delta may come in any order,
+    as in character."""
     delta = as_partition(sorted(delta, reverse=True))
     table = char_table(n)
     j = n - degree(delta)
     if j < 0:
-        return [0] * len(table.order), 1
+        return [0] * len(table.order)
     i_delta, i_dim = table.column(pad(delta, j)), table.column((1,) * n)
     n_fact = math.factorial(n)
     nums = [row[i_delta] * (n_fact // row[i_dim]) for row in table.rows.values()]
     q = aut_order(delta) * math.factorial(j)
-    g = math.gcd(q, *nums)
-    return [x // g for x in nums], q // g
+    if math.gcd(q, *nums) != q:
+        raise ConsistencyError("non-integral phi for %s at degree %d" % (delta, n))
+    return [x // q for x in nums]
 
 
 def spectral_sum(n: int, powers, weights=None):
     """S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu) for every class mu
     of degree n, powers P = {Y: k_Y} and integer weights {R: w_R}, by
     default the Plancherel weights d_R = dim_R/n!, as (column, q): the
-    value at the i-th class of the table's order is column[i] / q.  It is
-    one integer weighted sum of the rows of the table of S_n; an unknown
-    shape raises ValueError."""
+    value at the i-th class of the table's order is column[i] / q, with
+    q = n! under the Plancherel weights and 1 under given ones.  It is one
+    integer weighted sum of the rows of the table of S_n; an unknown shape
+    raises ValueError."""
     table = char_table(n)
     if weights is None:
         i_dim = table.column((1,) * n)
@@ -102,9 +104,7 @@ def spectral_sum(n: int, powers, weights=None):
                 raise table._unknown("shape", r)
         ws, q = [weights.get(r, 0) for r in table.rows], 1
     for y, k in powers.items():
-        nums, q_y = phi_column(n, y)
-        ws = [w * x ** k for w, x in zip(ws, nums)]
-        q *= q_y ** k
+        ws = [w * x ** k for w, x in zip(ws, phi_column(n, y))]
     return table.weighted_sum({r: w for r, w in zip(table.rows, ws) if w}), q
 
 

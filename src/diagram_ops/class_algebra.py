@@ -66,16 +66,9 @@ class DiagramSum:
     def zero(cls):
         return cls()
 
-    @classmethod
-    def single(cls, delta: Partition, coef=1):
-        return cls({as_partition(delta): Fraction(coef)})
-
     def items(self):
         """Terms in canonical order (degree, then reverse-lex)."""
         return sorted(self._terms.items(), key=lambda kv: partition_sort_key(kv[0]))
-
-    def coefficient(self, delta: Partition) -> Fraction:
-        return self._terms.get(tuple(delta), Fraction(0))
 
     def degrees(self):
         return sorted({degree(p) for p in self._terms})

@@ -102,10 +102,6 @@ class HurwitzSeries:
         self.order = order
         self.terms = {}
 
-    def coefficient(self, counts: dict, mono) -> Fraction:
-        key = _beta_key({as_partition(p): k for p, k in counts.items()})
-        return self.terms.get((key, tuple(sorted(mono, reverse=True))), Fraction(0))
-
     def ppoly_at(self, key):
         """Coefficient of the beta monomial indexed by key, as a PPoly."""
         from .psym import PPoly

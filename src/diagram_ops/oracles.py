@@ -390,7 +390,7 @@ def series_by_schur(active, p_bound: int, order: int) -> dict:
             for r in partitions_of(n):
                 c = d_r(r)
                 for y, k in zip(active, counts):
-                    c *= phi(r, y) ** k / math.factorial(k)
+                    c *= Fraction(phi(r, y) ** k, math.factorial(k))
                 for mono, mc in schur(r).terms.items():
                     terms[(key, mono)] = terms.get((key, mono), 0) + c * mc
     return {slot: v for slot, v in terms.items() if v}

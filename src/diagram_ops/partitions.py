@@ -1,4 +1,4 @@
-"""Partitions (Young diagrams) and formal rational sums of them.
+"""Partitions (Young diagrams): enumeration, parsing and printing.
 
 A partition is represented canonically as a tuple of weakly decreasing
 positive integers; the empty tuple is the empty diagram of degree 0.
@@ -62,11 +62,6 @@ def aut_order(delta: Partition) -> int:
         z *= math.factorial(run) * p ** run
         run = 1
     return z
-
-
-def kappa(delta: Partition) -> Fraction:
-    """1 / z_delta, the normalization attached to the monomial p(delta)."""
-    return Fraction(1, aut_order(delta))
 
 
 def class_size(delta: Partition) -> int:

@@ -28,7 +28,6 @@ from .partitions import (
     aut_order,
     degree,
     format_fraction,
-    kappa,
     multiplicity,
     parse_fraction,
 )
@@ -77,9 +76,6 @@ class PPoly:
     def max_degree(self) -> int:
         """Graded degree of the highest stored monomial (0 for the zero poly)."""
         return max((degree(m) for m in self.terms), default=0)
-
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(sorted(mono, reverse=True)), Fraction(0))
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))
@@ -195,11 +191,6 @@ def parse_ppoly(text: str) -> PPoly:
     return PPoly(terms)
 
 
-def p_monomial(delta: Partition) -> PPoly:
-    """kappa(delta) * p_delta, the class monomial attached to a diagram."""
-    return PPoly({tuple(delta): kappa(delta)})
-
-
 def schur(r: Partition) -> PPoly:
     """Schur function of r in power sums by the Frobenius formula
     s_R = sum_mu chi_R(mu) p_mu / z_mu, read from the character table."""
@@ -223,8 +214,8 @@ def schur_expand(f: PPoly) -> dict:
 def from_schur(coeffs: dict, powers=()) -> PPoly:
     """sum_R c_R prod_Y phi_R(Y)^k_Y schur(R) for powers {Y: k_Y}; with
     no powers, the inverse of schur_expand.  Per degree the c_R share a
-    denominator q, so the p_mu coefficients are one spectral sum with
-    integer weights, divided by q z_mu."""
+    denominator q, and every phi is an integer, so the p_mu coefficients
+    are one spectral sum with integer weights q c_R, divided by q z_mu."""
     by_degree = {}
     for r, c in coeffs.items():
         by_degree.setdefault(degree(r), {})[tuple(r)] = Fraction(c)
@@ -232,10 +223,10 @@ def from_schur(coeffs: dict, powers=()) -> PPoly:
     for n, cs in by_degree.items():
         q = math.lcm(*(c.denominator for c in cs.values()))
         weights = {r: c.numerator * (q // c.denominator) for r, c in cs.items()}
-        column, q_p = spectral_sum(n, dict(powers), weights)
+        column, _ = spectral_sum(n, dict(powers), weights)
         for mu, total in zip(char_table(n).order, column):
             if total:
-                terms[mu] = Fraction(total, q * q_p * aut_order(mu))
+                terms[mu] = Fraction(total, q * aut_order(mu))
     return PPoly(terms)
 
 
@@ -247,11 +238,3 @@ def apply_spectral(x, f: PPoly) -> PPoly:
     if not hasattr(x, "items"):
         return from_schur(coeffs, {as_partition(x): 1})
     return sum((from_schur(coeffs, {delta: 1}) * w for delta, w in x.items()), PPoly.zero())
-
-
-def exp_p1(n: int) -> PPoly:
-    """Truncation of e^{p_1} to graded degree n."""
-    if n < 0:
-        raise ValueError("truncation bound must be nonnegative")
-    terms = {(1,) * k: Fraction(1, math.factorial(k)) for k in range(n + 1)}
-    return PPoly(terms)

@@ -16,6 +16,7 @@ from diagram_ops.characters import (
     spectral_sum,
 )
 from diagram_ops.partitions import (
+    aut_order,
     class_size,
     conjugate,
     degree,
@@ -244,14 +245,20 @@ def test_phi_accepts_any_cycle_order():
                         assert phi(r, order) == value, (r, order)
 
 
-def test_phi_column_is_reduced():
+def test_phi_column_is_integral():
+    # phi_R(delta) = chi_R(delta 1^j) n! / (dim_R z_delta j!), from the oracles
     for n in range(9):
         for nd in range(n + 2):
             for delta in partitions_of(nd):
-                nums, q = phi_column(n, delta)
-                assert len(nums) == len(partitions_of(n))
-                assert q > 0 and math.gcd(q, *nums) == 1
-                assert any(nums) == (nd <= n)
+                column = phi_column(n, delta)
+                assert all(type(x) is int for x in column), (n, delta)
+                j = n - nd
+                expected = [
+                    0 if j < 0 else Fraction(
+                        mn_character(r, pad(delta, j)) * math.factorial(n),
+                        dimension(r) * aut_order(delta) * math.factorial(j))
+                    for r in partitions_of(n)]
+                assert column == expected, (n, delta)
 
 
 def test_spectral_sum_matches_fraction_sum():

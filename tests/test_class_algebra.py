@@ -47,19 +47,19 @@ def test_oracle_examples():
 
 
 def test_mult_same_degree():
-    assert mult_same_degree((1, 1), (2,)) == DiagramSum.single((2,))
-    assert mult_same_degree((2,), (2,)) == DiagramSum.single((1, 1))
+    assert mult_same_degree((1, 1), (2,)) == DiagramSum({(2,): 1})
+    assert mult_same_degree((2,), (2,)) == DiagramSum({(1, 1): 1})
     for n in range(1, 6):
         identity = (1,) * n
         for d in partitions_of(n):
-            assert mult_same_degree(identity, d) == DiagramSum.single(d)
+            assert mult_same_degree(identity, d) == DiagramSum({d: 1})
 
 
 def test_mult_infinity_paper_example_1():
     result = mult_infinity((1,), (2,))
     assert result == DiagramSum([((2,), 2), ((2, 1), 1)])
-    assert graded_piece((1,), (2,), 2) == DiagramSum.single((2,), 2)
-    assert graded_piece((1,), (2,), 3) == DiagramSum.single((2, 1), 1)
+    assert graded_piece((1,), (2,), 2) == DiagramSum({(2,): 2})
+    assert graded_piece((1,), (2,), 3) == DiagramSum({(2, 1): 1})
 
 
 def test_mult_infinity_paper_example_2():
@@ -75,7 +75,7 @@ def test_mult_infinity_unit_row_square():
 def test_memoized_product_is_read_only():
     with pytest.raises(TypeError):
         mult_same_degree((2,), (2,))._terms[(1, 1)] = 5
-    assert mult_same_degree((2,), (2,)).coefficient((1, 1)) == 1
+    assert mult_same_degree((2,), (2,)).items() == [((1, 1), 1)]
 
 
 def test_mult_infinity_vs_partial_permutation_oracle():
@@ -108,8 +108,8 @@ def test_associativity():
     for d1 in diagrams:
         for d2 in diagrams:
             for d3 in diagrams:
-                left = mult_sum(mult_infinity(d1, d2), DiagramSum.single(d3))
-                right = mult_sum(DiagramSum.single(d1), mult_infinity(d2, d3))
+                left = mult_sum(mult_infinity(d1, d2), DiagramSum({d3: 1}))
+                right = mult_sum(DiagramSum({d1: 1}), mult_infinity(d2, d3))
                 assert left == right
 
 
@@ -125,13 +125,13 @@ def test_grading_bounds():
 
 def test_mult_sum_linearity():
     zero = DiagramSum.zero()
-    b = DiagramSum.single((2,))
+    b = DiagramSum({(2,): 1})
     assert mult_sum(zero, b) == DiagramSum.zero()
-    scaled = mult_sum(DiagramSum.single((2,), 2), DiagramSum.single((1,)))
+    scaled = mult_sum(DiagramSum({(2,): 2}), DiagramSum({(1,): 1}))
     assert scaled == DiagramSum((d, 2 * c) for d, c in mult_infinity((2,), (1,)).items())
     split = mult_sum(
-        DiagramSum(DiagramSum.single((1,)).items() + DiagramSum.single((2,)).items()),
-        DiagramSum.single((2,)),
+        DiagramSum(DiagramSum({(1,): 1}).items() + DiagramSum({(2,): 1}).items()),
+        DiagramSum({(2,): 1}),
     )
     assert split == DiagramSum(mult_infinity((1,), (2,)).items() + mult_infinity((2,), (2,)).items())
 

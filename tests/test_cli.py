@@ -152,6 +152,21 @@ def test_consistency_error_exits_4(capsys, monkeypatch):
     assert json.loads(out) == {"error": {"kind": "consistency", "msg": message}}
 
 
+def test_non_integral_phi_exits_4(capsys, monkeypatch):
+    # the table of S_4 with chi_[2,2]([2,2]) = 1, not 2: phi_[2,2]([2,2]) = 12/8
+    real = characters._build_table
+    table = real(4)
+    rows = {r: list(row) for r, row in table.rows.items()}
+    rows[(2, 2)][table.column((2, 2))] = 1
+    broken = characters.CharacterTable(4, table.order, rows)
+    monkeypatch.setattr(characters, "_build_table", lambda n: broken if n == 4 else real(n))
+    message = "non-integral phi for (2, 2) at degree 4"
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        characters.phi((2, 2), (2, 2))
+    code, out, err = run(capsys, "eigenvalue", "[2,2]", "[2,2]")
+    assert (code, out, err) == (4, "", "error (consistency): %s\n" % message)
+
+
 def test_selftest_failure_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(oracles, "oracle_structure_constant", lambda *classes: -1)
     code, out, err = run(capsys, "selftest")
@@ -313,7 +328,8 @@ def test_to_json_matches_json_dumps(value):
 
 
 def test_package_has_no_other_attributes():
-    for name in ("compose_check", "pde_residual", "rho", "no_such_name"):
+    for name in ("compose_check", "pde_residual", "rho", "kappa", "exp_p1", "p_monomial",
+                 "no_such_name"):
         assert name not in diagram_ops.__all__
         with pytest.raises(AttributeError):
             getattr(diagram_ops, name)

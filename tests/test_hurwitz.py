@@ -10,6 +10,7 @@ from diagram_ops.errors import BoundError
 from diagram_ops.hurwitz import (
     MAX_SERIES_ORDER,
     MAX_SERIES_PAIRS,
+    _beta_key,
     _multi_indices,
     generating_function,
     hurwitz_chain,
@@ -17,8 +18,18 @@ from diagram_ops.hurwitz import (
     simple_hurwitz,
 )
 from diagram_ops.partitions import aut_order, multiplicity, pad, partitions_of
-from diagram_ops.psym import exp_p1
+from diagram_ops.psym import PPoly
 from diagram_ops.oracles import oracle_tuple_count, pde_residual, series_by_schur
+
+
+def exp_p1(n):
+    """e^{p_1} truncated to graded degree n."""
+    return PPoly({(1,) * k: Fraction(1, math.factorial(k)) for k in range(n + 1)})
+
+
+def coefficient(series, counts, mono):
+    """Coefficient of the beta monomial counts times p_mono in series."""
+    return series.terms.get((_beta_key(counts), mono), 0)
 
 
 def chain_split(deltas, r):
@@ -150,15 +161,15 @@ def test_generating_function_single_transposition_coefficients():
     series = generating_function([(2,)], p_bound=5, order=2)
     for k in range(4):
         delta = (2,) + (1,) * k
-        got = series.coefficient({(2,): 1}, delta)
+        got = coefficient(series, {(2,): 1}, delta)
         assert got == Fraction(1, 2 * math.factorial(k))
-        assert series.coefficient({(2,): 1}, delta) == hurwitz_padded((((2,), 1),), delta)
+        assert coefficient(series, {(2,): 1}, delta) == hurwitz_padded((((2,), 1),), delta)
 
 
 def test_generating_function_second_order_vs_oracle():
     series = generating_function([(2,)], p_bound=2, order=2)
-    assert series.coefficient({(2,): 2}, (1, 1)) == Fraction(1, 2) * Fraction(1, 2)
-    bracket = series.coefficient({(2,): 2}, (1, 1)) * math.factorial(2)
+    assert coefficient(series, {(2,): 2}, (1, 1)) == Fraction(1, 2) * Fraction(1, 2)
+    bracket = coefficient(series, {(2,): 2}, (1, 1)) * math.factorial(2)
     assert bracket == oracle_tuple_count([(2,), (2,)], 2)
 
 
@@ -175,7 +186,7 @@ def test_series_matches_padded_brackets():
             for delta in partitions_of(n):
                 branches = tuple((p, k) for p, k in beta.items() if k)
                 expected = hurwitz_padded(branches, delta)
-                bracket = series.coefficient(beta, delta) * math.prod(map(math.factorial, counts))
+                bracket = coefficient(series, beta, delta) * math.prod(map(math.factorial, counts))
                 assert bracket == expected, (beta, delta)
 
 

@@ -14,7 +14,6 @@ from diagram_ops.partitions import (
     conjugate,
     degree,
     format_partition,
-    kappa,
     multiplicity,
     pad,
     parse_fraction,
@@ -51,23 +50,12 @@ def test_multiplicity():
     assert multiplicity((2, 1, 1), 3) == 0
 
 
-def test_kappa():
-    assert kappa((2,)) == Fraction(1, 2)
-    assert kappa((2, 1)) == Fraction(1, 2)
-    assert kappa((2, 2)) == Fraction(1, 8)
-    assert kappa(()) == 1
-
-
 def test_aut_order():
     assert aut_order((1, 1)) == 2
     assert aut_order((3,)) == 3
     assert aut_order((2, 2)) == 8
-
-
-def test_kappa_inverts_aut_order():
-    for n in range(13):
-        for p in partitions_of(n):
-            assert kappa(p) * aut_order(p) == 1
+    assert aut_order((2,)) == aut_order((2, 1)) == 2
+    assert aut_order(()) == 1
 
 
 def test_class_size():
@@ -168,20 +156,20 @@ def test_as_partition_rejects_bad_parts():
 
 
 def test_diagram_sum_arithmetic():
-    a = DiagramSum.single((2,), 2)
-    b = DiagramSum.single((2,), -2)
+    a = DiagramSum({(2,): 2})
+    b = DiagramSum({(2,): -2})
     assert DiagramSum(a.items() + b.items()) == DiagramSum.zero()
-    s = DiagramSum(DiagramSum.single((1,), Fraction(1, 2)).items() + DiagramSum.single((2, 1)).items())
-    assert s.coefficient((1,)) == Fraction(1, 2)
-    assert DiagramSum((p, c) for p, c in s.items() if degree(p) == 3) == DiagramSum.single((2, 1))
-    assert DiagramSum((p, 3 * c) for p, c in s.items()).coefficient((1,)) == Fraction(3, 2)
+    s = DiagramSum(DiagramSum({(1,): Fraction(1, 2)}).items() + DiagramSum({(2, 1): 1}).items())
+    assert s.items() == [((1,), Fraction(1, 2)), ((2, 1), 1)]
+    assert DiagramSum((p, c) for p, c in s.items() if degree(p) == 3) == DiagramSum({(2, 1): 1})
+    assert DiagramSum((p, 3 * c) for p, c in s.items()).items()[0] == ((1,), Fraction(3, 2))
 
 
 def test_diagram_sum_text_round_trip():
     s = parse_diagram_sum("2*[2] + 1/2*[2,1]")
     assert s.to_text() == "2*[2] + 1/2*[2,1]"
     assert parse_diagram_sum(s.to_text()) == s
-    assert parse_diagram_sum("[3]") == DiagramSum.single((3,))
+    assert parse_diagram_sum("[3]") == DiagramSum({(3,): 1})
     with pytest.raises(ParseError):
         parse_diagram_sum("2*[2] + ")
 

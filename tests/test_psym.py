@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,15 +10,13 @@ from diagram_ops.errors import BoundError, ParseError
 from diagram_ops.psym import (
     PPoly,
     apply_spectral,
-    exp_p1,
     from_schur,
-    p_monomial,
     parse_ppoly,
     schur,
     schur_expand,
 )
 from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum
-from diagram_ops.partitions import aut_order, class_size, degree, kappa, partitions_of
+from diagram_ops.partitions import aut_order, class_size, degree, partitions_of
 from diagram_ops.characters import char_table, phi
 from diagram_ops.oracles import (
     MAX_ORACLE_ACTIONS,
@@ -32,6 +31,11 @@ from diagram_ops.oracles import (
 )
 
 
+def exp_p1(n):
+    """e^{p_1} truncated to graded degree n."""
+    return PPoly({(1,) * k: Fraction(1, math.factorial(k)) for k in range(n + 1)})
+
+
 def random_poly(rng, max_deg=6, n_terms=5):
     terms = []
     monos = [p for n in range(max_deg + 1) for p in partitions_of(n)]
@@ -40,12 +44,6 @@ def random_poly(rng, max_deg=6, n_terms=5):
         coef = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         terms.append((mono, coef))
     return PPoly(terms)
-
-
-def test_p_monomial():
-    assert p_monomial((2,)) == PPoly({(2,): Fraction(1, 2)})
-    assert p_monomial((1, 1)) == PPoly({(1, 1): Fraction(1, 2)})
-    assert p_monomial(()) == PPoly.one()
 
 
 def test_complete_homogeneous():
@@ -75,8 +73,9 @@ def test_schur_row_and_column_closed_forms():
     # s_[n] = h_n = sum_mu p_mu / z_mu and s_[1^n] = e_n carries the sign
     # (-1)^(n - l(mu)) on each term
     for n in range(11):
-        row = PPoly({mu: kappa(mu) for mu in partitions_of(n)})
-        column = PPoly({mu: (-1) ** (n - len(mu)) * kappa(mu) for mu in partitions_of(n)})
+        row = PPoly({mu: Fraction(1, aut_order(mu)) for mu in partitions_of(n)})
+        column = PPoly({mu: Fraction((-1) ** (n - len(mu)), aut_order(mu))
+                        for mu in partitions_of(n)})
         assert schur((n,) if n else ()) == row
         assert schur((1,) * n) == column
 
@@ -131,14 +130,13 @@ def test_p_delta_expansion_gives_characters():
     for n in range(1, 7):
         table = char_table(n)
         for delta in partitions_of(n):
-            coeffs = schur_expand(p_monomial(delta) * aut_order(delta))
+            coeffs = schur_expand(PPoly({delta: 1}))
             for r in partitions_of(n):
                 assert coeffs.get(r, 0) == table.entry(r, delta)
 
 
 def test_exp_p1():
-    assert exp_p1(0) == PPoly.one()
-    assert exp_p1(2) == PPoly({(): 1, (1,): 1, (1, 1): Fraction(1, 2)})
+    # e^{p_1} = sum_R d_R schur(R)
     coeffs = schur_expand(exp_p1(4))
     for n in range(5):
         for r in partitions_of(n):
@@ -182,7 +180,7 @@ def test_bialternant_vs_power_sums():
 
 
 def test_eval_at_power_sums_basics():
-    assert eval_at_power_sums(p_monomial((2,)), [1, 1]) == 1
+    assert eval_at_power_sums(PPoly({(2,): Fraction(1, 2)}), [1, 1]) == 1
     assert eval_at_power_sums(schur((2,)), [1, 2]) == 7
 
 
@@ -200,7 +198,7 @@ def test_multiplication_properties():
 def test_degree_additive_under_truncation():
     a = PPoly({(2, 1): Fraction(1, 2)})
     b = PPoly({(3,): 2})
-    assert (a * b).coefficient((3, 2, 1)) == 1
+    assert (a * b).terms == {(3, 2, 1): 1}
     assert (a * b).max_degree() == 6
 
 
@@ -232,12 +230,6 @@ def test_text_format():
         {"mono": [1, 1], "coef": "1/2"},
         {"mono": [2], "coef": "1/2"},
     ]
-
-
-def test_kappa_normalization():
-    for n in range(1, 6):
-        for delta in partitions_of(n):
-            assert p_monomial(delta).coefficient(delta) == kappa(delta)
 
 
 # each factor p_k^m stays within the parser's degree bound
@@ -287,7 +279,7 @@ def test_spectral_on_truncated_exponential():
     # W([2]) e^{p1} = p([2]) e^{p1} within the truncation window
     n = 4
     lhs = apply_spectral((2,), exp_p1(n))
-    product = p_monomial((2,)) * exp_p1(n)
+    product = PPoly({(2,): Fraction(1, 2)}) * exp_p1(n)
     rhs = PPoly({m: c for m, c in product.terms.items() if degree(m) <= n})
     assert lhs == rhs
 
