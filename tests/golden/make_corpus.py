@@ -51,7 +51,7 @@ def _negated_s4_entry():
 PATCHES = {"s4-negated-entry": _negated_s4_entry}
 
 
-def _digest(data: bytes) -> list:
+def digest(data: bytes) -> list:
     return [len(data), hashlib.sha256(data).hexdigest()]
 
 
@@ -75,22 +75,10 @@ def run_in_process(argv, patch=None):
 
 def make_record(argv, patch=None) -> dict:
     code, out, err = run_in_process(argv, patch)
-    rec = {"argv": list(argv), "code": code, "stdout": _digest(out), "stderr": _digest(err)}
+    rec = {"argv": list(argv), "code": code, "stdout": digest(out), "stderr": digest(err)}
     if patch is not None:
         rec["patch"] = patch
     return rec
-
-
-def _partitions(n, largest=None):
-    largest = n if largest is None else largest
-    if n == 0:
-        return [()]
-    return [(p,) + rest for p in range(min(n, largest), 0, -1)
-            for rest in _partitions(n - p, p)]
-
-
-def _bracketed(p) -> str:
-    return "[%s]" % ",".join(map(str, p))
 
 
 def _monomial(p) -> str:
@@ -101,6 +89,8 @@ def _monomial(p) -> str:
 
 def corpus_argv():
     """[(argv, patch)] in corpus order, each argv once."""
+    from diagram_ops.partitions import format_partition, partitions_of
+
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
@@ -109,11 +99,11 @@ def corpus_argv():
         for seed in range(1, 6):
             for op in workloads.make_round(name, seed):
                 argvs += [list(op.argv), ["--json"] + list(op.argv)]
-    up_to_12 = [p for n in range(13) for p in _partitions(n)]
+    up_to_12 = [p for n in range(13) for p in partitions_of(n)]
     argvs += [["--max-degree", "12", "wapply", "[3,2]", _monomial(p)] for p in up_to_12]
     for delta in ("[2]", "[3]", "[2,1]", "[2,2]", "[4]"):
-        argvs += [["--max-degree", "12", "eigenvalue", delta, _bracketed(r)] for r in up_to_12]
-    argvs += [["--json", "--max-degree", "12", "eigenvalue", "[2]", _bracketed(r)]
+        argvs += [["--max-degree", "12", "eigenvalue", delta, format_partition(r)] for r in up_to_12]
+    argvs += [["--json", "--max-degree", "12", "eigenvalue", "[2]", format_partition(r)]
               for r in up_to_12]
     twelve = ["[12]", "[11,1]", "[6,6]", "[5,4,3]", "[3,3,3,3]", "[2,2,2,2,2,2]"]
     argvs += [
@@ -146,9 +136,10 @@ def corpus_argv():
 
 
 def main():
+    lines = [json.dumps(make_record(argv, patch), sort_keys=True) + "\n"
+             for argv, patch in corpus_argv()]
     with open(CORPUS, "w", encoding="ascii") as f:
-        for argv, patch in corpus_argv():
-            f.write(json.dumps(make_record(argv, patch), sort_keys=True) + "\n")
+        f.writelines(lines)
 
 
 if __name__ == "__main__":

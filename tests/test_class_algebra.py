@@ -130,7 +130,7 @@ def test_mult_sum_linearity():
     scaled = mult_sum(DiagramSum({(2,): 2}), DiagramSum({(1,): 1}))
     assert scaled == DiagramSum((d, 2 * c) for d, c in mult_infinity((2,), (1,)).items())
     split = mult_sum(
-        DiagramSum(DiagramSum({(1,): 1}).items() + DiagramSum({(2,): 1}).items()),
+        DiagramSum({(1,): 1, (2,): 1}),
         DiagramSum({(2,): 1}),
     )
     assert split == DiagramSum(mult_infinity((1,), (2,)).items() + mult_infinity((2,), (2,)).items())

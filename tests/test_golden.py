@@ -3,7 +3,6 @@ again through cli.main must give the same exit code and the same bytes on
 stdout and stderr; a few run as `python -m diagram_ops.cli` processes.
 tests/golden/make_corpus.py writes the corpus and says how to rerun it."""
 
-import hashlib
 import importlib.util
 import json
 import os
@@ -58,7 +57,6 @@ def test_corpus_as_process(argv):
     rec = next(r for r in RECORDS if r["argv"] == argv and "patch" not in r)
     proc = subprocess.run([sys.executable, "-m", "diagram_ops.cli"] + argv, capture_output=True,
                           env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
-    got = {"argv": argv, "code": proc.returncode,
-           "stdout": [len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()],
-           "stderr": [len(proc.stderr), hashlib.sha256(proc.stderr).hexdigest()]}
+    got = {"argv": argv, "code": proc.returncode, "stdout": make_corpus.digest(proc.stdout),
+           "stderr": make_corpus.digest(proc.stderr)}
     assert got == rec, _mismatch(rec, got)

@@ -159,7 +159,7 @@ def test_diagram_sum_arithmetic():
     a = DiagramSum({(2,): 2})
     b = DiagramSum({(2,): -2})
     assert DiagramSum(a.items() + b.items()) == DiagramSum.zero()
-    s = DiagramSum(DiagramSum({(1,): Fraction(1, 2)}).items() + DiagramSum({(2, 1): 1}).items())
+    s = DiagramSum([((2, 1), 1), ((1,), Fraction(1, 2))])
     assert s.items() == [((1,), Fraction(1, 2)), ((2, 1), 1)]
     assert DiagramSum((p, c) for p, c in s.items() if degree(p) == 3) == DiagramSum({(2, 1): 1})
     assert DiagramSum((p, 3 * c) for p, c in s.items()).items()[0] == ((1,), Fraction(3, 2))
