@@ -9,7 +9,8 @@ column per diagram, and spectral_sum, the one sum
 S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it:
 structure constants, Hurwitz brackets, simple Hurwitz numbers and the
 generating function's coefficients are its values at w_R = d_R, and
-Schur functions and every W(delta) f its values at other weights.
+Schur functions and every W(delta) f its values at other weights, which
+it alone scales to integers over their least common denominator.
 
 Tables are built by the Murnaghan-Nakayama rule read as addition: column
 mu expands p_mu in Schur functions by adding border strips of sizes mu_i
@@ -88,12 +89,12 @@ def phi_column(n: int, delta: Partition) -> list:
 
 def spectral_sum(n: int, powers, weights=None):
     """S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu) for every class mu
-    of degree n, powers P = {Y: k_Y} and integer weights {R: w_R}, by
+    of degree n, powers P = {Y: k_Y} and rational weights {R: w_R}, by
     default the Plancherel weights d_R = dim_R/n!, as (column, q): the
-    value at the i-th class of the table's order is column[i] / q, with
-    q = n! under the Plancherel weights and 1 under given ones.  It is one
-    integer weighted sum of the rows of the table of S_n; an unknown shape
-    raises ValueError."""
+    value at the i-th class of the table's order is column[i] / q, with q
+    the weights' least common denominator, n! under the Plancherel ones.
+    It is one integer sum of the rows of the table of S_n, rows of weight 0
+    skipped; an unknown shape raises ValueError."""
     table = char_table(n)
     if weights is None:
         i_dim = table.column((1,) * n)
@@ -102,10 +103,16 @@ def spectral_sum(n: int, powers, weights=None):
         for r in weights:
             if r not in table.rows:
                 raise table._unknown("shape", r)
-        ws, q = [weights.get(r, 0) for r in table.rows], 1
+        ws = [weights.get(r, 0) for r in table.rows]
+        q = math.lcm(*(w.denominator for w in ws))
+        ws = [w.numerator * (q // w.denominator) for w in ws]
     for y, k in powers.items():
         ws = [w * x ** k for w, x in zip(ws, phi_column(n, y))]
-    return table.weighted_sum({r: w for r, w in zip(table.rows, ws) if w}), q
+    out = [0] * len(table.order)
+    for w, row in zip(ws, table.rows.values()):
+        if w:
+            out = [a + w * x for a, x in zip(out, row)]
+    return out, q
 
 
 class CharacterTable:
@@ -137,19 +144,6 @@ class CharacterTable:
         except KeyError:
             kind, label = ("class", delta) if tuple(r) in self.rows else ("shape", r)
             raise self._unknown(kind, label) from None
-
-    def weighted_sum(self, weights) -> list:
-        """sum_R w_R chi_R(mu) for every class mu, in column order, for
-        integer weights {R: w_R}; rows of weight 0, common in products of
-        characters, are skipped.  An unknown shape raises ValueError."""
-        out = [0] * len(self.order)
-        for r, w in weights.items():
-            row = self.rows.get(tuple(r))
-            if row is None:
-                raise self._unknown("shape", r)
-            if w:
-                out = [a + w * x for a, x in zip(out, row)]
-        return out
 
     def _unknown(self, kind: str, label) -> ValueError:
         return ValueError("%s is not a %s of S_%d (parts must be decreasing and sum to %d)"

@@ -29,6 +29,12 @@ Symmetric functions and characters:
   reads; d_r_product: the same weight by a product formula.
 * series_by_schur: the generating function's coefficients summed term by
   term in Fractions, d_R prod_Y phi_R(Y)^k_Y / k_Y! times schur(R).
+* connected_series: log Z in the one direction [2] by the degree
+  recurrence, the connected Hurwitz numbers; hurwitz_genus0 (Hurwitz's
+  formula) and one_part_hurwitz (one-part numbers of every genus) are
+  closed forms for them that read no character table, so they check the
+  table, phi and spectral_sum up to the table ceiling, past the reach of
+  permutation enumeration.
 
 Operators:
 
@@ -37,7 +43,8 @@ Operators:
   delta on one permutation of type mu for each monomial p_mu.
 * cut_and_join: W([2]) as the literal differential operator in the p_k.
 * compose_check: both sides of W(d1) W(d2) = W(d1 d2), the left by
-  apply_explicit, the right by apply_spectral on the graded product.
+  apply_explicit, the right by apply_spectral on each term of the graded
+  product.
 * pde_residual: how far the generating function is from solving
   dZ/dbeta_Y = W(Y) Z, with W(Y) by apply_explicit.
 
@@ -60,11 +67,18 @@ from .partitions import (
     class_size,
     conjugate,
     degree,
+    multiplicity,
     partitions_of,
 )
 from .characters import char_table, phi
 from .class_algebra import DiagramSum, mult_infinity, structure_constant
-from .hurwitz import HurwitzSeries, _beta_key, _multi_indices, hurwitz_chain
+from .hurwitz import (
+    HurwitzSeries,
+    _beta_key,
+    _multi_indices,
+    generating_function,
+    hurwitz_chain,
+)
 from .psym import PPoly, apply_spectral, schur
 
 #: Largest n for which brute-force S_n enumeration is allowed.
@@ -419,6 +433,57 @@ def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
     return worst
 
 
+def connected_series(p_bound: int, order: int) -> dict:
+    """{(m, mu): m! [beta^m p_mu] log Z} for Z the generating function in
+    the one direction [2], so the connected m-transposition numbers.  With
+    Z_n and L_n the parts of Z and log Z of graded degree n, and Z_0 = 1,
+    log Z follows from the degree recurrence
+    n L_n = n Z_n - sum_{0<k<n} k L_k Z_{n-k}, truncated at beta-order order."""
+    z = [{} for _ in range(p_bound + 1)]
+    for (key, mu), c in generating_function([(2,)], p_bound, order).terms.items():
+        z[degree(mu)][(dict(key).get((2,), 0), mu)] = c
+    logs = [{}]
+    for n in range(1, p_bound + 1):
+        acc = {t: n * c for t, c in z[n].items()}
+        for k in range(1, n):
+            for (m1, mu1), c1 in logs[k].items():
+                for (m2, mu2), c2 in z[n - k].items():
+                    if m1 + m2 <= order:
+                        t = (m1 + m2, tuple(sorted(mu1 + mu2, reverse=True)))
+                        acc[t] = acc.get(t, 0) - k * c1 * c2
+        logs.append({t: c / n for t, c in acc.items() if c})
+    return {(m, mu): c * math.factorial(m) for piece in logs for (m, mu), c in piece.items()}
+
+
+def hurwitz_genus0(mu: Partition) -> Fraction:
+    """Hurwitz's formula for the connected genus-0 number of mu, with
+    n = |mu|, l = l(mu) and m = n + l - 2 transpositions (Hurwitz 1891;
+    Goulden-Jackson 1997):
+    m! n^(l-3) prod_i mu_i^mu_i / mu_i! / prod_k m_k(mu)!."""
+    mu = as_partition(mu)
+    n, length = degree(mu), len(mu)
+    value = math.factorial(n + length - 2) * Fraction(n) ** (length - 3)
+    for part in mu:
+        value *= Fraction(part ** part, math.factorial(part))
+    for k in set(mu):
+        value /= math.factorial(multiplicity(mu, k))
+    return value
+
+
+def one_part_hurwitz(d: int, g: int) -> Fraction:
+    """The genus-g number of the one-part class (d), with m = d + 2g - 1
+    transpositions (Shapiro-Shapiro-Vainshtein 1997):
+    m!/d! d^(d+2g-2) [t^2g] (sinh(t/2)/(t/2))^(d-1).  A d-cycle is
+    transitive, so it is also the disconnected number."""
+    # sinh(t/2)/(t/2) = sum_k t^2k / (4^k (2k+1)!), a series in t^2
+    factor = [Fraction(1, 4 ** k * math.factorial(2 * k + 1)) for k in range(g + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * g
+    for _ in range(d - 1):
+        power = [sum(power[i] * factor[k - i] for i in range(k + 1)) for k in range(g + 1)]
+    return (Fraction(math.factorial(d + 2 * g - 1), math.factorial(d))
+            * Fraction(d) ** (d + 2 * g - 2) * power[g])
+
+
 # ---------------------------------------------------------------------------
 # Operators
 
@@ -463,10 +528,11 @@ def cut_and_join(f: PPoly) -> PPoly:
 
 def compose_check(d1: Partition, d2: Partition, f: PPoly):
     """Return (W(d1) W(d2) f, W(d1*d2) f), the first by the partial-permutation
-    action and the second by the eigenvalues of the graded product; the two
-    must agree exactly."""
+    action and the second by the eigenvalues of the graded product, as
+    sum_d c_d W(d) f over its terms c_d d; the two must agree exactly."""
     sequential = apply_explicit(d1, apply_explicit(d2, f))
-    combined = apply_spectral(mult_infinity(as_partition(d1), as_partition(d2)), f)
+    combined = sum((apply_spectral(d, f) * c for d, c in mult_infinity(d1, d2).items()),
+                   PPoly.zero())
     return sequential, combined
 
 

@@ -16,7 +16,6 @@ the partial-permutation action, which reads no character table.
 
 from __future__ import annotations
 
-import math
 import types
 from fractions import Fraction
 
@@ -213,28 +212,22 @@ def schur_expand(f: PPoly) -> dict:
 
 def from_schur(coeffs: dict, powers=()) -> PPoly:
     """sum_R c_R prod_Y phi_R(Y)^k_Y schur(R) for powers {Y: k_Y}; with
-    no powers, the inverse of schur_expand.  Per degree the c_R share a
-    denominator q, and every phi is an integer, so the p_mu coefficients
-    are one spectral sum with integer weights q c_R, divided by q z_mu."""
+    no powers, the inverse of schur_expand.  Per degree the p_mu
+    coefficients are one spectral sum with weights c_R, over its common
+    denominator q, divided by q z_mu."""
     by_degree = {}
     for r, c in coeffs.items():
         by_degree.setdefault(degree(r), {})[tuple(r)] = Fraction(c)
     terms = {}
     for n, cs in by_degree.items():
-        q = math.lcm(*(c.denominator for c in cs.values()))
-        weights = {r: c.numerator * (q // c.denominator) for r, c in cs.items()}
-        column, _ = spectral_sum(n, dict(powers), weights)
+        column, q = spectral_sum(n, dict(powers), cs)
         for mu, total in zip(char_table(n).order, column):
             if total:
                 terms[mu] = Fraction(total, q * aut_order(mu))
     return PPoly(terms)
 
 
-def apply_spectral(x, f: PPoly) -> PPoly:
+def apply_spectral(delta: Partition, f: PPoly) -> PPoly:
     """Apply the operator W(delta) of a diagram, from_schur(schur_expand(f),
-    {delta: 1}), or linearly that of a diagram sum, told by its items so
-    that this module need not load class_algebra."""
-    coeffs = schur_expand(f)
-    if not hasattr(x, "items"):
-        return from_schur(coeffs, {as_partition(x): 1})
-    return sum((from_schur(coeffs, {delta: 1}) * w for delta, w in x.items()), PPoly.zero())
+    {delta: 1})."""
+    return from_schur(schur_expand(f), {as_partition(delta): 1})

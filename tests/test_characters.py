@@ -201,31 +201,13 @@ def test_char_table_is_shared_and_read_only():
     (lambda t: t.entry((2, 1), (2,)), "[2] is not a class of S_3"),
     (lambda t: t.entry((1, 2), (2, 1)), "[1,2] is not a shape of S_3"),
     (lambda t: t.column((1, 2)), "[1,2] is not a class of S_3"),
-    (lambda t: t.weighted_sum({(3,): 1, (1, 2): 0}), "[1,2] is not a shape of S_3"),
-    (lambda t: t.weighted_sum({(2,): 1}), "[2] is not a shape of S_3"),
+    (lambda t: spectral_sum(t.n, {}, {(3,): 1, (1, 2): 0}), "[1,2] is not a shape of S_3"),
+    (lambda t: spectral_sum(t.n, {}, {(2,): 1}), "[2] is not a shape of S_3"),
 ], ids=["entry-unsorted-class", "entry-wrong-degree", "entry-unsorted-shape", "column",
-        "weighted-sum-unsorted-shape", "weighted-sum-wrong-degree"])
+        "spectral-sum-unsorted-shape", "spectral-sum-wrong-degree"])
 def test_table_lookup_names_unknown_label(lookup, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         lookup(char_table(3))
-
-
-def test_weighted_sum_matches_double_loop():
-    rng = random.Random(5)
-    for n in range(9):
-        table = char_table(n)
-        for _ in range(4):
-            weights = {r: rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)])
-                       for r in table.rows}
-            expected = [0] * len(table.order)
-            for r, row in table.rows.items():
-                for j, chi in enumerate(row):
-                    expected[j] += weights[r] * chi
-            assert table.weighted_sum(weights) == expected
-            some = dict(rng.sample(sorted(weights.items()), rng.randint(0, len(weights))))
-            assert table.weighted_sum(some) == [
-                sum(w * table.rows[r][j] for r, w in some.items())
-                for j in range(len(table.order))]
 
 
 def test_phi_zero_above_degree():
@@ -262,25 +244,36 @@ def test_phi_column_is_integral():
 
 
 def test_spectral_sum_matches_fraction_sum():
+    # the Plancherel default, integer, Fraction and mostly-zero or +-10^6
+    # weights, against the same sum term by term in Fractions
     rng = random.Random(11)
-    for n in range(7):
+    for n in range(9):
         order = char_table(n).order
+        half = (len(order) + 1) // 2
         diagrams = [p for m in range(n + 2) for p in partitions_of(m)]
-        for _ in range(6):
+        for _ in range(4):
             powers = {y: rng.randint(0, 3) for y in rng.sample(diagrams, min(3, len(diagrams)))}
-            column, q = spectral_sum(n, powers)
-            expected = [
-                sum((d_r(r) * math.prod(phi(r, y) ** k for y, k in powers.items())
-                     * character(r, mu) for r in order), Fraction(0))
-                for mu in order]
-            assert [Fraction(x, q) for x in column] == expected, (n, powers)
-            weights = {r: rng.randint(-5, 5) for r in rng.sample(order, (len(order) + 1) // 2)}
-            column, q = spectral_sum(n, powers, weights)
-            expected = [
-                sum((weights.get(r, 0) * math.prod(phi(r, y) ** k for y, k in powers.items())
-                     * character(r, mu) for r in order), Fraction(0))
-                for mu in order]
-            assert [Fraction(x, q) for x in column] == expected, (n, powers, weights)
+            for weights in [
+                None,
+                {r: rng.randint(-5, 5) for r in rng.sample(order, half)},
+                {r: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                 for r in rng.sample(order, half)},
+                {r: rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)]) for r in order},
+            ]:
+                ws = {r: d_r(r) for r in order} if weights is None else weights
+                column, q = spectral_sum(n, powers, weights)
+                assert q == (math.factorial(n) if weights is None else
+                             math.lcm(*(Fraction(w).denominator for w in weights.values())))
+                expected = [
+                    sum((ws.get(r, 0) * math.prod(phi(r, y) ** k for y, k in powers.items())
+                         * character(r, mu) for r in order), Fraction(0))
+                    for mu in order]
+                assert [Fraction(x, q) for x in column] == expected, (n, powers, weights)
+    # q is the least common denominator, not the largest or the product
+    weights = {(3,): Fraction(1, 4), (2, 1): Fraction(-5, 6), (1, 1, 1): 1}
+    column, q = spectral_sum(3, {}, weights)
+    assert q == 12
+    assert column == [3 * x - 10 * y + 12 * z for x, y, z in zip(*char_table(3).rows.values())]
 
 
 def test_phi_multiplicativity_small():

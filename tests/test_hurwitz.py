@@ -19,7 +19,14 @@ from diagram_ops.hurwitz import (
 )
 from diagram_ops.partitions import aut_order, multiplicity, pad, partitions_of
 from diagram_ops.psym import PPoly
-from diagram_ops.oracles import oracle_tuple_count, pde_residual, series_by_schur
+from diagram_ops.oracles import (
+    connected_series,
+    hurwitz_genus0,
+    one_part_hurwitz,
+    oracle_tuple_count,
+    pde_residual,
+    series_by_schur,
+)
 
 
 def exp_p1(n):
@@ -280,3 +287,20 @@ def test_series_json_shape():
     obj = series.to_json_obj()
     assert obj["p_bound"] == 2 and obj["order"] == 1
     assert {"beta": {"[2]": 1}, "mono": [2], "coef": "1/2"} in obj["terms"]
+
+
+def test_connected_numbers_match_closed_forms():
+    # up to the table ceiling, where permutation enumeration cannot reach:
+    # m! [beta^m p_mu] log Z is Hurwitz's genus-0 number at m = n + l - 2
+    # and 0 below it, and the one-part numbers of genus g <= 3 match
+    logs = connected_series(12, 22)
+    genus0 = [mu for n in range(1, 13) for mu in partitions_of(n)]
+    assert len(genus0) == 271
+    for mu in genus0:
+        top = sum(mu) + len(mu) - 2
+        expected = [0] * top + [hurwitz_genus0(mu)]
+        assert [logs.get((m, mu), 0) for m in range(top + 1)] == expected, mu
+    one_part = [(d, g) for d in range(1, 13) for g in range(4)]
+    assert len(one_part) == 48
+    for d, g in one_part:
+        assert simple_hurwitz(d, d + 2 * g - 1)[(d,)] == one_part_hurwitz(d, g), (d, g)

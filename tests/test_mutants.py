@@ -8,7 +8,9 @@ mutant is bound wherever the package imported the original, and the
 character tables are rebuilt before and after it.
 
 A check is either the quick selftest, which names its failing suites or
-the ConsistencyError that stopped it, or an oracle comparison.
+the ConsistencyError that stopped it, or an oracle comparison.  A mutant
+that cannot change any result, such as negating a character table entry
+that is 0, is not listed.
 """
 
 import __future__
@@ -21,9 +23,16 @@ from fractions import Fraction
 
 import pytest
 
-from diagram_ops import characters, psym
+from diagram_ops import characters, class_algebra, psym
 from diagram_ops.errors import ConsistencyError
-from diagram_ops.oracles import jacobi_trudi, selftest_suites
+from diagram_ops.oracles import (
+    connected_series,
+    hurwitz_genus0,
+    jacobi_trudi,
+    oracle_mult_infinity,
+    selftest_suites,
+)
+from diagram_ops.partitions import partitions_of
 
 SEED = 20101146
 _BUILD_TABLE = characters._build_table
@@ -47,6 +56,29 @@ def from_schur_vs_jacobi_trudi() -> str:
     return "" if psym.from_schur(coeffs) == expected else "from_schur_vs_jacobi_trudi"
 
 
+def mult_infinity_vs_oracle() -> str:
+    """The graded product against partial-permutation counting on every
+    pair of diagrams of total degree <= 4, the pieces the quick selftest
+    never multiplies."""
+    pairs = [(d1, d2) for a in range(1, 4) for b in range(1, 5 - a)
+             for d1 in partitions_of(a) for d2 in partitions_of(b)]
+    bad = [p for p in pairs if class_algebra.mult_infinity(*p) != oracle_mult_infinity(*p)]
+    return "mult_infinity_vs_oracle at %s" % bad if bad else ""
+
+
+def closed_form_genus0() -> str:
+    """m! [beta^m p_mu] log Z against Hurwitz's genus-0 formula for every
+    mu with |mu| <= 10, where permutation enumeration cannot reach."""
+    logs = connected_series(10, 18)
+    bad = []
+    for n in range(1, 11):
+        for mu in partitions_of(n):
+            top = n + len(mu) - 2
+            if [logs.get((m, mu), 0) for m in range(top + 1)] != [0] * top + [hurwitz_genus0(mu)]:
+                bad.append(mu)
+    return "closed_form_genus0 at %s" % bad if bad else ""
+
+
 def source_mutant(module, name, old, new):
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1, (name, old)
@@ -56,12 +88,13 @@ def source_mutant(module, name, old, new):
     return module, name, namespace[name]
 
 
-def s4_entry_mutant(r, cls):
-    table = _BUILD_TABLE(4)
+def table_entry_mutant(n, r, cls):
+    table = _BUILD_TABLE(n)
     rows = {s: list(row) for s, row in table.rows.items()}
+    assert rows[r][table.column(cls)], "negating a zero entry changes nothing"
     rows[r][table.column(cls)] *= -1
-    broken = characters.CharacterTable(4, table.order, rows)
-    return characters, "_build_table", lambda n: broken if n == 4 else _BUILD_TABLE(n)
+    broken = characters.CharacterTable(n, table.order, rows)
+    return characters, "_build_table", lambda k: broken if k == n else _BUILD_TABLE(k)
 
 
 @contextlib.contextmanager
@@ -94,21 +127,36 @@ MUTANTS = [
      lambda: source_mutant(characters, "spectral_sum", "math.factorial(n)",
                            "2 * math.factorial(n)"),
      quick_selftest, "non-integral structure constant"),
-    ("from_schur with the largest denominator for the common one",
-     lambda: source_mutant(psym, "from_schur", "math.lcm(", "max("),
+    ("spectral_sum with the largest denominator as q",
+     lambda: source_mutant(characters, "spectral_sum", "math.lcm(", "max("),
      from_schur_vs_jacobi_trudi, "from_schur_vs_jacobi_trudi"),
+    ("spectral_sum with weight 1 for d_R",
+     lambda: source_mutant(characters, "spectral_sum", "[row[i_dim] for row", "[1 for row"),
+     quick_selftest, "non-integral structure constant"),
+    ("spectral_sum without the last column",
+     lambda: source_mutant(characters, "spectral_sum", "zip(out, row)",
+                           "zip(out, row[:-1] + (0,))"),
+     quick_selftest, "structure_constants_vs_oracle"),
+    ("_graded_pieces adding the lower pieces",
+     lambda: source_mutant(class_algebra, "_graded_pieces", "- w * c", "+ w * c"),
+     mult_infinity_vs_oracle, "mult_infinity_vs_oracle"),
     ("_add_strips without the strip sign",
      lambda: source_mutant(characters, "_add_strips", "(-chi if sign else chi)", "chi"),
      quick_selftest, "non-integral"),
     ("S_4 table with chi_[3,1]([2,2]) negated",
-     lambda: s4_entry_mutant((3, 1), (2, 2)),
+     lambda: table_entry_mutant(4, (3, 1), (2, 2)),
      quick_selftest, "non-integral structure constant"),
+    ("S_10 table with chi_[6,2,2]([4,3,2,1]) negated",
+     lambda: table_entry_mutant(10, (6, 2, 2), (4, 3, 2, 1)),
+     closed_form_genus0, "closed_form_genus0"),
 ]
 
 
 def test_checks_pass_without_mutants():
     assert quick_selftest() == ""
     assert from_schur_vs_jacobi_trudi() == ""
+    assert mult_infinity_vs_oracle() == ""
+    assert closed_form_genus0() == ""
 
 
 @pytest.mark.parametrize("make, check, caught_by", [m[1:] for m in MUTANTS],

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -15,7 +16,7 @@ from diagram_ops.psym import (
     schur,
     schur_expand,
 )
-from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum
+from diagram_ops.class_algebra import mult_infinity
 from diagram_ops.partitions import aut_order, class_size, degree, partitions_of
 from diagram_ops.characters import char_table, phi
 from diagram_ops.oracles import (
@@ -367,11 +368,14 @@ def test_spectral_preserves_degree():
 
 
 def test_spectral_linear_over_diagram_sums():
-    f = PPoly({(2, 1): 1, (1, 1, 1): Fraction(1, 3)})
-    s = DiagramSum([((2,), Fraction(1, 2)), ((1,), 3)])
-    combined = apply_spectral(s, f)
-    split = apply_spectral((2,), f) * Fraction(1, 2) + apply_spectral((1,), f) * 3
-    assert combined == split
-    for s in [DiagramSum.zero(), parse_diagram_sum("1/2*[2] + 3*[1] + -1*[2,1]")]:
-        explicit = sum((apply_explicit(d, f) * c for d, c in s.items()), PPoly.zero())
-        assert apply_spectral(s, f) == explicit, s
+    # compose_check's right side is W(d1 d2) f summed over the terms of the
+    # graded product; it equals the same sum of per-diagram explicit
+    # actions and the spectral action of phi(d1) phi(d2)
+    f = PPoly({(2, 1): 1, (1, 1, 1): Fraction(1, 3), (3, 1): -2})
+    for d1, d2 in [((1,), (1,)), ((2,), (1,)), ((2,), (2,)), ((2, 1), (2,)), ((3,), (1, 1))]:
+        product = mult_infinity(d1, d2)
+        assert len(product.items()) > 1, (d1, d2)
+        _, combined = compose_check(d1, d2, f)
+        assert combined == sum((apply_explicit(d, f) * c for d, c in product.items()),
+                               PPoly.zero()), (d1, d2)
+        assert combined == from_schur(schur_expand(f), collections.Counter((d1, d2))), (d1, d2)
