@@ -15,13 +15,13 @@ it alone scales to integers over their least common denominator.
 Tables are built by the Murnaghan-Nakayama rule read as addition: column
 mu expands p_mu in Schur functions by adding border strips of sizes mu_i
 to the empty shape (Macdonald, Symmetric Functions, I.3 ex. 11 and I.7).
-A shape is a bead abacus (James-Kerber, ch. 2): an int with n set bits at
-the first-column hook lengths lambda_i + n - 1 - i.  Adding a strip of
-size t moves a bead from b to an empty b + t, with sign (-1)^(number of
-beads strictly between them).
+A shape is a bead abacus (James-Kerber, ch. 2): an int with N set bits at
+lambda_i + N - 1 - i, i < N, for N = MAX_TABLE_DEGREE beads, enough for
+every shape of every table.  Adding a strip of size t moves a bead from b
+to an empty b + t, with sign (-1)^(number of beads strictly between them).
+A mask does not depend on the degree, so the column of each part prefix
+is built once per process and shared by the tables of every degree.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -175,26 +175,32 @@ def _add_strips(column: dict, t: int) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
+def _strip_column(parts: tuple) -> dict:
+    """{mask: chi} for p_parts, parts ascending: strips of sizes parts added
+    to the empty shape in order.  Each prefix is built once per process,
+    for every degree, and the dicts are shared read-only."""
+    if not parts:
+        return {(1 << MAX_TABLE_DEGREE) - 1: 1}
+    return _add_strips(_strip_column(parts[:-1]), parts[-1])
+
+
+@functools.lru_cache(maxsize=None)
 def _build_table(n: int) -> CharacterTable:
-    """Column mu adds mu's parts in ascending order; the column of each part
-    prefix is built once and shared until the build ends."""
+    """Column mu adds mu's parts in ascending order; n must not exceed
+    MAX_TABLE_DEGREE, the number of beads."""
     order = partitions_of(n)
-    by_prefix = {(): {(1 << n) - 1: 1}}
-    for mu in order:
-        parts = mu[::-1]
-        for k in range(1, len(parts) + 1):
-            if parts[:k] not in by_prefix:
-                by_prefix[parts[:k]] = _add_strips(by_prefix[parts[:k - 1]], parts[k - 1])
-    columns = [by_prefix[mu[::-1]] for mu in order]
+    columns = [_strip_column(mu[::-1]) for mu in order]
     rows = {}
     for r in order:
-        mask = sum(1 << (p + n - 1 - i) for i, p in enumerate(r + (0,) * (n - len(r))))
+        mask = sum(1 << (p + MAX_TABLE_DEGREE - 1 - i)
+                   for i, p in enumerate(r + (0,) * (MAX_TABLE_DEGREE - len(r))))
         rows[r] = [column.get(mask, 0) for column in columns]
     return CharacterTable(n, order, rows)
 
 
 def char_table(n: int) -> CharacterTable:
-    """Character table of S_n, built once per process and shared: the only memo."""
+    """Character table of S_n, built once per process and shared; this memo
+    and _strip_column's are the module's two."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_TABLE_DEGREE:

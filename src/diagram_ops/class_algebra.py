@@ -1,8 +1,9 @@
 """Center of the group algebra of S_n and the graded product of diagrams.
 
-DiagramSum is a finitely supported map partition -> Fraction, covering
-linear combinations of diagrams of possibly mixed degrees; it lives here
-because only mult reads and prints one.
+DiagramSum is a finitely supported map partition -> int or Fraction,
+covering linear combinations of diagrams of possibly mixed degrees; it
+lives here because only mult reads and prints one.  Integer coefficients
+stay ints, so a product of integer sums never loads the fractions module.
 
 _structure_column reads every structure constant of a product of two class
 sums as one spectral sum (characters.spectral_sum) over the character
@@ -20,12 +21,9 @@ coefficient on the way is an integer, so the recursion runs on
 {partition: int} dicts and only the public functions build a DiagramSum.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 import types
-from fractions import Fraction
 
 from .errors import BoundError, ConsistencyError, ParseError
 from .partitions import (
@@ -44,10 +42,12 @@ from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
 
 
 class DiagramSum:
-    """Finitely supported Fraction-linear combination of partitions.
+    """Finitely supported rational linear combination of partitions.
 
     Immutable, with read-only terms, so a sum can be passed and kept
-    without copying; zero terms are never stored.
+    without copying; zero terms are never stored.  An int coefficient is
+    kept as it is and any other becomes Fraction(coef), so floats and
+    strings are read exactly.
     """
 
     __slots__ = ("_terms",)
@@ -56,10 +56,15 @@ class DiagramSum:
         d = {}
         if terms:
             for part, coef in (terms.items() if hasattr(terms, "items") else terms):
-                c = Fraction(coef)
+                if type(coef) is int:
+                    c = coef
+                else:
+                    from fractions import Fraction
+
+                    c = Fraction(coef)
                 if c:
                     key = as_partition(part)
-                    d[key] = d.get(key, Fraction(0)) + c
+                    d[key] = d.get(key, 0) + c
         self._terms = types.MappingProxyType({p: c for p, c in d.items() if c})
 
     @classmethod
@@ -118,7 +123,7 @@ def parse_diagram_sum(text: str) -> DiagramSum:
             coef_text, _, part_text = chunk.partition("*")
             coef = parse_fraction(coef_text)
         else:
-            coef, part_text = Fraction(1), chunk
+            coef, part_text = 1, chunk
         terms.append((parse_partition(part_text), coef))
     return DiagramSum(terms)
 
@@ -154,6 +159,8 @@ def _structure_column(d1: Partition, d2: Partition) -> tuple:
     for d, total in zip(char_table(n).order, column):
         value, remainder = divmod(total, q)
         if remainder or value < 0:
+            from fractions import Fraction
+
             raise ConsistencyError(
                 "non-integral structure constant %s for (%s, %s, %s)"
                 % (Fraction(total, q), d1, d2, d)

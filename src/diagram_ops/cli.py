@@ -18,8 +18,9 @@ is written by to_json, not the json module, whose import costs an op more
 than most commands compute.
 
 run() is the entry point of `diagram-ops` and `python -m diagram_ops.cli`;
-main(argv) returns the exit code without leaving the process, for callers
-that run the CLI in process.
+it flushes the output and leaves by os._exit, so atexit handlers do not
+run.  main(argv) returns the exit code without leaving the process, for
+callers that run the CLI in process, a profiler or coverage among them.
 
 Every degree read from argv is checked against --max-degree, itself
 between 0 and MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success,
@@ -27,9 +28,6 @@ between 0 and MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success,
 4 internal consistency failure (oracle mismatch, corrupt data).
 """
 
-from __future__ import annotations
-
-import gc
 import os
 import re
 import sys
@@ -375,10 +373,9 @@ def _fail(args, kind, exc):
 
 
 def run():
-    """Exit with main()'s code.  A reader that closed stdout early gets
-    exit code 1 and no traceback.  gc.freeze() first moves every object into
-    the permanent generation, so the collections the interpreter runs at
-    exit skip objects that are about to be thrown away."""
+    """Flush stdout and stderr and leave with main()'s code by os._exit,
+    which skips the interpreter's teardown and so also every atexit handler.
+    A reader that closed stdout early gets exit code 1 and no traceback."""
     try:
         try:
             code = main()
@@ -387,11 +384,10 @@ def run():
         if sys.stdout is not None:  # None when the process started with fd 1 closed
             sys.stdout.flush()
     except BrokenPipeError:
-        # as the Python docs advise: later flushes write to devnull, not the closed pipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    gc.freeze()
-    sys.exit(code)
+        code = 1  # os._exit writes no buffer, so the unwritten rest is dropped
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

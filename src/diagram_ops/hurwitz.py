@@ -17,8 +17,6 @@ power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
 (n_1, ..., n_k) carries the usual 1/(n_1! ... n_k!) factor.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 from fractions import Fraction

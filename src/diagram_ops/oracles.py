@@ -51,8 +51,6 @@ Operators:
 selftest_suites runs the oracle-equivalence suites of `selftest`.
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 import itertools

@@ -8,12 +8,8 @@ linear combinations of diagrams that only mult reads, lives in
 class_algebra.
 """
 
-from __future__ import annotations
-
 import math
-import re
 import sys
-from fractions import Fraction
 
 from .errors import BoundError, ParseError
 
@@ -110,22 +106,25 @@ def partition_sort_key(delta: Partition):
     return (degree(delta), tuple(-p for p in delta))
 
 
-_PARTITION_RE = re.compile(r"\[([0-9]+(,[0-9]+)*)?\]")
+def is_ascii_digits(text: str) -> bool:
+    """True when text is one or more of the ASCII digits 0-9."""
+    return text.isascii() and text.isdecimal()
 
 
 def parse_partition(text: str) -> Partition:
     """Parse '[3,1,1]' (no internal whitespace) into a canonical partition."""
     s = text.strip()
-    m = _PARTITION_RE.fullmatch(s)
-    if m is None:
+    body = s[1:-1]
+    if not (s[:1] == "[" and s[-1:] == "]"
+            and (not body or all(map(is_ascii_digits, body.split(","))))):
         # locate the first offending character for the error message
         for i, ch in enumerate(s):
             if ch not in "[],0123456789":
                 raise ParseError("unexpected character %r in partition" % ch, i)
         raise ParseError("malformed partition %r" % s, 0)
-    if m.group(1) is None:
+    if not body:
         return ()
-    parts = tuple(int(x) for x in m.group(1).split(","))
+    parts = tuple(int(x) for x in body.split(","))
     try:
         return as_partition(parts)
     except ValueError as e:
@@ -136,9 +135,9 @@ def format_partition(delta: Partition) -> str:
     return "[" + ",".join(str(p) for p in delta) + "]"
 
 
-def format_fraction(q: Fraction) -> str:
-    """'n' or 'n/d'; a numerator or denominator longer than the
-    interpreter's int-to-string limit raises BoundError."""
+def format_fraction(q) -> str:
+    """'n' or 'n/d' for an int or a Fraction q; a numerator or denominator
+    longer than the interpreter's int-to-string limit raises BoundError."""
     try:
         return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
     except ValueError:
@@ -146,16 +145,20 @@ def format_fraction(q: Fraction) -> str:
                          "sys.get_int_max_str_digits()" % sys.get_int_max_str_digits()) from None
 
 
-_FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse an optional sign, ASCII digits and an optional '/digits'.
-    Anything else, an exponent or a decimal point included, is refused
-    before any arithmetic."""
-    if _FRACTION_RE.fullmatch(text) is None:
+def parse_fraction(text: str):
+    """Parse an optional sign, ASCII digits and an optional '/digits': an
+    int without the '/', else a Fraction, so that integer input never loads
+    the fractions module.  Anything else, an exponent or a decimal point
+    included, is refused before any arithmetic."""
+    unsigned = text[1:] if text[:1] in ("+", "-") else text
+    numerator, slash, denominator = unsigned.partition("/")
+    if not (is_ascii_digits(numerator) and (not slash or is_ascii_digits(denominator))):
         raise ParseError("malformed rational %r" % text, 0)
     try:
+        if not slash:
+            return int(text)
+        from fractions import Fraction
+
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError("malformed rational %r" % text, 0) from None

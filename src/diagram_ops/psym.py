@@ -14,8 +14,6 @@ sum (characters.spectral_sum); oracles checks it against apply_explicit,
 the partial-permutation action, which reads no character table.
 """
 
-from __future__ import annotations
-
 import types
 from fractions import Fraction
 
@@ -27,6 +25,7 @@ from .partitions import (
     aut_order,
     degree,
     format_fraction,
+    is_ascii_digits,
     multiplicity,
     parse_fraction,
 )
@@ -153,10 +152,6 @@ class PPoly:
         }
 
 
-def _is_digits(text: str) -> bool:
-    return text.isascii() and text.isdecimal()
-
-
 def parse_ppoly(text: str) -> PPoly:
     """Parse the textual form produced by PPoly.to_text, e.g.
     '1/3*p1^3 + -1/3*p3' or '2' or 'p2*p1^2'."""
@@ -173,7 +168,7 @@ def parse_ppoly(text: str) -> PPoly:
         for i, factor in enumerate(factors):
             if factor.startswith("p"):
                 body, caret, exp = factor[1:].partition("^")
-                if not _is_digits(body) or (caret and not _is_digits(exp)):
+                if not is_ascii_digits(body) or (caret and not is_ascii_digits(exp)):
                     raise ParseError("malformed power-sum factor %r" % factor, 0)
                 k, m = int(body), int(exp) if caret else 1
                 if k < 1:

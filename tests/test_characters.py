@@ -6,6 +6,7 @@ import re
 import pytest
 from fractions import Fraction
 
+from diagram_ops import characters
 from diagram_ops.errors import BoundError, ConsistencyError
 from diagram_ops.characters import (
     CharacterTable,
@@ -176,6 +177,24 @@ def test_char_table_matches_mn_recursion():
                 assert table.rows[r][j] == mn_character(r, delta), (r, delta)
                 assert table.column(delta) == j
         check_orthogonality(table)
+
+
+def test_tables_do_not_depend_on_build_order():
+    """The strip columns are shared across degrees, so building 12 down to 7
+    must give what building 7 up to 12 gives, and both must agree with the
+    Murnaghan-Nakayama recursion."""
+    built = []
+    for degrees in (range(12, 6, -1), range(7, 13)):
+        characters._build_table.cache_clear()
+        characters._strip_column.cache_clear()
+        built.append({n: dict(char_table(n).rows) for n in degrees})
+    assert built[0] == built[1]
+    rng = random.Random(20101146)
+    for n, rows in built[0].items():
+        order = partitions_of(n)
+        for _ in range(40):
+            r, j = rng.choice(order), rng.randrange(len(order))
+            assert rows[r][j] == mn_character(r, order[j]), (r, order[j])
 
 
 def test_char_table_bound():

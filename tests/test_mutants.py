@@ -5,7 +5,7 @@ A source mutant recompiles one function with one piece of its source
 replaced, and the piece must occur exactly once, so a mutant that no
 longer matches the code fails loudly instead of testing nothing.  The
 mutant is bound wherever the package imported the original, and the
-character tables are rebuilt before and after it.
+character tables and their strip columns are rebuilt before and after it.
 
 A check is either the quick selftest, which names its failing suites or
 the ConsistencyError that stopped it, or an oracle comparison.  A mutant
@@ -13,7 +13,6 @@ that cannot change any result, such as negating a character table entry
 that is 0, is not listed.
 """
 
-import __future__
 import contextlib
 import inspect
 import re
@@ -66,12 +65,12 @@ def mult_infinity_vs_oracle() -> str:
     return "mult_infinity_vs_oracle at %s" % bad if bad else ""
 
 
-def closed_form_genus0() -> str:
+def closed_form_genus0(n_max=10) -> str:
     """m! [beta^m p_mu] log Z against Hurwitz's genus-0 formula for every
-    mu with |mu| <= 10, where permutation enumeration cannot reach."""
-    logs = connected_series(10, 18)
+    mu with |mu| <= n_max, where permutation enumeration cannot reach."""
+    logs = connected_series(n_max, 2 * n_max - 2)
     bad = []
-    for n in range(1, 11):
+    for n in range(1, n_max + 1):
         for mu in partitions_of(n):
             top = n + len(mu) - 2
             if [logs.get((m, mu), 0) for m in range(top + 1)] != [0] * top + [hurwitz_genus0(mu)]:
@@ -83,8 +82,8 @@ def source_mutant(module, name, old, new):
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1, (name, old)
     namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec",
-                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    exec(compile(source.replace(old, new), module.__file__, "exec", dont_inherit=True),
+         namespace)
     return module, name, namespace[name]
 
 
@@ -97,12 +96,18 @@ def table_entry_mutant(n, r, cls):
     return characters, "_build_table", lambda k: broken if k == n else _BUILD_TABLE(k)
 
 
+def clear_tables():
+    """Empty both memos, so that the next table is built afresh."""
+    _BUILD_TABLE.cache_clear()
+    characters._strip_column.cache_clear()
+
+
 @contextlib.contextmanager
 def installed(module, name, mutant):
     real = getattr(module, name)
     holders = [m for key, m in list(sys.modules.items())
                if key.startswith("diagram_ops") and getattr(m, name, None) is real]
-    _BUILD_TABLE.cache_clear()
+    clear_tables()
     for m in holders:
         setattr(m, name, mutant)
     try:
@@ -110,7 +115,7 @@ def installed(module, name, mutant):
     finally:
         for m in holders:
             setattr(m, name, real)
-        _BUILD_TABLE.cache_clear()
+        clear_tables()
 
 
 #: (mutant, how to make it, the check, a pattern its failure report matches)
@@ -143,6 +148,14 @@ MUTANTS = [
     ("_add_strips without the strip sign",
      lambda: source_mutant(characters, "_add_strips", "(-chi if sign else chi)", "chi"),
      quick_selftest, "non-integral"),
+    ("_add_strips with the strip sign flipped for strips of size >= 7",
+     lambda: source_mutant(characters, "_add_strips", "(-chi if sign else chi)",
+                           "(-chi if sign ^ (t >= 7) else chi)"),
+     closed_form_genus0, r"closed_form_genus0 at .*\(7,\)"),
+    ("phi_column with phi_[11] + 1 at n = 11",
+     lambda: source_mutant(characters, "phi_column", "return [x // q for x in nums]",
+                           "return [x // q + (n == 11 and i == 0) for i, x in enumerate(nums)]"),
+     lambda: closed_form_genus0(11), r"closed_form_genus0 at \[\(11,\)"),
     ("S_4 table with chi_[3,1]([2,2]) negated",
      lambda: table_entry_mutant(4, (3, 1), (2, 2)),
      quick_selftest, "non-integral structure constant"),
@@ -156,7 +169,7 @@ def test_checks_pass_without_mutants():
     assert quick_selftest() == ""
     assert from_schur_vs_jacobi_trudi() == ""
     assert mult_infinity_vs_oracle() == ""
-    assert closed_form_genus0() == ""
+    assert closed_form_genus0(11) == ""
 
 
 @pytest.mark.parametrize("make, check, caught_by", [m[1:] for m in MUTANTS],

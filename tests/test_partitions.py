@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from fractions import Fraction
@@ -146,6 +147,79 @@ def test_parse_fraction():
     for bad in ["1e3", "0.5", " 1", "1 ", "1_000", "1/0", "3/-4", "/2", "", "\u0663"]:
         with pytest.raises(ParseError):
             parse_fraction(bad)
+
+
+# The regular expressions parse_partition and parse_fraction were written
+# with, kept as the oracle for their str-method checks.
+PARTITION_RE = re.compile(r"\[([0-9]+(,[0-9]+)*)?\]")
+FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def regex_parse_partition(text):
+    s = text.strip()
+    m = PARTITION_RE.fullmatch(s)
+    if m is None:
+        for i, ch in enumerate(s):
+            if ch not in "[],0123456789":
+                raise ParseError("unexpected character %r in partition" % ch, i)
+        raise ParseError("malformed partition %r" % s, 0)
+    if m.group(1) is None:
+        return ()
+    try:
+        return as_partition(tuple(int(x) for x in m.group(1).split(",")))
+    except ValueError as e:
+        raise ParseError(str(e), 1) from None
+
+
+def regex_parse_fraction(text):
+    if FRACTION_RE.fullmatch(text) is None:
+        raise ParseError("malformed rational %r" % text, 0)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("malformed rational %r" % text, 0) from None
+
+
+def outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except ParseError as e:
+        return "error", str(e), e.pos
+
+
+# ASCII digits, digits of other scripts (Arabic-Indic, Devanagari,
+# fullwidth) and a superscript two, which isdigit() accepts and
+# isdecimal() does not.
+DIGIT_TEXT = st.text(st.sampled_from("0123456789\u0663\u0966\uff11\u00b2"), max_size=3)
+SPACE = st.sampled_from(["", " ", "\t", "\u3000"])
+PARTITION_TEXT = st.one_of(
+    st.text(st.sampled_from("[],0123456789 +-/a\u0663"), max_size=10),
+    st.builds(lambda a, parts, b: a + "[" + ",".join(parts) + "]" + b,
+              SPACE, st.lists(DIGIT_TEXT, max_size=4), SPACE))
+FRACTION_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789+-/ .e_\u0663"), max_size=8),
+    st.builds(lambda sign, num, slash, den: sign + num + slash + den,
+              st.sampled_from(["", "+", "-", "+-"]), DIGIT_TEXT,
+              st.sampled_from(["", "/", "//"]), DIGIT_TEXT))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(PARTITION_TEXT, FRACTION_TEXT)
+def test_parsers_match_their_regular_expressions(partition_text, fraction_text):
+    assert outcome(parse_partition, partition_text) == outcome(regex_parse_partition,
+                                                               partition_text)
+    got = outcome(parse_fraction, fraction_text)
+    assert got == outcome(regex_parse_fraction, fraction_text)
+    if got[0] == "value":
+        assert (type(got[1]) is int) == ("/" not in fraction_text)
+
+
+def test_diagram_sum_coefficients():
+    sums = [DiagramSum({(2,): c}) for c in (1, Fraction(1), 1.0, "1")]
+    assert all(s == sums[0] for s in sums)
+    assert [type(c) for s in sums for _, c in s.items()] == [int, Fraction, Fraction, Fraction]
+    (_, tenth), = DiagramSum({(2,): 0.1}).items()
+    assert tenth == Fraction(0.1) != Fraction(1, 10)
 
 
 def test_as_partition_rejects_bad_parts():
