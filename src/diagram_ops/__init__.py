@@ -12,20 +12,16 @@ _EXPORTS = {
     "partitions": (
         "as_partition",
         "aut_order",
-        "class_size",
-        "conjugate",
         "degree",
         "multiplicity",
         "pad",
         "parse_partition",
         "partitions_of",
     ),
-    "characters": ("char_table", "character", "phi"),
+    "characters": ("char_table", "phi"),
     "class_algebra": (
         "DiagramSum",
-        "graded_piece",
         "mult_infinity",
-        "mult_same_degree",
         "mult_sum",
         "parse_diagram_sum",
         "structure_constant",
@@ -36,7 +32,6 @@ _EXPORTS = {
         "generating_function",
         "hurwitz_chain",
         "hurwitz_padded",
-        "simple_hurwitz",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,14 +1,15 @@
 """Irreducible characters of symmetric groups, read from full tables.
 
-char_table(n) builds the table of S_n once per process.  Characters,
-Schur functions, structure constants and Hurwitz brackets all read it, so
-it is shared read-only: rows are tuples behind a mapping proxy.
+char_table(n) builds the table of S_n once per process, and no n above
+MAX_TABLE_DEGREE gets past its bound check.  Characters, Schur functions,
+structure constants and Hurwitz brackets all read it, so it is shared
+read-only: rows are tuples behind a mapping proxy.
 
 phi_column writes the normalized character phi, an integer, as one
 column per diagram, and spectral_sum, the one sum
 S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it:
-structure constants, Hurwitz brackets, simple Hurwitz numbers and the
-generating function's coefficients are its values at w_R = d_R, and
+structure constants, Hurwitz brackets and the generating function's
+coefficients are its values at w_R = d_R, and
 Schur functions and every W(delta) f its values at other weights, which
 it alone scales to integers over their least common denominator.
 
@@ -40,19 +41,6 @@ from .partitions import (
 
 #: Largest degree for which full tables are built (p(12) = 77 rows).
 MAX_TABLE_DEGREE = 12
-
-
-def character(r: Partition, delta: Partition) -> int:
-    """chi_R on the class of cycle type delta, read from the table of
-    S_|R|.  The parts of delta may come in any order; degrees must match,
-    and |R| above MAX_TABLE_DEGREE raises BoundError."""
-    r = as_partition(r)
-    delta = as_partition(sorted(delta, reverse=True))
-    if degree(r) != degree(delta):
-        raise ValueError(
-            "degree mismatch: |R|=%d, |Delta|=%d" % (degree(r), degree(delta))
-        )
-    return char_table(degree(r)).entry(r, delta)
 
 
 def phi(r: Partition, delta: Partition) -> int:
@@ -137,26 +125,9 @@ class CharacterTable:
         except KeyError:
             raise self._unknown("class", delta) from None
 
-    def entry(self, r: Partition, delta: Partition) -> int:
-        """chi_r(delta); r and delta must be partitions of n, parts decreasing."""
-        try:
-            return self.rows[tuple(r)][self._col[tuple(delta)]]
-        except KeyError:
-            kind, label = ("class", delta) if tuple(r) in self.rows else ("shape", r)
-            raise self._unknown(kind, label) from None
-
     def _unknown(self, kind: str, label) -> ValueError:
         return ValueError("%s is not a %s of S_%d (parts must be decreasing and sum to %d)"
                           % (format_partition(label), kind, self.n, self.n))
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "order": [list(p) for p in self.order],
-            "rows": {
-                format_partition(r): [str(x) for x in self.rows[r]] for r in self.order
-            },
-        }
 
 
 def _add_strips(column: dict, t: int) -> dict:
@@ -185,9 +156,16 @@ def _strip_column(parts: tuple) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_table(n: int) -> CharacterTable:
-    """Column mu adds mu's parts in ascending order; n must not exceed
-    MAX_TABLE_DEGREE, the number of beads."""
+def char_table(n: int) -> CharacterTable:
+    """Character table of S_n, built once per process and shared; this memo
+    and _strip_column's are the module's two.  Column mu adds mu's parts
+    in ascending order.  n must not exceed MAX_TABLE_DEGREE, the number of
+    beads, and the check sits inside the memo, so nothing builds a larger
+    table."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_TABLE_DEGREE:
+        raise BoundError("char_table(%d) exceeds bound %d" % (n, MAX_TABLE_DEGREE))
     order = partitions_of(n)
     columns = [_strip_column(mu[::-1]) for mu in order]
     rows = {}
@@ -196,13 +174,3 @@ def _build_table(n: int) -> CharacterTable:
                    for i, p in enumerate(r + (0,) * (MAX_TABLE_DEGREE - len(r))))
         rows[r] = [column.get(mask, 0) for column in columns]
     return CharacterTable(n, order, rows)
-
-
-def char_table(n: int) -> CharacterTable:
-    """Character table of S_n, built once per process and shared; this memo
-    and _strip_column's are the module's two."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_TABLE_DEGREE:
-        raise BoundError("char_table(%d) exceeds bound %d" % (n, MAX_TABLE_DEGREE))
-    return _build_table(n)

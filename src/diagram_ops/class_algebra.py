@@ -7,8 +7,7 @@ stay ints, so a product of integer sums never loads the fractions module.
 
 _structure_column reads every structure constant of a product of two class
 sums as one spectral sum (characters.spectral_sum) over the character
-table; mult_same_degree wraps it and structure_constant reads one
-coefficient.
+table; structure_constant reads one coefficient.
 The literal pair-counting definition lives in diagram_ops.oracles
 (oracle_structure_constant), which only the tests and selftest import.
 
@@ -19,6 +18,8 @@ degree n with the unit-row embedding, multiply inside the degree-n class
 algebra, and subtract the embeddings of the lower graded pieces.  Every
 coefficient on the way is an integer, so the recursion runs on
 {partition: int} dicts and only the public functions build a DiagramSum.
+
+cmd_mult is the body of the mult command.
 """
 
 import collections
@@ -34,8 +35,8 @@ from .partitions import (
     format_partition,
     multiplicity,
     pad,
-    parse_fraction,
     parse_partition,
+    parse_ratio,
     partition_sort_key,
 )
 from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
@@ -106,6 +107,17 @@ def rho_term(delta: Partition, k: int):
     return pad(delta, k), math.comb(multiplicity(delta, 1) + k, k)
 
 
+def parse_fraction(text: str):
+    """parse_ratio as a number: an int without the '/', else a Fraction,
+    so that integer input never loads the fractions module."""
+    num, den = parse_ratio(text)
+    if "/" not in text:
+        return num
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 def parse_diagram_sum(text: str) -> DiagramSum:
     """Parse 'coef*partition + coef*partition + ...'.
 
@@ -135,14 +147,6 @@ def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
     if not degree(d1) == degree(d2) == degree(d):
         raise ValueError("structure_constant requires equal degrees")
     return _structure_column(d1, d2)[char_table(degree(d)).column(d)]
-
-
-def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
-    """Product of two same-degree diagrams inside the degree-n class algebra."""
-    d1, d2 = as_partition(d1), as_partition(d2)
-    if degree(d2) != degree(d1):
-        raise ValueError("mult_same_degree requires equal degrees")
-    return DiagramSum(zip(char_table(degree(d1)).order, _structure_column(d1, d2)))
 
 
 def _structure_column(d1: Partition, d2: Partition) -> tuple:
@@ -199,12 +203,6 @@ def mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
     return DiagramSum({d: c for piece in pieces.values() for d, c in piece.items()})
 
 
-def graded_piece(d1: Partition, d2: Partition, n: int) -> DiagramSum:
-    """Single graded piece {d1 d2}_n of the product."""
-    pieces = _graded_pieces(as_partition(d1), as_partition(d2))
-    return DiagramSum(pieces.get(n))
-
-
 def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
     """Bilinear extension of mult_infinity to diagram sums."""
     out = {}
@@ -215,3 +213,12 @@ def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
                 for d, c in piece.items():
                     out[d] = out.get(d, 0) + weight * c
     return DiagramSum(out)
+
+
+def cmd_mult(args, check_degrees):
+    """The mult command: the product of two diagram sums."""
+    a = parse_diagram_sum(args.left)
+    b = parse_diagram_sum(args.right)
+    check_degrees(a.degrees() + b.degrees())
+    result = mult_sum(a, b)
+    return result.to_text(), {"result": result.to_json_obj()}

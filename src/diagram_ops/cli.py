@@ -2,19 +2,29 @@
 
     diagram-ops [--json] [--max-degree N] [--seed S] COMMAND [ARGS]
 
-The COMMANDS table names each command's function, help line, positionals
-and options, and parse_args reads argv against it (argparse would cost an
-op more start-up time than most commands compute).  Global options come
-before the command; command options may come anywhere after it.  Both
-"--opt value" and "--opt=value" work, long options are never abbreviated,
-a token such as "-1" is a value, and "--" ends the options.  -h or --help
-prints help to stdout and exits 0; a usage error prints "usage: ..." and
-"diagram-ops: error: ..." to stderr and exits 2.
+This module only reads argv, dispatches and maps errors to exit codes;
+every op compiles it, so it holds nothing else.  The COMMANDS table names
+each command's module, help line, positionals and options, and
+parse_args reads argv against it (argparse would cost an op more
+start-up time than most commands compute).  Global options come before
+the command; command options may come anywhere after it.  Both
+"--opt value" and "--opt=value" work, long options are never
+abbreviated, a token such as "-1" is a value, and "--" ends the options.
+-h or --help prints help to stdout and exits 0; a usage error prints
+"usage: ..." and "diagram-ops: error: ..." to stderr and exits 2.  Both
+texts are built by diagram_ops.usage, which no other op loads.
 
-Each command imports the layers beyond the character table (class_algebra,
-psym, hurwitz, oracles) inside its cmd_* function, so an op loads only the
-modules it runs: eigenvalue reads phi from the table and loads none.  JSON
-is written by to_json, not the json module, whose import costs an op more
+A command's body is cmd_<command> in the layer it runs, next to that
+layer's parser and printer: mult in class_algebra, schur and wapply in
+psym, hurwitz and evolve in hurwitz, selftest in oracles, and chartable
+and eigenvalue in table_commands, beside characters, which every op
+loads.  main imports only that module, so an op loads only the modules
+it runs: eigenvalue reads phi from the table and loads no other layer.  A body takes the namespace and the degree
+check and returns (text, json_obj), or (text, json_obj, error) for an
+error to raise once the output is printed, as a failing selftest does.
+No module imports this one: under `python -m diagram_ops.cli` it is
+__main__, and an import would compile it a second time.  JSON is
+written by to_json, not the json module, whose import costs an op more
 than most commands compute.
 
 run() is the entry point of `diagram-ops` and `python -m diagram_ops.cli`;
@@ -28,25 +38,24 @@ between 0 and MAX_TABLE_DEGREE, before any work.  Exit codes: 0 success,
 4 internal consistency failure (oracle mismatch, corrupt data).
 """
 
+import importlib
 import os
-import re
 import sys
 from types import SimpleNamespace
 
 from .errors import BoundError, ConsistencyError, ParseError
-from .characters import MAX_TABLE_DEGREE, char_table, phi
-from .partitions import degree, format_fraction, format_partition, parse_partition
+from .characters import MAX_TABLE_DEGREE
 
 DEFAULT_SEED = 20101146
 
 
-def _check_degrees(args, degrees):
+def _check_degrees(max_degree, degrees):
     """Reject a negative degree (exit 2) or one above --max-degree (exit 3)."""
     for n in degrees:
         if n < 0:
             raise ParseError("degree %d is negative" % n)
-        if n > args.max_degree:
-            raise BoundError("degree %d exceeds max degree %d" % (n, args.max_degree))
+        if n > max_degree:
+            raise BoundError("degree %d exceeds max degree %d" % (n, max_degree))
 
 
 #: The escapes json.dumps writes for these characters; every other
@@ -92,101 +101,6 @@ def to_json(obj) -> str:
     raise TypeError("cannot write %s as JSON" % type(obj).__name__)
 
 
-def _emit(args, text_value, json_obj):
-    print(to_json(json_obj) if args.json else text_value)
-
-
-def cmd_mult(args):
-    from .class_algebra import mult_sum, parse_diagram_sum
-
-    a = parse_diagram_sum(args.left)
-    b = parse_diagram_sum(args.right)
-    _check_degrees(args, a.degrees() + b.degrees())
-    result = mult_sum(a, b)
-    _emit(args, result.to_text(), {"result": result.to_json_obj()})
-
-
-def cmd_chartable(args):
-    _check_degrees(args, [args.n])
-    table = char_table(args.n)
-    lines = ["classes: " + " ".join(format_partition(p) for p in table.order)]
-    lines += ["%s: %s" % (format_partition(r), " ".join(map(str, table.rows[r])))
-              for r in table.order]
-    _emit(args, "\n".join(lines), table.to_json_obj())
-
-
-def cmd_schur(args):
-    from .psym import schur
-
-    r = parse_partition(args.r)
-    _check_degrees(args, [degree(r)])
-    f = schur(r)
-    _emit(args, f.to_text(), f.to_json_obj())
-
-
-def cmd_eigenvalue(args):
-    delta, r = parse_partition(args.delta), parse_partition(args.r)
-    _check_degrees(args, [degree(delta), degree(r)])
-    v = phi(r, delta)
-    _emit(args, format_fraction(v), {"value": format_fraction(v)})
-
-
-def cmd_wapply(args):
-    from .psym import parse_ppoly
-
-    delta = parse_partition(args.delta)
-    f = parse_ppoly(args.poly)
-    _check_degrees(args, [degree(delta)] + f.homogeneous_degrees())
-    if args.explicit:
-        from .oracles import apply_explicit as apply_operator
-    else:
-        from .psym import apply_spectral as apply_operator
-    result = apply_operator(delta, f)
-    _emit(args, result.to_text(), result.to_json_obj())
-
-
-def cmd_hurwitz(args):
-    from .hurwitz import hurwitz_chain
-
-    classes = [parse_partition(t) for t in args.classes]
-    n = args.n if args.n is not None else degree(classes[0])
-    _check_degrees(args, [n] + [degree(d) for d in classes])
-    for d in classes:
-        if degree(d) != n:
-            raise ParseError("class %s does not have degree %d" % (format_partition(d), n))
-    value = format_fraction(hurwitz_chain(classes))
-    _emit(args, value, {"n": n, "branches": [list(d) for d in classes], "value": value})
-
-
-def cmd_evolve(args):
-    from .hurwitz import generating_function
-
-    directions = [parse_partition(t) for t in args.directions]
-    _check_degrees(args, [args.p_bound] + [degree(d) for d in directions])
-    series = generating_function(directions, p_bound=args.p_bound, order=args.order)
-    obj = series.to_json_obj()
-    lines = []
-    for term in obj["terms"]:
-        beta = " ".join("b%s^%d" % (p, k) for p, k in term["beta"].items()) or "1"
-        mono = format_partition(tuple(term["mono"]))
-        lines.append("%s | p_%s : %s" % (beta, mono, term["coef"]))
-    _emit(args, "\n".join(lines), obj)
-
-
-def cmd_selftest(args):
-    from .oracles import selftest_suites
-
-    report = selftest_suites(args.level, args.seed)
-    if args.json:
-        print(to_json(report))
-    else:
-        for s in report["suites"]:
-            print("%s: %d cases, %d failures" % (s["name"], s["cases"], s["failures"]))
-        print("selftest %s: %s" % (report["level"], "PASS" if report["ok"] else "FAIL"))
-    if not report["ok"]:
-        raise ConsistencyError("selftest failures: see report")
-
-
 #: Options read before the command: flag -> (type, default).  Type bool is
 #: a flag that takes no value; a tuple lists the values allowed.
 GLOBAL_OPTIONS = {
@@ -195,83 +109,51 @@ GLOBAL_OPTIONS = {
     "--seed": (int, DEFAULT_SEED),
 }
 
-#: command -> (function, help, positionals, options).  A positional is
-#: (name, type); the last may end in "..." and then takes a list of one or
-#: more text values.  Options are as in GLOBAL_OPTIONS.
+#: command -> (module, help, positionals, options): the command's body is
+#: cmd_<command> in diagram_ops.<module>.  A positional is (name, type);
+#: the last may end in "..." and then takes a list of one or more text
+#: values.  Options are as in GLOBAL_OPTIONS.
 COMMANDS = {
-    "mult": (cmd_mult, "product of two diagram sums", [("left", str), ("right", str)], {}),
-    "chartable": (cmd_chartable, "character table of S_n", [("n", int)], {}),
-    "schur": (cmd_schur, "Schur function in power sums", [("r", str)], {}),
-    "eigenvalue": (cmd_eigenvalue, "eigenvalue of W(delta) on schur(R)",
+    "mult": ("class_algebra", "product of two diagram sums", [("left", str), ("right", str)], {}),
+    "chartable": ("table_commands", "character table of S_n", [("n", int)], {}),
+    "schur": ("psym", "Schur function in power sums", [("r", str)], {}),
+    "eigenvalue": ("table_commands", "eigenvalue of W(delta) on schur(R)",
                    [("delta", str), ("r", str)], {}),
-    "wapply": (cmd_wapply, "apply W(delta) to a polynomial; --explicit uses partial permutations",
+    "wapply": ("psym", "apply W(delta) to a polynomial; --explicit uses partial permutations",
                [("delta", str), ("poly", str)], {"--explicit": (bool, False)}),
-    "hurwitz": (cmd_hurwitz, "Hurwitz bracket of equal-degree classes",
+    "hurwitz": ("hurwitz", "Hurwitz bracket of equal-degree classes",
                 [("classes...", str)], {"--n": (int, None)}),
-    "evolve": (cmd_evolve, "generating function of Hurwitz numbers",
+    "evolve": ("hurwitz", "generating function of Hurwitz numbers",
                [("directions...", str)], {"--p-bound": (int, 4), "--order": (int, 2)}),
-    "selftest": (cmd_selftest, "run oracle-equivalence suites", [],
+    "selftest": ("oracles", "run oracle-equivalence suites", [],
                  {"--level": (("quick", "full"), "quick")}),
 }
 
-# As under argparse, "-", a token with a space and a negative number are
-# values, not options.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+def _is_negative_number(token):
+    """True for '-' followed by decimal digits, or by digits, a '.' and
+    digits, the pattern ^-\\d+$|^-\\d*\\.\\d+$: \\d is any Unicode decimal
+    digit, and $ also matches before one final newline."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    return (token[:1] == "-" and body.replace(".", "", 1).isdecimal()
+            and not body.endswith("."))
 
 
 def _is_option(token):
+    # As under argparse, "-", a token with a space and a negative number are
+    # values, not options.
     return (token.startswith("-") and token != "-" and " " not in token
-            and not _NEGATIVE_NUMBER.match(token))
+            and not _is_negative_number(token))
 
 
 def _dest(name):
     return name.strip("-.").replace("-", "_")
 
 
-def _synopsis(options):
-    words = []
-    for flag, (kind, _) in options.items():
-        if kind is bool:
-            words.append("[%s]" % flag)
-        elif isinstance(kind, tuple):
-            words.append("[%s {%s}]" % (flag, ",".join(kind)))
-        else:
-            words.append("[%s N]" % flag)
-    return words
-
-
-def _usage(command):
-    words = ["usage: diagram-ops"] + _synopsis(GLOBAL_OPTIONS)
-    if command is None:
-        words.append("COMMAND ...")
-    else:
-        _, _, positionals, options = COMMANDS[command]
-        words += [command] + _synopsis(options) + [name.upper() for name, _ in positionals]
-    return " ".join(words)
-
-
-def _help(command):
-    if command is None:
-        about = ["Exact algebra of Young diagrams, characters, cut-and-join operators "
-                 "and Hurwitz numbers.", "", "commands:"]
-        about += ["  %-11s %s" % (name, entry[1]) for name, entry in COMMANDS.items()]
-        about += ["", "--json prints JSON; --max-degree bounds every input degree "
-                      "(at most %d); --seed seeds selftest." % MAX_TABLE_DEGREE]
-        options = GLOBAL_OPTIONS
-    else:
-        _, text, _, options = COMMANDS[command]
-        about = [text]
-    defaults = ["%s %s" % (flag, default) for flag, (kind, default) in options.items()
-                if kind is not bool and default is not None]
-    if defaults:
-        about.append("defaults: " + ", ".join(defaults))
-    return "\n".join([_usage(command), ""] + about)
-
-
 def _usage_error(command, reason):
-    print(_usage(command), file=sys.stderr)
-    print("diagram-ops: error: %s" % reason, file=sys.stderr)
-    raise SystemExit(2)
+    from .usage import usage_error
+
+    usage_error(command, reason, COMMANDS, GLOBAL_OPTIONS)
 
 
 def _convert(command, what, kind, text):
@@ -292,8 +174,9 @@ def _set_defaults(args, options):
 
 def _read_option(args, command, options, token, tokens):
     if token in ("-h", "--help"):
-        print(_help(command))
-        raise SystemExit(0)
+        from .usage import show_help
+
+        show_help(command, COMMANDS, GLOBAL_OPTIONS)
     flag, has_value, value = token.partition("=")
     if flag not in options:
         _usage_error(command, "unknown option %s" % flag)
@@ -312,8 +195,8 @@ def _read_option(args, command, options, token, tokens):
 
 
 def parse_args(argv):
-    """Read argv against GLOBAL_OPTIONS and COMMANDS; return the command's
-    function and the namespace it reads.  A usage error prints usage to
+    """Read argv against GLOBAL_OPTIONS and COMMANDS; return the command
+    and the namespace its body reads.  A usage error prints usage to
     stderr and raises SystemExit(2); -h or --help prints help and exits 0."""
     args = SimpleNamespace()
     command, options, values = None, GLOBAL_OPTIONS, []
@@ -334,7 +217,7 @@ def parse_args(argv):
             values.append(token)
     if command is None:
         _usage_error(None, "a command is required")
-    func, _, positionals, _ = COMMANDS[command]
+    _, _, positionals, _ = COMMANDS[command]
     if len(values) < len(positionals):
         _usage_error(command, "missing %s" % positionals[len(values)][0].upper())
     if len(values) > len(positionals) and not (positionals and positionals[-1][0].endswith("...")):
@@ -342,17 +225,22 @@ def parse_args(argv):
     for i, (name, kind) in enumerate(positionals):
         value = values[i:] if name.endswith("...") else _convert(command, name, kind, values[i])
         setattr(args, _dest(name), value)
-    return func, args
+    return command, args
 
 
 def main(argv=None) -> int:
-    func, args = parse_args(sys.argv[1:] if argv is None else argv)
+    command, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.max_degree < 0:
             raise ParseError("max degree %d is negative" % args.max_degree)
         if args.max_degree > MAX_TABLE_DEGREE:
             raise BoundError("max degree is capped at %d" % MAX_TABLE_DEGREE)
-        func(args)
+        module = importlib.import_module("." + COMMANDS[command][0], __package__)
+        text, json_obj, *error = getattr(module, "cmd_" + command)(
+            args, lambda degrees: _check_degrees(args.max_degree, degrees))
+        print(to_json(json_obj) if args.json else text)
+        if error:
+            raise error[0]
         return 0
     except ValueError as e:
         _fail(args, "parse", e)

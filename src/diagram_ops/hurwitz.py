@@ -15,19 +15,23 @@ here imports that module.
 The generating function Z collects the padded brackets against the plain
 power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
 (n_1, ..., n_k) carries the usual 1/(n_1! ... n_k!) factor.
+
+cmd_hurwitz and cmd_evolve are the bodies of the hurwitz and evolve
+commands.
 """
 
 import collections
 import math
 from fractions import Fraction
 
-from .errors import BoundError
+from .errors import BoundError, ParseError
 from .partitions import (
     as_partition,
     aut_order,
     degree,
     format_fraction,
     format_partition,
+    parse_partition,
     partition_sort_key,
     partitions_of,
 )
@@ -38,7 +42,7 @@ from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
 MAX_SERIES_PAIRS = 100_000
 
 #: Largest total beta-order that generating_function expands, and the
-#: most transpositions simple_hurwitz takes.  The pair bound caps the
+#: most transpositions oracles.simple_hurwitz takes.  The pair bound caps the
 #: time, but the coefficients' denominators grow like order!, so one
 #: direction at a high order printed tens of megabytes.  At
 #: order 100 and p_bound 12 one direction prints at most about 4 MB of
@@ -99,12 +103,6 @@ class HurwitzSeries:
         self.p_bound = p_bound
         self.order = order
         self.terms = {}
-
-    def ppoly_at(self, key):
-        """Coefficient of the beta monomial indexed by key, as a PPoly."""
-        from .psym import PPoly
-
-        return PPoly({mono: c for (k, mono), c in self.terms.items() if k == key})
 
     def to_json_obj(self):
         items = sorted(
@@ -171,14 +169,26 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     return series
 
 
-def simple_hurwitz(n: int, m: int) -> dict:
-    """Disconnected m-transposition Hurwitz numbers of degree n: for each
-    diagram delta of degree n, the bracket <([2], m) | delta>, read from
-    the one spectral sum S_{[2]^m}(delta) / z_delta."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    if m > MAX_SERIES_ORDER:
-        raise BoundError("%d transpositions exceed bound %d" % (m, MAX_SERIES_ORDER))
-    column, q = spectral_sum(n, {(2,): m})
-    return {delta: Fraction(total, q * aut_order(delta))
-            for delta, total in zip(char_table(n).order, column)}
+def cmd_hurwitz(args, check_degrees):
+    """The hurwitz command: the bracket of equal-degree classes."""
+    classes = [parse_partition(t) for t in args.classes]
+    n = args.n if args.n is not None else degree(classes[0])
+    check_degrees([n] + [degree(d) for d in classes])
+    for d in classes:
+        if degree(d) != n:
+            raise ParseError("class %s does not have degree %d" % (format_partition(d), n))
+    value = format_fraction(hurwitz_chain(classes))
+    return value, {"n": n, "branches": [list(d) for d in classes], "value": value}
+
+
+def cmd_evolve(args, check_degrees):
+    """The evolve command: the generating function's terms, one a line."""
+    directions = [parse_partition(t) for t in args.directions]
+    check_degrees([args.p_bound] + [degree(d) for d in directions])
+    obj = generating_function(directions, p_bound=args.p_bound, order=args.order).to_json_obj()
+    lines = []
+    for term in obj["terms"]:
+        beta = " ".join("b%s^%d" % (p, k) for p, k in term["beta"].items()) or "1"
+        mono = format_partition(tuple(term["mono"]))
+        lines.append("%s | p_%s : %s" % (beta, mono, term["coef"]))
+    return "\n".join(lines), obj

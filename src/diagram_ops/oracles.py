@@ -2,6 +2,18 @@
 table.  Only the tests, `selftest` and `wapply --explicit` import this
 module; nothing on the production path does.
 
+Names that no command reads, kept for the checks and the tests:
+
+* class_size and conjugate on partitions; character and table_entry,
+  one entry of the character table; mult_same_degree and graded_piece,
+  one degree of the graded product; simple_hurwitz, the m-transposition
+  brackets as one spectral sum; series_coefficient, one beta-coefficient
+  of the generating function as a term dict.
+* poly_add, poly_neg, poly_sub, poly_mul, poly_diff and poly_max_degree:
+  the arithmetic of polynomials in the power sums, on term dicts
+  {monomial: coefficient} such as PPoly.terms; PPoly(terms) reads one
+  back.
+
 Permutations of S_n, enumerated literally up to MAX_ORACLE_DEGREE:
 
 * oracle_structure_constant: count the pairs (g1, g2) of types (d1, d2)
@@ -48,7 +60,8 @@ Operators:
 * pde_residual: how far the generating function is from solving
   dZ/dbeta_Y = W(Y) Z, with W(Y) by apply_explicit.
 
-selftest_suites runs the oracle-equivalence suites of `selftest`.
+selftest_suites runs the oracle-equivalence suites of `selftest`, and
+cmd_selftest is the body of that command.
 """
 
 import collections
@@ -62,15 +75,21 @@ from .errors import BoundError, ConsistencyError
 from .partitions import (
     Partition,
     as_partition,
-    class_size,
-    conjugate,
+    aut_order,
     degree,
     multiplicity,
     partitions_of,
 )
-from .characters import char_table, phi
-from .class_algebra import DiagramSum, mult_infinity, structure_constant
+from .characters import char_table, phi, spectral_sum
+from .class_algebra import (
+    DiagramSum,
+    _graded_pieces,
+    _structure_column,
+    mult_infinity,
+    structure_constant,
+)
 from .hurwitz import (
+    MAX_SERIES_ORDER,
     HurwitzSeries,
     _beta_key,
     _multi_indices,
@@ -88,6 +107,125 @@ MAX_ORACLE_DEGREE = 6
 #: 3.11), so an op stays under about 1.5 s; the diagrams with |delta| <= 3
 #: on all 272 monomials of degree <= 12 need at most 107,430.
 MAX_ORACLE_ACTIONS = 200_000
+
+
+# ---------------------------------------------------------------------------
+# Partitions, characters and products that only the checks read
+
+def class_size(delta: Partition) -> int:
+    """Number of permutations in S_n of cycle type delta, n = degree(delta)."""
+    return math.factorial(degree(delta)) // aut_order(delta)
+
+
+def conjugate(delta: Partition) -> Partition:
+    """Transposed diagram."""
+    if not delta:
+        return ()
+    return tuple(sum(1 for p in delta if p > i) for i in range(delta[0]))
+
+
+def table_entry(table, r: Partition, delta: Partition) -> int:
+    """chi_r(delta) read from a CharacterTable; r and delta must be
+    partitions of its n, parts decreasing."""
+    if tuple(r) not in table.rows:
+        raise table._unknown("shape", r)
+    return table.rows[tuple(r)][table.column(delta)]
+
+
+def character(r: Partition, delta: Partition) -> int:
+    """chi_R on the class of cycle type delta, read from the table of
+    S_|R|.  The parts of delta may come in any order; degrees must match,
+    and |R| above MAX_TABLE_DEGREE raises BoundError."""
+    r = as_partition(r)
+    delta = as_partition(sorted(delta, reverse=True))
+    if degree(r) != degree(delta):
+        raise ValueError(
+            "degree mismatch: |R|=%d, |Delta|=%d" % (degree(r), degree(delta))
+        )
+    return table_entry(char_table(degree(r)), r, delta)
+
+
+def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
+    """Product of two same-degree diagrams inside the degree-n class algebra."""
+    d1, d2 = as_partition(d1), as_partition(d2)
+    if degree(d2) != degree(d1):
+        raise ValueError("mult_same_degree requires equal degrees")
+    return DiagramSum(zip(char_table(degree(d1)).order, _structure_column(d1, d2)))
+
+
+def graded_piece(d1: Partition, d2: Partition, n: int) -> DiagramSum:
+    """Single graded piece {d1 d2}_n of the product."""
+    pieces = _graded_pieces(as_partition(d1), as_partition(d2))
+    return DiagramSum(pieces.get(n))
+
+
+def simple_hurwitz(n: int, m: int) -> dict:
+    """Disconnected m-transposition Hurwitz numbers of degree n: for each
+    diagram delta of degree n, the bracket <([2], m) | delta>, read from
+    the one spectral sum S_{[2]^m}(delta) / z_delta."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    if m > MAX_SERIES_ORDER:
+        raise BoundError("%d transpositions exceed bound %d" % (m, MAX_SERIES_ORDER))
+    column, q = spectral_sum(n, {(2,): m})
+    return {delta: Fraction(total, q * aut_order(delta))
+            for delta, total in zip(char_table(n).order, column)}
+
+
+def series_coefficient(series: HurwitzSeries, key) -> dict:
+    """The coefficient of the beta monomial indexed by key, as a term dict."""
+    return {mono: c for (k, mono), c in series.terms.items() if k == key}
+
+
+# ---------------------------------------------------------------------------
+# Polynomials in the power sums as term dicts {monomial: coefficient}: the
+# arithmetic of PPoly, which only the checks use.  Each function returns a
+# new dict without zero terms, and PPoly(terms) reads one.  The constant 1
+# is {(): 1} and p_k is {(k,): 1}.
+
+def poly_add(f, g) -> dict:
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_neg(f) -> dict:
+    return {m: -c for m, c in f.items()}
+
+
+def poly_sub(f, g) -> dict:
+    return poly_add(f, poly_neg(g))
+
+
+def poly_mul(f, g) -> dict:
+    """f * g, for a term dict or a number g."""
+    if not hasattr(g, "items"):
+        return {m: c * g for m, c in f.items() if c * g}
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            key = tuple(sorted(m1 + m2, reverse=True))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_diff(f, k: int) -> dict:
+    """Partial derivative with respect to p_k."""
+    out = {}
+    for mono, coef in f.items():
+        m = multiplicity(mono, k)
+        if m:
+            reduced = list(mono)
+            reduced.remove(k)
+            key = tuple(reduced)
+            out[key] = out.get(key, 0) + m * coef
+    return out
+
+
+def poly_max_degree(f) -> int:
+    """Graded degree of the highest monomial (0 for the zero polynomial)."""
+    return max(map(degree, f), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +423,12 @@ def complete_homogeneous(i: int) -> PPoly:
     if i < 0:
         return PPoly.zero()
     if i == 0:
-        return PPoly.one()
+        return PPoly({(): 1})
     # Newton recurrence: i*h_i = sum_{k=1..i} p_k h_{i-k}
-    acc = PPoly.zero()
+    acc = {}
     for k in range(1, i + 1):
-        acc = acc + PPoly.variable(k) * complete_homogeneous(i - k)
-    return acc * Fraction(1, i)
+        acc = poly_add(acc, poly_mul({(k,): 1}, complete_homogeneous(i - k).terms))
+    return PPoly(poly_mul(acc, Fraction(1, i)))
 
 
 def _perm_sign(perm) -> int:
@@ -305,16 +443,16 @@ def _perm_sign(perm) -> int:
 def jacobi_trudi(r: Partition) -> PPoly:
     """Schur function of r by the Jacobi-Trudi determinant."""
     l = len(r)
-    entries = [[complete_homogeneous(r[i] + j - i) for j in range(l)] for i in range(l)]
-    total = PPoly.zero()
+    entries = [[complete_homogeneous(r[i] + j - i).terms for j in range(l)] for i in range(l)]
+    total = {}
     for perm in itertools.permutations(range(l)):
-        prod = PPoly.one()
+        prod = {(): 1}
         for i in range(l):
-            prod = prod * entries[i][perm[i]]
-            if prod.is_zero():
+            prod = poly_mul(prod, entries[i][perm[i]])
+            if not prod:
                 break
-        total = total + prod * _perm_sign(perm)
-    return total
+        total = poly_add(total, poly_mul(prod, _perm_sign(perm)))
+    return PPoly(total)
 
 
 def _beta_numbers(shape: Partition):
@@ -423,10 +561,9 @@ def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
         # d/dbeta_Y picks the coefficient one order up, times its power
         up = {p: k for p, k in counts.items()}
         up[upsilon] = up.get(upsilon, 0) + 1
-        deriv = series.ppoly_at(_beta_key(up)) * up[upsilon]
-        applied = apply_explicit(upsilon, series.ppoly_at(key))
-        diff = deriv - applied
-        for c in diff.terms.values():
+        deriv = poly_mul(series_coefficient(series, _beta_key(up)), up[upsilon])
+        applied = apply_explicit(upsilon, PPoly(series_coefficient(series, key)))
+        for c in poly_sub(deriv, applied.terms).values():
             worst = max(worst, abs(c))
     return worst
 
@@ -514,14 +651,16 @@ def cut_and_join(f: PPoly) -> PPoly:
     (1/2) sum_{a,b} ((a+b) p_a p_b d/dp_{a+b} + a b p_{a+b} d2/dp_a dp_b),
     every index clipped at the graded degree of f: a derivative by a
     higher p_k annihilates f, and the operator preserves graded degree."""
-    d = f.max_degree()
-    acc = PPoly.zero()
+    f = f.terms
+    d = poly_max_degree(f)
+    acc = {}
     for a in range(1, d + 1):
         for b in range(1, d + 1):
             if a + b <= d:
-                acc = acc + PPoly({(a, b): Fraction(a + b, 2)}) * f.diff(a + b)
-            acc = acc + PPoly({(a + b,): Fraction(a * b, 2)}) * f.diff(a).diff(b)
-    return acc
+                acc = poly_add(acc, poly_mul({(a, b): Fraction(a + b, 2)}, poly_diff(f, a + b)))
+            acc = poly_add(acc, poly_mul({(a + b,): Fraction(a * b, 2)},
+                                         poly_diff(poly_diff(f, a), b)))
+    return PPoly(acc)
 
 
 def compose_check(d1: Partition, d2: Partition, f: PPoly):
@@ -529,9 +668,10 @@ def compose_check(d1: Partition, d2: Partition, f: PPoly):
     action and the second by the eigenvalues of the graded product, as
     sum_d c_d W(d) f over its terms c_d d; the two must agree exactly."""
     sequential = apply_explicit(d1, apply_explicit(d2, f))
-    combined = sum((apply_spectral(d, f) * c for d, c in mult_infinity(d1, d2).items()),
-                   PPoly.zero())
-    return sequential, combined
+    combined = {}
+    for d, c in mult_infinity(d1, d2).items():
+        combined = poly_add(combined, poly_mul(apply_spectral(d, f).terms, c))
+    return sequential, PPoly(combined)
 
 
 # ---------------------------------------------------------------------------
@@ -590,3 +730,15 @@ def selftest_suites(level: str, seed: int):
     ]
     ok = all(s["failures"] == 0 for s in suites)
     return {"level": level, "seed": seed, "suites": suites, "ok": ok}
+
+
+def cmd_selftest(args, check_degrees):
+    """The selftest command: the report, and a ConsistencyError to raise
+    after it when a suite failed."""
+    report = selftest_suites(args.level, args.seed)
+    lines = ["%s: %d cases, %d failures" % (s["name"], s["cases"], s["failures"])
+             for s in report["suites"]]
+    lines.append("selftest %s: %s" % (report["level"], "PASS" if report["ok"] else "FAIL"))
+    if report["ok"]:
+        return "\n".join(lines), report
+    return "\n".join(lines), report, ConsistencyError("selftest failures: see report")

@@ -6,6 +6,11 @@ Tuples are hashable and immutable, so they are used directly as dict keys
 throughout the package.  Every op loads this module; DiagramSum, the
 linear combinations of diagrams that only mult reads, lives in
 class_algebra.
+
+Rationals are read and printed as integer pairs: parse_ratio reads an
+optional sign, digits and an optional '/digits' into (numerator,
+denominator), and format_ratio prints a pair in lowest terms, so no
+reader or printer here loads the fractions module.
 """
 
 import math
@@ -40,7 +45,7 @@ def degree(delta: Partition) -> int:
 
 def multiplicity(delta: Partition, k: int) -> int:
     """Number of rows of length exactly k."""
-    return sum(1 for p in delta if p == k)
+    return delta.count(k)
 
 
 def aut_order(delta: Partition) -> int:
@@ -50,19 +55,10 @@ def aut_order(delta: Partition) -> int:
     delta, and the |Aut| weight used in the Hurwitz chain formulas.
     """
     z = 1
-    run = 1
-    for i, p in enumerate(delta):
-        if i + 1 < len(delta) and delta[i + 1] == p:
-            run += 1
-            continue
-        z *= math.factorial(run) * p ** run
-        run = 1
+    for k in set(delta):
+        m = delta.count(k)
+        z *= math.factorial(m) * k ** m
     return z
-
-
-def class_size(delta: Partition) -> int:
-    """Number of permutations in S_n of cycle type delta, n = degree(delta)."""
-    return math.factorial(degree(delta)) // aut_order(delta)
 
 
 def pad(delta: Partition, k: int) -> Partition:
@@ -92,13 +88,6 @@ def partitions_of(n: int) -> list:
 
     rec(n, n, [])
     return out
-
-
-def conjugate(delta: Partition) -> Partition:
-    """Transposed diagram."""
-    if not delta:
-        return ()
-    return tuple(sum(1 for p in delta if p > i) for i in range(delta[0]))
 
 
 def partition_sort_key(delta: Partition):
@@ -135,30 +124,37 @@ def format_partition(delta: Partition) -> str:
     return "[" + ",".join(str(p) for p in delta) + "]"
 
 
-def format_fraction(q) -> str:
-    """'n' or 'n/d' for an int or a Fraction q; a numerator or denominator
-    longer than the interpreter's int-to-string limit raises BoundError."""
+def format_ratio(numerator: int, denominator: int) -> str:
+    """numerator/denominator, denominator > 0, in lowest terms: 'n' or
+    'n/d'.  A numerator or denominator longer than the interpreter's
+    int-to-string limit raises BoundError."""
+    g = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
     try:
-        return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+        return str(numerator) if denominator == 1 else "%d/%d" % (numerator, denominator)
     except ValueError:
         raise BoundError("result has more digits than the limit of %d, "
                          "sys.get_int_max_str_digits()" % sys.get_int_max_str_digits()) from None
 
 
-def parse_fraction(text: str):
-    """Parse an optional sign, ASCII digits and an optional '/digits': an
-    int without the '/', else a Fraction, so that integer input never loads
-    the fractions module.  Anything else, an exponent or a decimal point
-    included, is refused before any arithmetic."""
+def format_fraction(q) -> str:
+    """format_ratio of an int or a Fraction q."""
+    return format_ratio(q.numerator, q.denominator)
+
+
+def parse_ratio(text: str) -> tuple:
+    """Parse an optional sign, ASCII digits and an optional '/digits' into
+    (numerator, denominator), the denominator positive and 1 without the
+    '/'.  Anything else, an exponent or a decimal point included, is
+    refused before any arithmetic, and so is a zero denominator."""
     unsigned = text[1:] if text[:1] in ("+", "-") else text
     numerator, slash, denominator = unsigned.partition("/")
-    if not (is_ascii_digits(numerator) and (not slash or is_ascii_digits(denominator))):
-        raise ParseError("malformed rational %r" % text, 0)
-    try:
-        if not slash:
-            return int(text)
-        from fractions import Fraction
+    if is_ascii_digits(numerator) and (not slash or is_ascii_digits(denominator)):
+        try:
+            num, den = int(numerator), int(denominator) if slash else 1
+        except ValueError:  # more digits than the int-to-string limit
+            den = 0
+        if den:
+            return (-num if text[:1] == "-" else num), den
+    raise ParseError("malformed rational %r" % text, 0)
 
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("malformed rational %r" % text, 0) from None

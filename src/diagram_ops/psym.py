@@ -2,7 +2,11 @@
 
 A monomial p_{l1} p_{l2} ... (l1 >= l2 >= ...) is keyed by its exponent
 partition (l1, l2, ...); its graded degree is l1 + l2 + ... (deg p_k = k).
-Coefficients are Fractions; zero terms are never stored.
+A PPoly holds integer numerators over one positive common denominator,
+in lowest terms, and never stores a zero numerator, so no op that only
+parses, converts and prints a polynomial loads the fractions module.
+Its arithmetic lives in diagram_ops.oracles, as functions on the
+Fraction-valued terms, because only the oracles and the tests use it.
 
 Schur functions are read from the character table; the bialternant and
 Jacobi-Trudi routes that check them live in diagram_ops.oracles, which
@@ -12,10 +16,12 @@ The operator W(delta) of a diagram has eigenvalue phi_R(delta) on schur(R),
 so apply_spectral is a Schur expansion read back through the one spectral
 sum (characters.spectral_sum); oracles checks it against apply_explicit,
 the partial-permutation action, which reads no character table.
+
+cmd_schur and cmd_wapply are the bodies of the schur and wapply commands.
 """
 
+import math
 import types
-from fractions import Fraction
 
 from .errors import BoundError, ParseError
 from .partitions import (
@@ -24,132 +30,86 @@ from .partitions import (
     as_partition,
     aut_order,
     degree,
-    format_fraction,
+    format_ratio,
     is_ascii_digits,
     multiplicity,
-    parse_fraction,
+    parse_partition,
+    parse_ratio,
 )
 from .characters import char_table, spectral_sum
 
 
-def _monomial_sort_key(mono: Partition):
-    """Canonical monomial order: by graded degree, then lexicographically
-    ascending on the exponent partition (so p1^3 precedes p3)."""
-    return (degree(mono), mono)
+def _from_ratios(ratios: list) -> "PPoly":
+    """The PPoly sum of the terms (monomial, numerator, denominator), each
+    denominator positive, over the denominators' least common multiple."""
+    q = math.lcm(*(den for _, _, den in ratios))
+    numerators = {}
+    for mono, num, den in ratios:
+        numerators[mono] = numerators.get(mono, 0) + num * (q // den)
+    g = math.gcd(q, *numerators.values())
+    f = object.__new__(PPoly)
+    f.numerators = types.MappingProxyType({m: c // g for m, c in numerators.items() if c})
+    f.denominator = q // g
+    return f
 
 
 class PPoly:
-    """Sparse exact polynomial in the variables p_1, p_2, ...; terms is
-    read-only, so a PPoly is a value that can be passed and kept without
-    copying."""
+    """Sparse exact polynomial in the variables p_1, p_2, ...: the
+    coefficient of the monomial m is numerators[m] / denominator, and
+    numerators is a read-only mapping, so a PPoly is a value that can be
+    passed and kept without copying.  PPoly(terms) takes int or Fraction
+    coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("numerators", "denominator")
 
-    def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for mono, coef in (terms.items() if hasattr(terms, "items") else terms):
-                key = tuple(sorted(mono, reverse=True))
-                d[key] = d.get(key, Fraction(0)) + Fraction(coef)
-        self.terms = types.MappingProxyType({m: c for m, c in d.items() if c})
+    def __new__(cls, terms=None):
+        pairs = terms.items() if hasattr(terms, "items") else terms or ()
+        return _from_ratios([(tuple(sorted(mono, reverse=True)), c.numerator, c.denominator)
+                             for mono, c in pairs])
 
     @classmethod
     def zero(cls):
         return cls()
 
-    @classmethod
-    def one(cls):
-        return cls({(): Fraction(1)})
+    @property
+    def terms(self):
+        """The coefficients as a read-only {monomial: Fraction}, built on
+        each call, for the oracles and the tests."""
+        from fractions import Fraction
 
-    @classmethod
-    def variable(cls, k: int):
-        """The single power sum p_k."""
-        if k < 1:
-            raise ValueError("power-sum index must be >= 1")
-        return cls({(k,): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_degree(self) -> int:
-        """Graded degree of the highest stored monomial (0 for the zero poly)."""
-        return max((degree(m) for m in self.terms), default=0)
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))
+        q = self.denominator
+        return types.MappingProxyType({m: Fraction(c, q) for m, c in self.numerators.items()})
 
     def homogeneous_degrees(self):
-        return sorted({degree(m) for m in self.terms})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PPoly({(): Fraction(other)})
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return PPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PPoly({(): Fraction(other)})
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return PPoly({m: c * v for m, v in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(sorted(m1 + m2, reverse=True))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return PPoly(out)
-
-    __rmul__ = __mul__
+        return sorted({degree(m) for m in self.numerators})
 
     def __eq__(self, other):
-        return isinstance(other, PPoly) and self.terms == other.terms
+        return isinstance(other, PPoly) and (self.numerators, self.denominator) == (
+            other.numerators, other.denominator)
 
     def __repr__(self):
         return "PPoly(%s)" % self.to_text()
 
-    def diff(self, k: int) -> "PPoly":
-        """Partial derivative with respect to p_k."""
-        out = {}
-        for mono, coef in self.terms.items():
-            m = multiplicity(mono, k)
-            if not m:
-                continue
-            reduced = list(mono)
-            reduced.remove(k)
-            key = tuple(reduced)
-            out[key] = out.get(key, Fraction(0)) + m * coef
-        return PPoly(out)
+    def _coefficients(self):
+        """(monomial, coefficient text) by graded degree, then ascending on
+        the exponent partition (so p1^3 precedes p3)."""
+        return [(m, format_ratio(self.numerators[m], self.denominator))
+                for m in sorted(self.numerators, key=lambda m: (degree(m), m))]
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.numerators:
             return "0"
         chunks = []
-        for mono, coef in self.items():
-            factors = []
+        for mono, coef in self._coefficients():
+            factors = [coef]
             for k in sorted(set(mono)):
                 m = multiplicity(mono, k)
                 factors.append("p%d" % k if m == 1 else "p%d^%d" % (k, m))
-            body = "*".join(factors)
-            chunks.append(format_fraction(coef) + ("*" + body if body else ""))
+            chunks.append("*".join(factors))
         return " + ".join(chunks)
 
     def to_json_obj(self):
-        return {
-            "terms": [
-                {"mono": list(m), "coef": format_fraction(c)} for m, c in self.items()
-            ],
-        }
+        return {"terms": [{"mono": list(m), "coef": c} for m, c in self._coefficients()]}
 
 
 def parse_ppoly(text: str) -> PPoly:
@@ -163,7 +123,7 @@ def parse_ppoly(text: str) -> PPoly:
     terms = []
     for chunk in s.split(" + "):
         factors = chunk.strip().split("*")
-        coef = Fraction(1)
+        num, den = 1, 1
         mono = []
         for i, factor in enumerate(factors):
             if factor.startswith("p"):
@@ -178,11 +138,11 @@ def parse_ppoly(text: str) -> PPoly:
                                      % (factor, k * m, MAX_ENUM_DEGREE))
                 mono.extend([k] * m)
             elif i == 0:
-                coef = parse_fraction(factor)
+                num, den = parse_ratio(factor)
             else:
                 raise ParseError("coefficient %r must come first" % factor, 0)
-        terms.append((tuple(mono), coef))
-    return PPoly(terms)
+        terms.append((tuple(sorted(mono, reverse=True)), num, den))
+    return _from_ratios(terms)
 
 
 def schur(r: Partition) -> PPoly:
@@ -191,38 +151,60 @@ def schur(r: Partition) -> PPoly:
     return from_schur({tuple(r): 1})
 
 
-def schur_expand(f: PPoly) -> dict:
-    """Coefficients c_R with f = sum_R c_R * schur(R), computed gradewise
-    from p_delta = sum_R chi_R(delta) schur(R)."""
+def schur_expand(f: PPoly) -> tuple:
+    """(numerators, q) with f = sum_R (numerators[R] / q) schur(R), from
+    p_delta = sum_R chi_R(delta) schur(R): per degree, one integer
+    combination of the table's columns, over the one denominator q of f."""
     out = {}
     for n in f.homogeneous_degrees():
         table = char_table(n)
-        piece = [(table.column(m), c) for m, c in f.terms.items() if degree(m) == n]
+        piece = [(table.column(m), c) for m, c in f.numerators.items() if degree(m) == n]
         for r, row in table.rows.items():
-            c = sum(coef * row[j] for j, coef in piece)
+            c = sum(num * row[j] for j, num in piece)
             if c:
                 out[r] = c
-    return out
+    return out, f.denominator
 
 
-def from_schur(coeffs: dict, powers=()) -> PPoly:
-    """sum_R c_R prod_Y phi_R(Y)^k_Y schur(R) for powers {Y: k_Y}; with
-    no powers, the inverse of schur_expand.  Per degree the p_mu
-    coefficients are one spectral sum with weights c_R, over its common
-    denominator q, divided by q z_mu."""
+def from_schur(coeffs: dict, q: int = 1, powers=()) -> PPoly:
+    """sum_R (c_R / q) prod_Y phi_R(Y)^k_Y schur(R) for int or Fraction
+    c_R and powers {Y: k_Y}; with no powers, from_schur(*schur_expand(f))
+    is f.  Per degree the p_mu coefficients are one spectral sum with
+    weights c_R, over its common denominator q_n, divided by q q_n z_mu."""
     by_degree = {}
     for r, c in coeffs.items():
-        by_degree.setdefault(degree(r), {})[tuple(r)] = Fraction(c)
-    terms = {}
+        by_degree.setdefault(degree(r), {})[tuple(r)] = c
+    ratios = []
     for n, cs in by_degree.items():
-        column, q = spectral_sum(n, dict(powers), cs)
-        for mu, total in zip(char_table(n).order, column):
-            if total:
-                terms[mu] = Fraction(total, q * aut_order(mu))
-    return PPoly(terms)
+        column, q_n = spectral_sum(n, dict(powers), cs)
+        ratios += [(mu, total, q * q_n * aut_order(mu))
+                   for mu, total in zip(char_table(n).order, column) if total]
+    return _from_ratios(ratios)
 
 
 def apply_spectral(delta: Partition, f: PPoly) -> PPoly:
-    """Apply the operator W(delta) of a diagram, from_schur(schur_expand(f),
-    {delta: 1})."""
-    return from_schur(schur_expand(f), {as_partition(delta): 1})
+    """Apply the operator W(delta) of a diagram, from_schur of
+    schur_expand(f) with powers {delta: 1}."""
+    return from_schur(*schur_expand(f), {as_partition(delta): 1})
+
+
+def cmd_schur(args, check_degrees):
+    """The schur command: schur(R) in power sums."""
+    r = parse_partition(args.r)
+    check_degrees([degree(r)])
+    f = schur(r)
+    return f.to_text(), f.to_json_obj()
+
+
+def cmd_wapply(args, check_degrees):
+    """The wapply command: W(delta) f, spectrally or, with --explicit, by
+    the partial-permutation action of diagram_ops.oracles."""
+    delta = parse_partition(args.delta)
+    f = parse_ppoly(args.poly)
+    check_degrees([degree(delta)] + f.homogeneous_degrees())
+    if args.explicit:
+        from .oracles import apply_explicit as apply_operator
+    else:
+        apply_operator = apply_spectral
+    result = apply_operator(delta, f)
+    return result.to_text(), result.to_json_obj()

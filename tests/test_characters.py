@@ -9,23 +9,31 @@ from fractions import Fraction
 from diagram_ops import characters
 from diagram_ops.errors import BoundError, ConsistencyError
 from diagram_ops.characters import (
+    MAX_TABLE_DEGREE,
     CharacterTable,
     char_table,
-    character,
     phi,
     phi_column,
     spectral_sum,
 )
 from diagram_ops.partitions import (
     aut_order,
-    class_size,
-    conjugate,
     degree,
     multiplicity,
     pad,
     partitions_of,
 )
-from diagram_ops.oracles import check_orthogonality, d_r, d_r_product, dimension, mn_character
+from diagram_ops.oracles import (
+    character,
+    check_orthogonality,
+    class_size,
+    conjugate,
+    d_r,
+    d_r_product,
+    dimension,
+    mn_character,
+    table_entry,
+)
 
 # Explicit matrix models of the irreducible representations of S_3,
 # indexed by class representatives, used as a from-scratch oracle.
@@ -116,7 +124,7 @@ def test_row_and_column_orthogonality():
         parts = table.order
         for a in parts:
             for b in parts:
-                s = sum(table.entry(r, a) * table.entry(r, b) for r in parts)
+                s = sum(table_entry(table, r, a) * table_entry(table, r, b) for r in parts)
                 expected = math.factorial(n) // class_size(a) if a == b else 0
                 assert s == expected
     t3 = char_table(3)
@@ -164,9 +172,9 @@ def test_char_table_small():
     t3 = char_table(3)
     assert t3.order == ((3,), (2, 1), (1, 1, 1))
     for r, row in S3_ORACLE.items():
-        assert t3.entry(r, (1, 1, 1)) == row[(1, 1, 1)]
-        assert t3.entry(r, (2, 1)) == row[(2, 1)]
-        assert t3.entry(r, (3,)) == row[(3,)]
+        assert table_entry(t3, r, (1, 1, 1)) == row[(1, 1, 1)]
+        assert table_entry(t3, r, (2, 1)) == row[(2, 1)]
+        assert table_entry(t3, r, (3,)) == row[(3,)]
 
 
 def test_char_table_matches_mn_recursion():
@@ -185,7 +193,7 @@ def test_tables_do_not_depend_on_build_order():
     Murnaghan-Nakayama recursion."""
     built = []
     for degrees in (range(12, 6, -1), range(7, 13)):
-        characters._build_table.cache_clear()
+        characters.char_table.cache_clear()
         characters._strip_column.cache_clear()
         built.append({n: dict(char_table(n).rows) for n in degrees})
     assert built[0] == built[1]
@@ -202,6 +210,21 @@ def test_char_table_bound():
         char_table(13)
 
 
+def test_no_table_above_the_bead_count():
+    # shapes sit on MAX_TABLE_DEGREE beads, so a table of S_13 would be
+    # wrong (the shape [1^13] has no mask); the bound is checked inside the
+    # memo, so neither the memo nor the function under it builds one, and
+    # no other builder is left to call
+    for build in (char_table, char_table.__wrapped__):
+        with pytest.raises(BoundError, match="char_table\\(13\\) exceeds bound 12"):
+            build(MAX_TABLE_DEGREE + 1)
+    assert not hasattr(characters, "_build_table")
+    with pytest.raises(BoundError):
+        spectral_sum(13, {})
+    with pytest.raises(BoundError):
+        phi_column(13, (2,))
+
+
 def test_char_table_is_shared_and_read_only():
     t = char_table(4)
     assert char_table(4) is t
@@ -211,14 +234,14 @@ def test_char_table_is_shared_and_read_only():
         t.rows[(4,)][0] = 7
     with pytest.raises(TypeError):
         t.order[0] = (1, 1, 1, 1)
-    assert t.entry((4,), (4,)) == 1
+    assert table_entry(t, (4,), (4,)) == 1
     assert list(t.rows[(4,)]) == [1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("lookup, message", [
-    (lambda t: t.entry((2, 1), (1, 2)), "[1,2] is not a class of S_3"),
-    (lambda t: t.entry((2, 1), (2,)), "[2] is not a class of S_3"),
-    (lambda t: t.entry((1, 2), (2, 1)), "[1,2] is not a shape of S_3"),
+    (lambda t: table_entry(t, (2, 1), (1, 2)), "[1,2] is not a class of S_3"),
+    (lambda t: table_entry(t, (2, 1), (2,)), "[2] is not a class of S_3"),
+    (lambda t: table_entry(t, (1, 2), (2, 1)), "[1,2] is not a shape of S_3"),
     (lambda t: t.column((1, 2)), "[1,2] is not a class of S_3"),
     (lambda t: spectral_sum(t.n, {}, {(3,): 1, (1, 2): 0}), "[1,2] is not a shape of S_3"),
     (lambda t: spectral_sum(t.n, {}, {(2,): 1}), "[2] is not a shape of S_3"),

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import diagram_ops
 
 from diagram_ops import characters, oracles
-from diagram_ops.class_algebra import mult_same_degree
-from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, main, to_json
+from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, _is_negative_number, main, to_json
 from diagram_ops.errors import ConsistencyError
+from diagram_ops.oracles import mult_same_degree
 
 
 def run(capsys, *argv):
@@ -137,14 +137,22 @@ def test_selftest_quick_deterministic(capsys):
     assert all(s["failures"] == 0 for s in report["suites"])
 
 
+def install_s4_table(monkeypatch, r, cls, value):
+    """Bind, wherever the package holds char_table, one that gives the
+    table of S_4 with chi_r(cls) = value(chi_r(cls))."""
+    real = characters.char_table
+    table = real(4)
+    rows = {s: list(row) for s, row in table.rows.items()}
+    rows[r][table.column(cls)] = value(rows[r][table.column(cls)])
+    broken = characters.CharacterTable(4, table.order, rows)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diagram_ops") and getattr(module, "char_table", None) is real:
+            monkeypatch.setattr(module, "char_table", lambda n: broken if n == 4 else real(n))
+
+
 def test_consistency_error_exits_4(capsys, monkeypatch):
     # the table of S_4 with chi_[2,1,1]([2,2]) negated
-    real = characters._build_table
-    table = real(4)
-    rows = {r: list(row) for r, row in table.rows.items()}
-    rows[(2, 1, 1)][table.column((2, 2))] *= -1
-    broken = characters.CharacterTable(4, table.order, rows)
-    monkeypatch.setattr(characters, "_build_table", lambda n: broken if n == 4 else real(n))
+    install_s4_table(monkeypatch, (2, 1, 1), (2, 2), lambda x: -x)
     message = "non-integral structure constant 9/4 for ((2, 2), (2, 2), (2, 2))"
     with pytest.raises(ConsistencyError, match=re.escape(message)):
         mult_same_degree((2, 2), (2, 2))
@@ -157,12 +165,7 @@ def test_consistency_error_exits_4(capsys, monkeypatch):
 
 def test_non_integral_phi_exits_4(capsys, monkeypatch):
     # the table of S_4 with chi_[2,2]([2,2]) = 1, not 2: phi_[2,2]([2,2]) = 12/8
-    real = characters._build_table
-    table = real(4)
-    rows = {r: list(row) for r, row in table.rows.items()}
-    rows[(2, 2)][table.column((2, 2))] = 1
-    broken = characters.CharacterTable(4, table.order, rows)
-    monkeypatch.setattr(characters, "_build_table", lambda n: broken if n == 4 else real(n))
+    install_s4_table(monkeypatch, (2, 2), (2, 2), lambda x: 1)
     message = "non-integral phi for (2, 2) at degree 4"
     with pytest.raises(ConsistencyError, match=re.escape(message)):
         characters.phi((2, 2), (2, 2))
@@ -245,31 +248,45 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
     submodules = ["diagram_ops." + f[:-3] for f in sorted(os.listdir(package))
                   if f.endswith(".py") and f != "__init__.py"]
     later = ["diagram_ops." + m for m in ("psym", "hurwitz", "oracles")]
-    parser = ["argparse", "gettext", "json", "locale"]
+    # no op parses argv with argparse or writes JSON with json, and only -h,
+    # --help and usage errors build usage
+    parser = ["argparse", "gettext", "json", "locale", "diagram_ops.usage"]
     no_algebra = ["diagram_ops.class_algebra"] + parser
-    # integer input never needs a Fraction, which loads decimal and numbers
-    no_fractions = ["fractions", "decimal", "numbers"]
+    # integer input never needs a Fraction, which loads decimal, numbers and
+    # re, and an operators op never does
+    no_fractions = ["fractions", "decimal", "numbers", "re"]
+    no_tables = ["diagram_ops.table_commands"]
     run_cli = "from diagram_ops.cli import main; main(sys.argv[1:]); "
     cases = [
         ("import diagram_ops.cli; ", [],
          ["diagram_ops.oracles", "dataclasses", "inspect", "__future__"] + parser),
-        (run_cli, ["--json", "mult", "[2]", "[2]"], later + parser + no_fractions),
+        (run_cli, ["--json", "mult", "[2]", "[2]"], later + parser + no_fractions + no_tables),
         (run_cli, ["mult", "[4,3]", "[2,2,1]"], later + parser + no_fractions),
         (run_cli, ["chartable", "3"], later + no_algebra + no_fractions),
         (run_cli, ["eigenvalue", "[2]", "[3]"], later + no_algebra + no_fractions),
         (run_cli, ["schur", "[2,1]"], later[1:] + no_algebra),
-        (run_cli, ["wapply", "[2]", "1*p2"], later[1:] + no_algebra),
-        (run_cli, ["hurwitz", "[2]", "[2]"], later[:1] + no_algebra),
+        (run_cli, ["schur", "[3,1,1]"], later[1:] + no_algebra + no_fractions + no_tables),
+        (run_cli, ["--json", "schur", "[3,1,1]"], later[1:] + no_algebra + no_fractions),
+        (run_cli, ["wapply", "[2]", "1*p2"], later[1:] + no_algebra + no_fractions),
+        (run_cli, ["wapply", "[2]", "1/2*p2 + 3*p1^2"],
+         later[1:] + no_algebra + no_fractions + no_tables),
+        (run_cli, ["--json", "wapply", "[3,2]", "-7/12*p3*p2 + 5/4*p1^5"],
+         later[1:] + no_algebra + no_fractions),
+        (run_cli, ["hurwitz", "[2]", "[2]"], later[:1] + no_algebra + no_tables),
         (run_cli, ["evolve", "[2]"], later[:1] + no_algebra),
+        (run_cli, ["selftest"], ["json", "argparse", "diagram_ops.usage"]),
         ("import diagram_ops; ", [], submodules + ["json"]),
         ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [],
          ["json"]),
     ]
     env = dict(os.environ, PYTHONPATH=SRC)
     for code, argv, absent in cases:
-        code = "import sys; %sprint([m for m in %r if m in sys.modules], file=sys.stderr)" % (
-            code, absent)
-        proc = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
+        # the package compiles no regular expression: re comes only with fractions
+        code = ("import sys; %sprint([m for m in %r if m in sys.modules]"
+                " + ['re'] * ('re' in sys.modules and 'fractions' not in sys.modules),"
+                " file=sys.stderr)" % (code, absent))
+        # -S: the site hooks of some installs import re themselves
+        proc = subprocess.run([sys.executable, "-S", "-c", code] + argv, capture_output=True,
                               text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "[]\n"), (code, argv, proc.stderr)
 
@@ -337,10 +354,25 @@ def test_to_json_matches_json_dumps(value):
 
 def test_package_has_no_other_attributes():
     for name in ("compose_check", "pde_residual", "rho", "kappa", "exp_p1", "p_monomial",
-                 "no_such_name"):
+                 "character", "class_size", "conjugate", "graded_piece", "mult_same_degree",
+                 "simple_hurwitz", "parse_fraction", "no_such_name"):
         assert name not in diagram_ops.__all__
         with pytest.raises(AttributeError):
             getattr(diagram_ops, name)
+
+
+# The pattern _is_option was written with, kept as the oracle of its
+# str-method check: \d is any Unicode decimal digit, and $ also matches
+# before one final newline.
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+TOKEN_CHARS = st.sampled_from("-.0123456789\u0663\uff11\u00b2 \n\tx")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.one_of(st.text(TOKEN_CHARS, max_size=6),
+                 st.text(TOKEN_CHARS, max_size=6).map(lambda t: "-" + t)))
+def test_negative_number_matches_its_regular_expression(token):
+    assert bool(_is_negative_number(token)) == bool(NEGATIVE_NUMBER.match(token)), token
 
 
 @pytest.mark.parametrize("argv", [

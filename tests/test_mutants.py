@@ -22,19 +22,22 @@ from fractions import Fraction
 
 import pytest
 
-from diagram_ops import characters, class_algebra, psym
+from diagram_ops import characters, class_algebra, partitions, psym
 from diagram_ops.errors import ConsistencyError
 from diagram_ops.oracles import (
+    character,
     connected_series,
     hurwitz_genus0,
     jacobi_trudi,
     oracle_mult_infinity,
+    poly_add,
+    poly_mul,
     selftest_suites,
 )
 from diagram_ops.partitions import partitions_of
 
 SEED = 20101146
-_BUILD_TABLE = characters._build_table
+_CHAR_TABLE = characters.char_table
 
 
 def quick_selftest() -> str:
@@ -51,8 +54,32 @@ def from_schur_vs_jacobi_trudi() -> str:
     """from_schur of coefficients with unequal denominators against the
     same sum of Jacobi-Trudi determinants."""
     coeffs = {(3,): Fraction(1, 2), (2, 1): Fraction(-2, 3), (1, 1, 1): 1}
-    expected = sum((jacobi_trudi(r) * c for r, c in coeffs.items()), psym.PPoly.zero())
-    return "" if psym.from_schur(coeffs) == expected else "from_schur_vs_jacobi_trudi"
+    expected = {}
+    for r, c in coeffs.items():
+        expected = poly_add(expected, poly_mul(jacobi_trudi(r).terms, c))
+    return "" if psym.from_schur(coeffs) == psym.PPoly(expected) else "from_schur_vs_jacobi_trudi"
+
+
+def schur_expand_vs_characters() -> str:
+    """schur_expand of a polynomial with unequal denominators in several
+    degrees against c_R = sum_mu f_mu chi_R(mu), summed in Fractions from
+    the coefficients as given."""
+    terms = {(2,): Fraction(1, 2), (1, 1): Fraction(-2, 3), (3,): Fraction(3, 4),
+             (2, 1): Fraction(5, 6), (1, 1, 1): 1}
+    numerators, q = psym.schur_expand(psym.PPoly(terms))
+    got = {r: Fraction(c, q) for r, c in numerators.items()}
+    expected = {r: sum(c * character(r, mu) for mu, c in terms.items() if sum(mu) == sum(r))
+                for n in (2, 3) for r in partitions_of(n)}
+    return "" if got == {r: c for r, c in expected.items() if c} else "schur_expand_vs_characters"
+
+
+def printer_vs_fractions() -> str:
+    """The printed coefficients of a few polynomials against str(Fraction),
+    which reduces without the package's printer."""
+    polys = [psym.parse_ppoly("2/3*p2 + -4/9*p1^2 + 6*p1"), psym.schur((3, 1)),
+             psym.apply_spectral((2,), psym.parse_ppoly("2/3*p3 + 5/6*p2*p1"))]
+    bad = [(m, text) for f in polys for m, text in f._coefficients() if text != str(f.terms[m])]
+    return "printer_vs_fractions at %s" % bad if bad else ""
 
 
 def mult_infinity_vs_oracle() -> str:
@@ -88,17 +115,17 @@ def source_mutant(module, name, old, new):
 
 
 def table_entry_mutant(n, r, cls):
-    table = _BUILD_TABLE(n)
+    table = _CHAR_TABLE(n)
     rows = {s: list(row) for s, row in table.rows.items()}
     assert rows[r][table.column(cls)], "negating a zero entry changes nothing"
     rows[r][table.column(cls)] *= -1
     broken = characters.CharacterTable(n, table.order, rows)
-    return characters, "_build_table", lambda k: broken if k == n else _BUILD_TABLE(k)
+    return characters, "char_table", lambda k: broken if k == n else _CHAR_TABLE(k)
 
 
 def clear_tables():
     """Empty both memos, so that the next table is built afresh."""
-    _BUILD_TABLE.cache_clear()
+    _CHAR_TABLE.cache_clear()
     characters._strip_column.cache_clear()
 
 
@@ -156,6 +183,13 @@ MUTANTS = [
      lambda: source_mutant(characters, "phi_column", "return [x // q for x in nums]",
                            "return [x // q + (n == 11 and i == 0) for i, x in enumerate(nums)]"),
      lambda: closed_form_genus0(11), r"closed_form_genus0 at \[\(11,\)"),
+    ("PPoly's common denominator the largest, not the lcm",
+     lambda: source_mutant(psym, "_from_ratios", "math.lcm(", "max("),
+     schur_expand_vs_characters, "schur_expand_vs_characters"),
+    ("format_ratio reducing by a wrong gcd",
+     lambda: source_mutant(partitions, "format_ratio", "math.gcd(numerator, denominator)",
+                           "math.gcd(numerator, 2 * denominator)"),
+     printer_vs_fractions, r"printer_vs_fractions at .*\(2,\)"),
     ("S_4 table with chi_[3,1]([2,2]) negated",
      lambda: table_entry_mutant(4, (3, 1), (2, 2)),
      quick_selftest, "non-integral structure constant"),
@@ -168,6 +202,8 @@ MUTANTS = [
 def test_checks_pass_without_mutants():
     assert quick_selftest() == ""
     assert from_schur_vs_jacobi_trudi() == ""
+    assert schur_expand_vs_characters() == ""
+    assert printer_vs_fractions() == ""
     assert mult_infinity_vs_oracle() == ""
     assert closed_form_genus0(11) == ""
 

@@ -7,21 +7,18 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from diagram_ops.errors import BoundError, ParseError
-from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum, rho_term
+from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum, parse_fraction, rho_term
 from diagram_ops.partitions import (
     as_partition,
     aut_order,
-    class_size,
-    conjugate,
     degree,
     format_partition,
     multiplicity,
     pad,
-    parse_fraction,
     parse_partition,
     partitions_of,
 )
-from diagram_ops.oracles import cycle_type
+from diagram_ops.oracles import class_size, conjugate, cycle_type
 
 
 def partition_count(n):
