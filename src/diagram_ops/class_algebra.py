@@ -1,9 +1,9 @@
 """Center of the group algebra of S_n and the graded product of diagrams.
 
-DiagramSum is a finitely supported map partition -> int or Fraction,
-covering linear combinations of diagrams of possibly mixed degrees; it
-lives here because only mult reads and prints one.  Integer coefficients
-stay ints, so a product of integer sums never loads the fractions module.
+DiagramSum is a linear combination of diagrams of possibly mixed
+degrees, held as PPoly holds a polynomial: integer numerators over one
+denominator, from partitions.ratio_sum, so mult loads no fractions
+module.  It lives here because only mult reads and prints one.
 
 _structure_column reads every structure constant of a product of two class
 sums as one spectral sum (characters.spectral_sum) over the character
@@ -31,71 +31,74 @@ from .partitions import (
     Partition,
     as_partition,
     degree,
-    format_fraction,
     format_partition,
+    format_ratio,
     multiplicity,
     pad,
     parse_partition,
     parse_ratio,
     partition_sort_key,
+    ratio_sum,
 )
 from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
 
 
-class DiagramSum:
-    """Finitely supported rational linear combination of partitions.
+def _diagram_sum(ratios: list) -> "DiagramSum":
+    """The DiagramSum of the terms (partition, numerator, denominator)."""
+    s = object.__new__(DiagramSum)
+    numerators, s.denominator = ratio_sum(ratios)
+    s.numerators = types.MappingProxyType(numerators)
+    return s
 
-    Immutable, with read-only terms, so a sum can be passed and kept
-    without copying; zero terms are never stored.  An int coefficient is
-    kept as it is and any other becomes Fraction(coef), so floats and
-    strings are read exactly.
+
+class DiagramSum:
+    """Finitely supported rational linear combination of partitions: the
+    coefficient of the partition p is numerators[p] / denominator, as in
+    PPoly.  Immutable, with read-only numerators, so a sum can be passed
+    and kept without copying; zero terms are never stored.
+    DiagramSum(terms) takes int or Fraction coefficients.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("numerators", "denominator")
 
-    def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for part, coef in (terms.items() if hasattr(terms, "items") else terms):
-                if type(coef) is int:
-                    c = coef
-                else:
-                    from fractions import Fraction
-
-                    c = Fraction(coef)
-                if c:
-                    key = as_partition(part)
-                    d[key] = d.get(key, 0) + c
-        self._terms = types.MappingProxyType({p: c for p, c in d.items() if c})
+    def __new__(cls, terms=None):
+        pairs = terms.items() if hasattr(terms, "items") else terms or ()
+        return _diagram_sum([(as_partition(p), c.numerator, c.denominator) for p, c in pairs])
 
     @classmethod
     def zero(cls):
         return cls()
 
+    def _sorted(self):
+        """The partitions in canonical order (degree, then reverse-lex)."""
+        return sorted(self.numerators, key=partition_sort_key)
+
     def items(self):
-        """Terms in canonical order (degree, then reverse-lex)."""
-        return sorted(self._terms.items(), key=lambda kv: partition_sort_key(kv[0]))
+        """(partition, Fraction) in canonical order, built on each call, for
+        the oracles and the tests."""
+        from fractions import Fraction
+
+        return [(p, Fraction(self.numerators[p], self.denominator)) for p in self._sorted()]
 
     def degrees(self):
-        return sorted({degree(p) for p in self._terms})
+        return sorted({degree(p) for p in self.numerators})
 
     def __eq__(self, other):
-        return isinstance(other, DiagramSum) and self._terms == other._terms
+        return isinstance(other, DiagramSum) and (self.numerators, self.denominator) == (
+            other.numerators, other.denominator)
 
     def __repr__(self):
         return "DiagramSum(%s)" % self.to_text()
 
     def to_text(self) -> str:
-        if not self._terms:
+        if not self.numerators:
             return "0"
-        return " + ".join(
-            "%s*%s" % (format_fraction(c), format_partition(p)) for p, c in self.items()
-        )
+        return " + ".join("%s*%s" % (format_ratio(self.numerators[p], self.denominator),
+                                     format_partition(p)) for p in self._sorted())
 
     def to_json_obj(self):
-        return [
-            {"coef": format_fraction(c), "partition": list(p)} for p, c in self.items()
-        ]
+        return [{"coef": format_ratio(self.numerators[p], self.denominator),
+                 "partition": list(p)} for p in self._sorted()]
 
 
 def rho_term(delta: Partition, k: int):
@@ -105,17 +108,6 @@ def rho_term(delta: Partition, k: int):
     if k < 0:
         raise ValueError("k must be nonnegative")
     return pad(delta, k), math.comb(multiplicity(delta, 1) + k, k)
-
-
-def parse_fraction(text: str):
-    """parse_ratio as a number: an int without the '/', else a Fraction,
-    so that integer input never loads the fractions module."""
-    num, den = parse_ratio(text)
-    if "/" not in text:
-        return num
-    from fractions import Fraction
-
-    return Fraction(num, den)
 
 
 def parse_diagram_sum(text: str) -> DiagramSum:
@@ -133,11 +125,11 @@ def parse_diagram_sum(text: str) -> DiagramSum:
         chunk = chunk.strip()
         if "*" in chunk:
             coef_text, _, part_text = chunk.partition("*")
-            coef = parse_fraction(coef_text)
+            num, den = parse_ratio(coef_text)
         else:
-            coef, part_text = 1, chunk
-        terms.append((parse_partition(part_text), coef))
-    return DiagramSum(terms)
+            num, den, part_text = 1, 1, chunk
+        terms.append((parse_partition(part_text), num, den))
+    return _diagram_sum(terms)
 
 
 def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
@@ -163,11 +155,9 @@ def _structure_column(d1: Partition, d2: Partition) -> tuple:
     for d, total in zip(char_table(n).order, column):
         value, remainder = divmod(total, q)
         if remainder or value < 0:
-            from fractions import Fraction
-
             raise ConsistencyError(
                 "non-integral structure constant %s for (%s, %s, %s)"
-                % (Fraction(total, q), d1, d2, d)
+                % (format_ratio(total, q), d1, d2, d)
             )
         out.append(value)
     return tuple(out)
@@ -204,15 +194,17 @@ def mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
 
 
 def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
-    """Bilinear extension of mult_infinity to diagram sums."""
+    """Bilinear extension of mult_infinity to diagram sums: the products of
+    the numerators, over the product of the denominators."""
     out = {}
-    for p, cp in a.items():
-        for q, cq in b.items():
+    for p, cp in a.numerators.items():
+        for q, cq in b.numerators.items():
             weight = cp * cq
             for piece in _graded_pieces(p, q).values():
                 for d, c in piece.items():
                     out[d] = out.get(d, 0) + weight * c
-    return DiagramSum(out)
+    den = a.denominator * b.denominator
+    return _diagram_sum([(d, c, den) for d, c in out.items()])
 
 
 def cmd_mult(args, check_degrees):

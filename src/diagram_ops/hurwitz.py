@@ -7,14 +7,16 @@ eigenvalues phi:
     <C_1,...,C_k> = S_{C_1...C_k-1}(C_k) / z_{C_k},
 
 one sum over the irreducibles for every k >= 1.  A padded bracket is the
-same sum with phi read at the degree of the last class.  Every value is
+same sum with phi read at the degree of the last class, returned as
+(numerator, denominator) in lowest terms.  Every value is
 cross-checked, in the tests and selftest, against the literal
 permutation-tuple count diagram_ops.oracles.oracle_tuple_count; nothing
 here imports that module.
 
 The generating function Z collects the padded brackets against the plain
 power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
-(n_1, ..., n_k) carries the usual 1/(n_1! ... n_k!) factor.
+(n_1, ..., n_k) carries the usual 1/(n_1! ... n_k!) factor, and is a
+polynomial in the p_k, kept as partitions.ratio_sum returns it.
 
 cmd_hurwitz and cmd_evolve are the bodies of the hurwitz and evolve
 commands.
@@ -22,18 +24,18 @@ commands.
 
 import collections
 import math
-from fractions import Fraction
 
 from .errors import BoundError, ParseError
 from .partitions import (
     as_partition,
     aut_order,
     degree,
-    format_fraction,
     format_partition,
+    format_ratio,
     parse_partition,
     partition_sort_key,
     partitions_of,
+    ratio_sum,
 )
 from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
 
@@ -51,10 +53,11 @@ MAX_SERIES_PAIRS = 100_000
 MAX_SERIES_ORDER = 100
 
 
-def hurwitz_chain(deltas) -> Fraction:
+def hurwitz_chain(deltas) -> tuple:
     """Bracket <D1,...,Dk> of equal-degree diagrams: (1/n!) times the number
     of k-tuples of permutations of these cycle types whose product is the
-    identity, the padded bracket <(D1,1),...,(Dk-1,1)|Dk>."""
+    identity, the padded bracket <(D1,1),...,(Dk-1,1)|Dk>, as
+    (numerator, denominator) in lowest terms."""
     deltas = [as_partition(d) for d in deltas]
     if not deltas:
         raise ValueError("hurwitz_chain requires at least one diagram")
@@ -64,11 +67,12 @@ def hurwitz_chain(deltas) -> Fraction:
     return hurwitz_padded([(d, 1) for d in deltas[:-1]], deltas[-1])
 
 
-def hurwitz_padded(branches, delta) -> Fraction:
+def hurwitz_padded(branches, delta) -> tuple:
     """Padded bracket <(D1,n1),...,(Dk,nk)|D> for branches ((Di, ni), ...),
-    ni >= 1: the spectral sum S_{D1^n1...Dk^nk}(D) / z_D.  phi_R(Di) at
-    degree |D| carries the unit-row embedding of Di, so the bracket is zero
-    when some marked diagram is too large."""
+    ni >= 1: the spectral sum S_{D1^n1...Dk^nk}(D) / z_D, as (numerator,
+    denominator) in lowest terms.  phi_R(Di) at degree |D| carries the
+    unit-row embedding of Di, so the bracket is zero when some marked
+    diagram is too large."""
     delta = as_partition(delta)
     branches = [(as_partition(p), int(m)) for p, m in branches]
     if any(m < 1 for _, m in branches):
@@ -78,7 +82,9 @@ def hurwitz_padded(branches, delta) -> Fraction:
         powers[part] += mult
     n = degree(delta)
     column, q = spectral_sum(n, powers)
-    return Fraction(column[char_table(n).column(delta)], q * aut_order(delta))
+    total = column[char_table(n).column(delta)]
+    numerators, den = ratio_sum([(delta, total, q * aut_order(delta))])
+    return numerators.get(delta, 0), den
 
 
 def _beta_key(counts: dict) -> tuple:
@@ -93,35 +99,34 @@ class HurwitzSeries:
     """Truncated expansion of the generating function Z in the directions
     active (canonical order), to graded degree p_bound and beta-order order.
 
-    terms maps (beta_key, monomial partition) -> Fraction, where the
-    coefficient is the raw Taylor coefficient against the plain monomial
-    p_delta (the 1/k! factors of the beta powers are included).
+    coefficients maps each beta key to ({monomial: numerator},
+    denominator), as ratio_sum returns it: the raw Taylor coefficients
+    against the plain monomials p_delta, the 1/k! factors included.
     """
 
     def __init__(self, active, p_bound: int, order: int):
         self.active = tuple(active)
         self.p_bound = p_bound
         self.order = order
-        self.terms = {}
+        self.coefficients = {}
+
+    @property
+    def terms(self):
+        """{(beta key, monomial): Fraction}, built on each call, for the
+        oracles and the tests."""
+        from fractions import Fraction
+
+        return {(key, mono): Fraction(c, q) for key, (numerators, q) in self.coefficients.items()
+                for mono, c in numerators.items()}
 
     def to_json_obj(self):
-        items = sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(k for _, k in kv[0][0]), kv[0][0],
-                            degree(kv[0][1]), kv[0][1]),
-        )
-        return {
-            "p_bound": self.p_bound,
-            "order": self.order,
-            "terms": [
-                {
-                    "beta": {format_partition(p): k for p, k in key},
-                    "mono": list(mono),
-                    "coef": format_fraction(c),
-                }
-                for (key, mono), c in items
-            ],
-        }
+        terms = []
+        for key in sorted(self.coefficients, key=lambda beta: (sum(k for _, k in beta), beta)):
+            numerators, q = self.coefficients[key]
+            beta = {format_partition(p): k for p, k in key}
+            terms += [{"beta": beta, "mono": list(mono), "coef": format_ratio(numerators[mono], q)}
+                      for mono in sorted(numerators, key=lambda m: (degree(m), m))]
+        return {"p_bound": self.p_bound, "order": self.order, "terms": terms}
 
 
 def _multi_indices(k: int, total: int) -> list:
@@ -156,16 +161,15 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     if pairs > MAX_SERIES_PAIRS:
         raise BoundError("series of %d (beta, R) pairs exceeds bound %d" % (pairs, MAX_SERIES_PAIRS))
     series = HurwitzSeries(active, p_bound, order)
-    multi_indices = _multi_indices(len(active), order)
-    keys = [_beta_key(dict(zip(active, counts))) for counts in multi_indices]
-    for n in range(p_bound + 1):
-        classes = char_table(n).order
-        for key, counts in zip(keys, multi_indices):
-            column, q = spectral_sum(n, dict(zip(active, counts)))
+    for counts in _multi_indices(len(active), order):
+        powers = dict(zip(active, counts))
+        ratios = []
+        for n in range(p_bound + 1):
+            column, q = spectral_sum(n, powers)
             scale = q * math.prod(map(math.factorial, counts))
-            for mu, total in zip(classes, column):
-                if total:
-                    series.terms[(key, mu)] = Fraction(total, scale * aut_order(mu))
+            ratios += [(mu, total, scale * aut_order(mu))
+                       for mu, total in zip(char_table(n).order, column) if total]
+        series.coefficients[_beta_key(powers)] = ratio_sum(ratios)
     return series
 
 
@@ -177,7 +181,7 @@ def cmd_hurwitz(args, check_degrees):
     for d in classes:
         if degree(d) != n:
             raise ParseError("class %s does not have degree %d" % (format_partition(d), n))
-    value = format_fraction(hurwitz_chain(classes))
+    value = format_ratio(*hurwitz_chain(classes))
     return value, {"n": n, "branches": [list(d) for d in classes], "value": value}
 
 

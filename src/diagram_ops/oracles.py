@@ -174,7 +174,8 @@ def simple_hurwitz(n: int, m: int) -> dict:
 
 def series_coefficient(series: HurwitzSeries, key) -> dict:
     """The coefficient of the beta monomial indexed by key, as a term dict."""
-    return {mono: c for (k, mono), c in series.terms.items() if k == key}
+    numerators, q = series.coefficients.get(key, ({}, 1))
+    return {mono: Fraction(c, q) for mono, c in numerators.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +719,7 @@ def selftest_suites(level: str, seed: int):
         _suite("structure_constants_vs_oracle",
                (structure_constant(*t) == oracle_structure_constant(*t) for t in triples)),
         _suite("hurwitz_chain_vs_tuple_oracle",
-               (hurwitz_chain(t) == oracle_tuple_count(t, n) for t, n in chains)),
+               (Fraction(*hurwitz_chain(t)) == oracle_tuple_count(t, n) for t, n in chains)),
         _suite("explicit_vs_spectral_operators",
                (apply_explicit(delta, f) == apply_spectral(delta, f)
                 for delta in deltas for f in polys)),

@@ -7,10 +7,11 @@ throughout the package.  Every op loads this module; DiagramSum, the
 linear combinations of diagrams that only mult reads, lives in
 class_algebra.
 
-Rationals are read and printed as integer pairs: parse_ratio reads an
-optional sign, digits and an optional '/digits' into (numerator,
-denominator), and format_ratio prints a pair in lowest terms, so no
-reader or printer here loads the fractions module.
+Rationals are integer numerators over one positive denominator, in
+lowest terms: ratio_sum alone sums terms into that form, for PPoly,
+DiagramSum and the Hurwitz series, parse_ratio reads one rational into
+(numerator, denominator), and format_ratio prints one, so no op but
+selftest loads the fractions module.
 """
 
 import math
@@ -137,9 +138,16 @@ def format_ratio(numerator: int, denominator: int) -> str:
                          "sys.get_int_max_str_digits()" % sys.get_int_max_str_digits()) from None
 
 
-def format_fraction(q) -> str:
-    """format_ratio of an int or a Fraction q."""
-    return format_ratio(q.numerator, q.denominator)
+def ratio_sum(ratios: list) -> tuple:
+    """The sum of the terms (key, numerator, denominator), each denominator
+    positive, as ({key: numerator}, q): q > 0, no numerator zero, and q
+    and the numerators have no common factor; ({}, 1) for no terms."""
+    q = math.lcm(*(den for _, _, den in ratios))
+    numerators = {}
+    for key, num, den in ratios:
+        numerators[key] = numerators.get(key, 0) + num * (q // den)
+    g = math.gcd(q, *numerators.values())
+    return {key: c // g for key, c in numerators.items() if c}, q // g
 
 
 def parse_ratio(text: str) -> tuple:

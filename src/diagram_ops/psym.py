@@ -3,8 +3,9 @@
 A monomial p_{l1} p_{l2} ... (l1 >= l2 >= ...) is keyed by its exponent
 partition (l1, l2, ...); its graded degree is l1 + l2 + ... (deg p_k = k).
 A PPoly holds integer numerators over one positive common denominator,
-in lowest terms, and never stores a zero numerator, so no op that only
-parses, converts and prints a polynomial loads the fractions module.
+in lowest terms, built by partitions.ratio_sum, and never stores a zero
+numerator, so no op that parses, converts and prints a polynomial loads
+the fractions module.
 Its arithmetic lives in diagram_ops.oracles, as functions on the
 Fraction-valued terms, because only the oracles and the tests use it.
 
@@ -20,7 +21,6 @@ the partial-permutation action, which reads no character table.
 cmd_schur and cmd_wapply are the bodies of the schur and wapply commands.
 """
 
-import math
 import types
 
 from .errors import BoundError, ParseError
@@ -35,21 +35,16 @@ from .partitions import (
     multiplicity,
     parse_partition,
     parse_ratio,
+    ratio_sum,
 )
 from .characters import char_table, spectral_sum
 
 
-def _from_ratios(ratios: list) -> "PPoly":
-    """The PPoly sum of the terms (monomial, numerator, denominator), each
-    denominator positive, over the denominators' least common multiple."""
-    q = math.lcm(*(den for _, _, den in ratios))
-    numerators = {}
-    for mono, num, den in ratios:
-        numerators[mono] = numerators.get(mono, 0) + num * (q // den)
-    g = math.gcd(q, *numerators.values())
+def _ppoly(ratios: list) -> "PPoly":
+    """The PPoly sum of the terms (monomial, numerator, denominator)."""
     f = object.__new__(PPoly)
-    f.numerators = types.MappingProxyType({m: c // g for m, c in numerators.items() if c})
-    f.denominator = q // g
+    numerators, f.denominator = ratio_sum(ratios)
+    f.numerators = types.MappingProxyType(numerators)
     return f
 
 
@@ -64,8 +59,8 @@ class PPoly:
 
     def __new__(cls, terms=None):
         pairs = terms.items() if hasattr(terms, "items") else terms or ()
-        return _from_ratios([(tuple(sorted(mono, reverse=True)), c.numerator, c.denominator)
-                             for mono, c in pairs])
+        return _ppoly([(tuple(sorted(mono, reverse=True)), c.numerator, c.denominator)
+                       for mono, c in pairs])
 
     @classmethod
     def zero(cls):
@@ -142,7 +137,7 @@ def parse_ppoly(text: str) -> PPoly:
             else:
                 raise ParseError("coefficient %r must come first" % factor, 0)
         terms.append((tuple(sorted(mono, reverse=True)), num, den))
-    return _from_ratios(terms)
+    return _ppoly(terms)
 
 
 def schur(r: Partition) -> PPoly:
@@ -179,7 +174,7 @@ def from_schur(coeffs: dict, q: int = 1, powers=()) -> PPoly:
         column, q_n = spectral_sum(n, dict(powers), cs)
         ratios += [(mu, total, q * q_n * aut_order(mu))
                    for mu, total in zip(char_table(n).order, column) if total]
-    return _from_ratios(ratios)
+    return _ppoly(ratios)
 
 
 def apply_spectral(delta: Partition, f: PPoly) -> PPoly:

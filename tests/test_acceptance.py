@@ -140,8 +140,8 @@ def test_criterion_6_schur_consistency():
 def test_criterion_7_hurwitz_oracle():
     rng = random.Random(SEED)
     ok = (
-        hurwitz_chain([(2,), (2,), (1, 1)]) == Fraction(1, 2)
-        and hurwitz_chain([(2,)] * 4) == Fraction(1, 2)
+        Fraction(*hurwitz_chain([(2,), (2,), (1, 1)])) == Fraction(1, 2)
+        and Fraction(*hurwitz_chain([(2,)] * 4)) == Fraction(1, 2)
     )
     for n in range(1, 6):
         parts = partitions_of(n)
@@ -150,7 +150,7 @@ def test_criterion_7_hurwitz_oracle():
             if len(tuples) > 200:
                 tuples = rng.sample(tuples, 200)
             for tup in tuples:
-                value = hurwitz_chain(tup)
+                value = Fraction(*hurwitz_chain(tup))
                 if value < 0 or value != oracle_tuple_count(tup, n):
                     ok = False
     report(7, ok, "chain brackets vs permutation-tuple counts (k<=4, n<=5)")

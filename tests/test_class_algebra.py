@@ -77,7 +77,7 @@ def test_mult_infinity_unit_row_square():
 
 def test_memoized_product_is_read_only():
     with pytest.raises(TypeError):
-        mult_same_degree((2,), (2,))._terms[(1, 1)] = 5
+        mult_same_degree((2,), (2,)).numerators[(1, 1)] = 5
     assert mult_same_degree((2,), (2,)).items() == [((1, 1), 1)]
 
 

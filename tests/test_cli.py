@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 import diagram_ops
 
 from diagram_ops import characters, oracles
+from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum
 from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, _is_negative_number, main, to_json
 from diagram_ops.errors import ConsistencyError
-from diagram_ops.oracles import mult_same_degree
+from diagram_ops.oracles import mult_same_degree, oracle_mult_infinity
 
 
 def run(capsys, *argv):
@@ -35,6 +37,14 @@ def test_mult_examples(capsys):
     assert code == 0 and out == "1/2*[1,1] + 3/2*[3] + 1*[2,2]\n"
     code, out, _ = run(capsys, "mult", "4/2*[2]", "[2]")
     assert code == 0 and out == "2*[1,1] + 6*[3] + 4*[2,2]\n"
+    # a/b on both sides, against partial-permutation counts summed in Fractions
+    code, out, _ = run(capsys, "mult", "1/2*[2]", "2/3*[2] + 1/3*[1]")
+    expected = {}
+    for right, c in [((2,), Fraction(2, 3)), ((1,), Fraction(1, 3))]:
+        for d, count in oracle_mult_infinity((2,), right).items():
+            expected[d] = expected.get(d, 0) + Fraction(1, 2) * c * count
+    assert code == 0 and parse_diagram_sum(out) == DiagramSum(expected)
+    assert out == "1/3*[2] + 1/3*[1,1] + 1*[3] + 1/6*[2,1] + 2/3*[2,2]\n"
     code, out, _ = run(capsys, "--json", "mult", "[2]", "[2]")
     assert code == 0 and out == ('{"result": [{"coef": "1", "partition": [1, 1]}, '
                                  '{"coef": "3", "partition": [3]}, '
@@ -252,8 +262,7 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
     # --help and usage errors build usage
     parser = ["argparse", "gettext", "json", "locale", "diagram_ops.usage"]
     no_algebra = ["diagram_ops.class_algebra"] + parser
-    # integer input never needs a Fraction, which loads decimal, numbers and
-    # re, and an operators op never does
+    # no op but selftest builds a Fraction, which loads decimal, numbers and re
     no_fractions = ["fractions", "decimal", "numbers", "re"]
     no_tables = ["diagram_ops.table_commands"]
     run_cli = "from diagram_ops.cli import main; main(sys.argv[1:]); "
@@ -272,8 +281,14 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
          later[1:] + no_algebra + no_fractions + no_tables),
         (run_cli, ["--json", "wapply", "[3,2]", "-7/12*p3*p2 + 5/4*p1^5"],
          later[1:] + no_algebra + no_fractions),
-        (run_cli, ["hurwitz", "[2]", "[2]"], later[:1] + no_algebra + no_tables),
-        (run_cli, ["evolve", "[2]"], later[:1] + no_algebra),
+        (run_cli, ["mult", "1/2*[2]", "2/3*[2] + 1/3*[1]"], later + parser + no_fractions),
+        (run_cli, ["hurwitz", "[2]", "[2]"], later[::2] + no_algebra + no_fractions + no_tables),
+        (run_cli, ["hurwitz", "[2]", "[2]", "[1,1]"], later[::2] + no_algebra + no_fractions),
+        (run_cli, ["evolve", "[2]"], later[::2] + no_algebra + no_fractions),
+        (run_cli, ["evolve", "--p-bound", "3", "--order", "2", "[2]"],
+         later[::2] + no_algebra + no_fractions),
+        (run_cli, ["--json", "evolve", "--p-bound", "3", "--order", "2", "[2]"],
+         later[::2] + no_algebra + no_fractions),
         (run_cli, ["selftest"], ["json", "argparse", "diagram_ops.usage"]),
         ("import diagram_ops; ", [], submodules + ["json"]),
         ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [],
@@ -355,7 +370,7 @@ def test_to_json_matches_json_dumps(value):
 def test_package_has_no_other_attributes():
     for name in ("compose_check", "pde_residual", "rho", "kappa", "exp_p1", "p_monomial",
                  "character", "class_size", "conjugate", "graded_piece", "mult_same_degree",
-                 "simple_hurwitz", "parse_fraction", "no_such_name"):
+                 "simple_hurwitz", "parse_fraction", "format_fraction", "no_such_name"):
         assert name not in diagram_ops.__all__
         with pytest.raises(AttributeError):
             getattr(diagram_ops, name)

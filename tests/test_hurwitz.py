@@ -45,30 +45,31 @@ def chain_split(deltas, r):
     n = sum(deltas[0])
     total = Fraction(0)
     for y in partitions_of(n):
-        left = hurwitz_chain(list(deltas[:r]) + [y])
+        left = Fraction(*hurwitz_chain(list(deltas[:r]) + [y]))
         if left:
-            total += left * aut_order(y) * hurwitz_chain([y] + list(deltas[r:]))
+            total += left * aut_order(y) * Fraction(*hurwitz_chain([y] + list(deltas[r:])))
     return total
 
 
 def test_hurwitz3_examples():
-    assert hurwitz_chain([(2,), (2,), (1, 1)]) == Fraction(1, 2)
-    assert hurwitz_chain([(2, 1), (2, 1), (3,)]) == 1
+    assert Fraction(*hurwitz_chain([(2,), (2,), (1, 1)])) == Fraction(1, 2)
+    assert Fraction(*hurwitz_chain([(2, 1), (2, 1), (3,)])) == 1
     for n in range(1, 5):
         identity = (1,) * n
-        assert hurwitz_chain([identity, identity, identity]) == Fraction(1, math.factorial(n))
+        value = Fraction(*hurwitz_chain([identity, identity, identity]))
+        assert value == Fraction(1, math.factorial(n))
 
 
 def test_chain_base_cases():
-    assert hurwitz_chain([(1, 1)]) == Fraction(1, 2)
-    assert hurwitz_chain([(2,)]) == 0
-    assert hurwitz_chain([(2, 1), (2, 1)]) == Fraction(1, 2)
-    assert hurwitz_chain([(3,), (2, 1)]) == 0
-    assert hurwitz_chain([(2,), (1, 1), (2,)]) == Fraction(1, 2)
+    assert Fraction(*hurwitz_chain([(1, 1)])) == Fraction(1, 2)
+    assert Fraction(*hurwitz_chain([(2,)])) == 0
+    assert Fraction(*hurwitz_chain([(2, 1), (2, 1)])) == Fraction(1, 2)
+    assert Fraction(*hurwitz_chain([(3,), (2, 1)])) == 0
+    assert Fraction(*hurwitz_chain([(2,), (1, 1), (2,)])) == Fraction(1, 2)
 
 
 def test_chain_four_transpositions():
-    assert hurwitz_chain([(2,)] * 4) == Fraction(1, 2)
+    assert Fraction(*hurwitz_chain([(2,)] * 4)) == Fraction(1, 2)
 
 
 def test_chain_degree_mismatch():
@@ -80,7 +81,7 @@ def test_oracle_examples():
     assert oracle_tuple_count([(2,), (2,)], 2) == Fraction(1, 2)
     assert oracle_tuple_count([(2,)], 2) == 0
     v = oracle_tuple_count([(3,), (3,), (3,)], 3)
-    assert v == hurwitz_chain([(3,), (3,), (3,)])
+    assert v == Fraction(*hurwitz_chain([(3,), (3,), (3,)]))
 
 
 def test_oracle_bound():
@@ -96,10 +97,10 @@ def test_chain_vs_oracle_small():
             import itertools
 
             for tup in itertools.product(parts, repeat=k):
-                assert hurwitz_chain(tup) == oracle_tuple_count(tup, n), tup
+                assert Fraction(*hurwitz_chain(tup)) == oracle_tuple_count(tup, n), tup
         quads = [tuple(rng.choice(parts) for _ in range(4)) for _ in range(20)]
         for tup in quads:
-            assert hurwitz_chain(tup) == oracle_tuple_count(tup, n), tup
+            assert Fraction(*hurwitz_chain(tup)) == oracle_tuple_count(tup, n), tup
 
 
 def test_chain_vs_oracle_five_and_six_classes_at_n6():
@@ -108,7 +109,7 @@ def test_chain_vs_oracle_five_and_six_classes_at_n6():
     for k in (5, 6):
         for _ in range(5):
             tup = tuple(rng.choice(parts) for _ in range(k))
-            assert hurwitz_chain(tup) == oracle_tuple_count(tup, 6), tup
+            assert Fraction(*hurwitz_chain(tup)) == oracle_tuple_count(tup, 6), tup
 
 
 def test_split_independence():
@@ -117,7 +118,7 @@ def test_split_independence():
         parts = partitions_of(n)
         for _ in range(10):
             tup = tuple(rng.choice(parts) for _ in range(4))
-            reference = hurwitz_chain(tup)
+            reference = Fraction(*hurwitz_chain(tup))
             for r in (1, 2, 3):
                 assert chain_split(tup, r) == reference, (tup, r)
 
@@ -128,13 +129,17 @@ def test_nonnegativity():
         parts = partitions_of(n)
         for _ in range(25):
             tup = tuple(rng.choice(parts) for _ in range(rng.randint(1, 4)))
-            assert hurwitz_chain(tup) >= 0
+            assert Fraction(*hurwitz_chain(tup)) >= 0
 
 
 def test_hurwitz_padded_examples():
-    assert hurwitz_padded((((2,), 1),), (2, 1)) == Fraction(1, 2)
-    assert hurwitz_padded((((3,), 1),), (2,)) == 0
-    assert hurwitz_padded((((2,), 2),), (1, 1)) == Fraction(1, 2)
+    # (numerator, denominator) in lowest terms, 0 as (0, 1)
+    assert hurwitz_padded((((2,), 1),), (2, 1)) == (1, 2)
+    assert hurwitz_chain([(2,)]) == (0, 1)
+    assert hurwitz_chain([(2, 1), (2, 1), (3,)]) == (1, 1)
+    assert Fraction(*hurwitz_padded((((2,), 1),), (2, 1))) == Fraction(1, 2)
+    assert Fraction(*hurwitz_padded((((3,), 1),), (2,))) == 0
+    assert Fraction(*hurwitz_padded((((2,), 2),), (1, 1))) == Fraction(1, 2)
 
 
 def test_hurwitz_padded_rejects_multiplicity_below_one():
@@ -157,7 +162,7 @@ def test_hurwitz_padded_vs_tuple_oracle():
                 weight *= math.comb(multiplicity(y, 1) + k, k) ** m
             for delta in partitions_of(n):
                 expected = weight * oracle_tuple_count(chain + [delta], n)
-                assert hurwitz_padded(branches, delta) == expected, (branches, delta)
+                assert Fraction(*hurwitz_padded(branches, delta)) == expected, (branches, delta)
 
 
 def test_generating_function_beta_zero():
@@ -171,7 +176,7 @@ def test_generating_function_single_transposition_coefficients():
         delta = (2,) + (1,) * k
         got = coefficient(series, {(2,): 1}, delta)
         assert got == Fraction(1, 2 * math.factorial(k))
-        assert got == hurwitz_padded((((2,), 1),), delta)
+        assert got == Fraction(*hurwitz_padded((((2,), 1),), delta))
 
 
 def test_generating_function_second_order_vs_oracle():
@@ -193,7 +198,7 @@ def test_series_matches_padded_brackets():
         for n in range(5):
             for delta in partitions_of(n):
                 branches = tuple((p, k) for p, k in beta.items() if k)
-                expected = hurwitz_padded(branches, delta)
+                expected = Fraction(*hurwitz_padded(branches, delta))
                 bracket = coefficient(series, beta, delta) * math.prod(map(math.factorial, counts))
                 assert bracket == expected, (beta, delta)
 

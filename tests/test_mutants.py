@@ -82,6 +82,19 @@ def printer_vs_fractions() -> str:
     return "printer_vs_fractions at %s" % bad if bad else ""
 
 
+def mult_sum_vs_oracle() -> str:
+    """mult of 1/2*[2] by 2/3*[2] + 1/3*[1], a/b on both sides, against
+    partial-permutation counts summed in Fractions."""
+    left, right = [((2,), Fraction(1, 2))], [((2,), Fraction(2, 3)), ((1,), Fraction(1, 3))]
+    expected = {}
+    for p, a in left:
+        for q, b in right:
+            for d, c in oracle_mult_infinity(p, q).items():
+                expected[d] = expected.get(d, 0) + a * b * c
+    got = class_algebra.mult_sum(class_algebra.DiagramSum(left), class_algebra.DiagramSum(right))
+    return "" if got == class_algebra.DiagramSum(expected) else "mult_sum_vs_oracle"
+
+
 def mult_infinity_vs_oracle() -> str:
     """The graded product against partial-permutation counting on every
     pair of diagrams of total degree <= 4, the pieces the quick selftest
@@ -184,8 +197,12 @@ MUTANTS = [
                            "return [x // q + (n == 11 and i == 0) for i, x in enumerate(nums)]"),
      lambda: closed_form_genus0(11), r"closed_form_genus0 at \[\(11,\)"),
     ("PPoly's common denominator the largest, not the lcm",
-     lambda: source_mutant(psym, "_from_ratios", "math.lcm(", "max("),
+     lambda: source_mutant(partitions, "ratio_sum", "math.lcm(", "max("),
      schur_expand_vs_characters, "schur_expand_vs_characters"),
+    ("mult_sum over the left denominator alone",
+     lambda: source_mutant(class_algebra, "mult_sum", "a.denominator * b.denominator",
+                           "a.denominator"),
+     mult_sum_vs_oracle, "mult_sum_vs_oracle"),
     ("format_ratio reducing by a wrong gcd",
      lambda: source_mutant(partitions, "format_ratio", "math.gcd(numerator, denominator)",
                            "math.gcd(numerator, 2 * denominator)"),
@@ -204,6 +221,7 @@ def test_checks_pass_without_mutants():
     assert from_schur_vs_jacobi_trudi() == ""
     assert schur_expand_vs_characters() == ""
     assert printer_vs_fractions() == ""
+    assert mult_sum_vs_oracle() == ""
     assert mult_infinity_vs_oracle() == ""
     assert closed_form_genus0(11) == ""
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from diagram_ops.errors import BoundError, ParseError
-from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum, parse_fraction, rho_term
+from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum, rho_term
 from diagram_ops.partitions import (
     as_partition,
     aut_order,
@@ -16,7 +16,9 @@ from diagram_ops.partitions import (
     multiplicity,
     pad,
     parse_partition,
+    parse_ratio,
     partitions_of,
+    ratio_sum,
 )
 from diagram_ops.oracles import class_size, conjugate, cycle_type
 
@@ -138,15 +140,15 @@ def test_parse_partition():
         parse_partition("[0]")
 
 
-def test_parse_fraction():
-    assert parse_fraction("-3/4") == Fraction(-3, 4)
-    assert parse_fraction("+12") == 12
+def test_parse_ratio():
+    assert parse_ratio("-3/4") == (-3, 4)
+    assert parse_ratio("+12") == (12, 1)
     for bad in ["1e3", "0.5", " 1", "1 ", "1_000", "1/0", "3/-4", "/2", "", "\u0663"]:
         with pytest.raises(ParseError):
-            parse_fraction(bad)
+            parse_ratio(bad)
 
 
-# The regular expressions parse_partition and parse_fraction were written
+# The regular expressions parse_partition and parse_ratio were written
 # with, kept as the oracle for their str-method checks.
 PARTITION_RE = re.compile(r"\[([0-9]+(,[0-9]+)*)?\]")
 FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -205,18 +207,18 @@ FRACTION_TEXT = st.one_of(
 def test_parsers_match_their_regular_expressions(partition_text, fraction_text):
     assert outcome(parse_partition, partition_text) == outcome(regex_parse_partition,
                                                                partition_text)
-    got = outcome(parse_fraction, fraction_text)
+    got = outcome(lambda text: Fraction(*parse_ratio(text)), fraction_text)
     assert got == outcome(regex_parse_fraction, fraction_text)
-    if got[0] == "value":
-        assert (type(got[1]) is int) == ("/" not in fraction_text)
+    if got[0] == "value" and "/" not in fraction_text:
+        assert parse_ratio(fraction_text)[1] == 1
 
 
 def test_diagram_sum_coefficients():
-    sums = [DiagramSum({(2,): c}) for c in (1, Fraction(1), 1.0, "1")]
+    sums = [DiagramSum({(2,): c}) for c in (1, Fraction(1))]
     assert all(s == sums[0] for s in sums)
-    assert [type(c) for s in sums for _, c in s.items()] == [int, Fraction, Fraction, Fraction]
-    (_, tenth), = DiagramSum({(2,): 0.1}).items()
-    assert tenth == Fraction(0.1) != Fraction(1, 10)
+    assert [type(c) for s in sums for _, c in s.items()] == [Fraction, Fraction]
+    half = DiagramSum({(2,): Fraction(2, 4), (1,): 3})
+    assert (dict(half.numerators), half.denominator) == ({(2,): 1, (1,): 6}, 2)
 
 
 def test_as_partition_rejects_bad_parts():
@@ -261,3 +263,18 @@ def test_text_round_trip_property(delta, terms):
     assert parse_partition(format_partition(delta)) == delta
     s = DiagramSum(terms)
     assert parse_diagram_sum(s.to_text()) == s
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-30, 30), st.integers(1, 24)),
+                max_size=8))
+def test_ratio_sum_property(ratios):
+    numerators, q = ratio_sum(ratios)
+    expected = {}
+    for key, num, den in ratios:
+        expected[key] = expected.get(key, 0) + Fraction(num, den)
+    assert {key: Fraction(c, q) for key, c in numerators.items()} == {
+        key: c for key, c in expected.items() if c}
+    assert q > 0 and 0 not in numerators.values()
+    assert math.gcd(q, *numerators.values()) == 1
+    assert ratio_sum([]) == ({}, 1)
