@@ -7,10 +7,10 @@ read-only: rows are tuples behind a mapping proxy.
 
 phi_column writes the normalized character phi, an integer, as one
 column per diagram, and spectral_sum, the one sum
-S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it:
-structure constants, Hurwitz brackets and the generating function's
-coefficients are its values at w_R = d_R, and
-Schur functions and every W(delta) f its values at other weights, which
+S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it: Hurwitz
+brackets and the generating function's coefficients are its values at
+w_R = d_R, the graded product A B its values at dim_R phi_R(A) phi_R(B),
+and Schur functions and every W(delta) f its values at other weights, which
 it alone scales to integers over their least common denominator.
 
 Tables are built by the Murnaghan-Nakayama rule read as addition: column

@@ -5,24 +5,22 @@ degrees, held as PPoly holds a polynomial: integer numerators over one
 denominator, from partitions.ratio_sum, so mult loads no fractions
 module.  It lives here because only mult reads and prints one.
 
-_structure_column reads every structure constant of a product of two class
-sums as one spectral sum (characters.spectral_sum) over the character
-table; structure_constant reads one coefficient.
-The literal pair-counting definition lives in diagram_ops.oracles
-(oracle_structure_constant), which only the tests and selftest import.
-
-mult_infinity implements the graded product on diagrams of arbitrary
-degree (Ivanov-Kerov, The algebra of conjugacy classes in symmetric
-groups, and partial permutations, 1999): pad both factors to a common
-degree n with the unit-row embedding, multiply inside the degree-n class
-algebra, and subtract the embeddings of the lower graded pieces.  Every
-coefficient on the way is an integer, so the recursion runs on
-{partition: int} dicts and only the public functions build a DiagramSum.
+The graded product of diagrams of arbitrary degree (Ivanov-Kerov, The
+algebra of conjugacy classes in symmetric groups, and partial
+permutations, 1999) is read from the eigenvalues: Delta -> W(Delta) is an
+algebra map with W(Delta) s_R = phi_R(Delta) s_R (arXiv:1012.0433), so
+phi_R(A B) = phi_R(A) phi_R(B).  At each degree n, _class_product turns
+these values into the image of A B in the center of the group algebra of
+S_n by one spectral sum (characters.spectral_sum), where a piece of A B
+of degree k < n shows padded with n - k unit rows (rho_term); mult_sum
+subtracts the pieces below n and keeps the rest as the piece of degree
+n.  structure_constant reads _class_product at its own degree.  The
+table-free checks live in diagram_ops.oracles, which only the tests and
+selftest import.
 
 cmd_mult is the body of the mult command.
 """
 
-import collections
 import math
 import types
 
@@ -30,6 +28,7 @@ from .errors import BoundError, ConsistencyError, ParseError
 from .partitions import (
     Partition,
     as_partition,
+    as_ratio,
     degree,
     format_partition,
     format_ratio,
@@ -40,7 +39,7 @@ from .partitions import (
     partition_sort_key,
     ratio_sum,
 )
-from .characters import MAX_TABLE_DEGREE, char_table, spectral_sum
+from .characters import MAX_TABLE_DEGREE, char_table, phi_column, spectral_sum
 
 
 def _diagram_sum(ratios: list) -> "DiagramSum":
@@ -63,7 +62,7 @@ class DiagramSum:
 
     def __new__(cls, terms=None):
         pairs = terms.items() if hasattr(terms, "items") else terms or ()
-        return _diagram_sum([(as_partition(p), c.numerator, c.denominator) for p, c in pairs])
+        return _diagram_sum([(as_partition(p), *as_ratio(c)) for p, c in pairs])
 
     @classmethod
     def zero(cls):
@@ -138,71 +137,62 @@ def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
     d1, d2, d = as_partition(d1), as_partition(d2), as_partition(d)
     if not degree(d1) == degree(d2) == degree(d):
         raise ValueError("structure_constant requires equal degrees")
-    return _structure_column(d1, d2)[char_table(degree(d)).column(d)]
+    return _class_product({d1: 1}, {d2: 1}, degree(d))[d]
 
 
-def _structure_column(d1: Partition, d2: Partition) -> tuple:
-    """Every structure constant C^d_{d1,d2}, d in table order, as the
-    spectral sum S_{d1,d2}(d): by the Frobenius formula
-
-        C^d_{d1,d2} = sum_R d_R phi_R(d1) phi_R(d2) chi_R(d),
-
-    an integer, which is checked.
-    """
-    n = degree(d1)
-    column, q = spectral_sum(n, collections.Counter((d1, d2)))
-    out = []
-    for d, total in zip(char_table(n).order, column):
-        value, remainder = divmod(total, q)
-        if remainder or value < 0:
-            raise ConsistencyError(
-                "non-integral structure constant %s for (%s, %s, %s)"
-                % (format_ratio(total, q), d1, d2, d)
-            )
-        out.append(value)
-    return tuple(out)
+def _phi_sum(terms: dict, n: int) -> list:
+    """phi_R(sum_p c_p p) = sum_p c_p phi_R(p) for every R of degree n, in
+    table order, for the terms {p: c_p}."""
+    out = [0] * len(char_table(n).order)
+    for p, c in terms.items():
+        out = [x + c * y for x, y in zip(out, phi_column(n, p))]
+    return out
 
 
-def _graded_pieces(d1: Partition, d2: Partition) -> dict:
-    """All graded pieces {d1 d2}_n as {n: {partition: int}}, per the
-    defining recursion."""
-    lo = max(degree(d1), degree(d2))
-    hi = degree(d1) + degree(d2)
-    if hi > MAX_TABLE_DEGREE:
-        raise BoundError("mult_infinity total degree %d exceeds bound %d"
-                         % (hi, MAX_TABLE_DEGREE))
-    pieces = {}
-    for n in range(lo, hi + 1):
-        p1, w1 = rho_term(d1, n - degree(d1))
-        p2, w2 = rho_term(d2, n - degree(d2))
-        weight = w1 * w2
-        prod = {d: weight * c
-                for d, c in zip(char_table(n).order, _structure_column(p1, p2)) if c}
-        for k in range(lo, n):
-            for d, c in pieces[k].items():
-                padded, w = rho_term(d, n - k)
-                prod[padded] = prod.get(padded, 0) - w * c
-        pieces[n] = {d: c for d, c in prod.items() if c}
-    return pieces
+def _class_product(a: dict, b: dict, n: int) -> dict:
+    """The image at degree n of the product of the sums {p: c_p} a and b,
+    as {class: int} over every class e of degree n: the spectral sum
+    (1/n!) sum_R dim_R phi_R(a) phi_R(b) chi_R(e), an integer, which is
+    checked."""
+    table = char_table(n)
+    i_dim = table.column((1,) * n)
+    weights = {r: row[i_dim] * x * y for (r, row), x, y
+               in zip(table.rows.items(), _phi_sum(a, n), _phi_sum(b, n))}
+    column, q = spectral_sum(n, {}, weights)
+    q *= math.factorial(n)
+    out = {}
+    for e, total in zip(table.order, column):
+        out[e], remainder = divmod(total, q)
+        if remainder:
+            raise ConsistencyError("non-integral structure constant %s for (%s, %s, %s)" % (
+                format_ratio(total, q), " + ".join(map(str, a)), " + ".join(map(str, b)), e))
+    return out
 
 
 def mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
-    """Full product d1 * d2 in the algebra of diagrams of arbitrary degree."""
-    pieces = _graded_pieces(as_partition(d1), as_partition(d2))
-    # the pieces have distinct degrees, so their terms never collide
-    return DiagramSum({d: c for piece in pieces.values() for d, c in piece.items()})
+    """Full product d1 * d2 in the algebra of diagrams of arbitrary degree,
+    as mult_sum of two one-term sums."""
+    return mult_sum(DiagramSum({d1: 1}), DiagramSum({d2: 1}))
 
 
 def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
-    """Bilinear extension of mult_infinity to diagram sums: the products of
-    the numerators, over the product of the denominators."""
+    """The graded product of two diagram sums, over the product of their
+    denominators.  Its piece of degree n is the image at degree n, less the
+    unit-row embeddings of the pieces below n."""
     out = {}
-    for p, cp in a.numerators.items():
-        for q, cq in b.numerators.items():
-            weight = cp * cq
-            for piece in _graded_pieces(p, q).values():
-                for d, c in piece.items():
-                    out[d] = out.get(d, 0) + weight * c
+    if a.numerators and b.numerators:
+        lo = max(min(map(degree, a.numerators)), min(map(degree, b.numerators)))
+        hi = max(map(degree, a.numerators)) + max(map(degree, b.numerators))
+        if hi > MAX_TABLE_DEGREE:
+            raise BoundError("mult_infinity total degree %d exceeds bound %d"
+                             % (hi, MAX_TABLE_DEGREE))
+        for n in range(lo, hi + 1):
+            piece = _class_product(a.numerators, b.numerators, n)
+            # out holds the pieces of degree below n
+            for d, c in out.items():
+                padded, w = rho_term(d, n - degree(d))
+                piece[padded] -= w * c
+            out.update((d, c) for d, c in piece.items() if c)
     den = a.denominator * b.denominator
     return _diagram_sum([(d, c, den) for d, c in out.items()])
 

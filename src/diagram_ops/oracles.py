@@ -5,8 +5,10 @@ module; nothing on the production path does.
 Names that no command reads, kept for the checks and the tests:
 
 * class_size and conjugate on partitions; character and table_entry,
-  one entry of the character table; mult_same_degree and graded_piece,
-  one degree of the graded product; simple_hurwitz, the m-transposition
+  one entry of the character table; mult_same_degree, the product of
+  two diagrams of one degree n in the class algebra of S_n, and
+  graded_piece, the piece of one degree of mult_infinity, both read from
+  class_algebra's one product route; simple_hurwitz, the m-transposition
   brackets as one spectral sum; series_coefficient, one beta-coefficient
   of the generating function as a term dict.
 * poly_add, poly_neg, poly_sub, poly_mul, poly_diff and poly_max_degree:
@@ -23,6 +25,15 @@ Permutations of S_n, enumerated literally up to MAX_ORACLE_DEGREE:
   of ways to reach each partial product.
 * oracle_mult_infinity: the graded product as a product of sums of
   partial permutations (Ivanov-Kerov) with supports in range(|d1|+|d2|).
+
+Partial permutations, up to MAX_ORACLE_ACTIONS of them:
+
+* oracle_coefficient: one coefficient of the graded product, for one
+  fixed target of type d on range(|d|), by running over the partial
+  permutations of the factor that has fewer of them and counting the
+  supports that complete each to a pair.  It reads no character table
+  and reaches total degree 12, past permutation enumeration, so it is
+  the one check of mult_sum there that does not go through phi.
 
 Symmetric functions and characters:
 
@@ -83,8 +94,7 @@ from .partitions import (
 from .characters import char_table, phi, spectral_sum
 from .class_algebra import (
     DiagramSum,
-    _graded_pieces,
-    _structure_column,
+    _class_product,
     mult_infinity,
     structure_constant,
 )
@@ -150,13 +160,12 @@ def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
     d1, d2 = as_partition(d1), as_partition(d2)
     if degree(d2) != degree(d1):
         raise ValueError("mult_same_degree requires equal degrees")
-    return DiagramSum(zip(char_table(degree(d1)).order, _structure_column(d1, d2)))
+    return DiagramSum(_class_product({d1: 1}, {d2: 1}, degree(d1)))
 
 
 def graded_piece(d1: Partition, d2: Partition, n: int) -> DiagramSum:
     """Single graded piece {d1 d2}_n of the product."""
-    pieces = _graded_pieces(as_partition(d1), as_partition(d2))
-    return DiagramSum(pieces.get(n))
+    return DiagramSum((d, c) for d, c in mult_infinity(d1, d2).items() if degree(d) == n)
 
 
 def simple_hurwitz(n: int, m: int) -> dict:
@@ -333,6 +342,70 @@ def _permutation_of_type(mu: Partition):
         images += range(start + 1, start + part)
         images.append(start)
     return tuple(images)
+
+
+def _permutations_by_cycles(delta: Partition):
+    """Every permutation of range(|delta|) of cycle type delta, each once,
+    as a tuple of images: the smallest free point opens a cycle of each
+    length still to place, and the cycle takes any ordered choice of the
+    other free points."""
+    images = [0] * degree(delta)
+
+    def build(free, lengths):
+        if not free:
+            yield tuple(images)
+            return
+        for k in sorted(set(lengths)):
+            rest = list(lengths)
+            rest.remove(k)
+            for others in itertools.permutations(free[1:], k - 1):
+                cycle = (free[0],) + others
+                for i, point in enumerate(cycle):
+                    images[point] = cycle[(i + 1) % k]
+                yield from build([p for p in free[1:] if p not in others], rest)
+
+    yield from build(list(range(degree(delta))), list(delta))
+
+
+def oracle_coefficient(d1: Partition, d2: Partition, d: Partition) -> int:
+    """The coefficient of d in d1 * d2, reading no character table: the
+    number of pairs of partial permutations x = (A, sigma) of type d1 and
+    y = (B, tau) of type d2 with xy = (S, t), for one t of type d on
+    S = range(|d|) (Ivanov-Kerov).  For each x, tau = sigma^-1 t, and B
+    must hold base = moved(tau) | (S - A) and |d2| points of S, so x adds
+    C(|S| - |base|, |d2| - |base|) when the nontrivial cycles of tau are
+    those of d2.  The product commutes, so x runs over the factor with
+    fewer partial permutations, C(|d|, |d1|) |C_d1|; above
+    MAX_ORACLE_ACTIONS of them it raises BoundError before any work."""
+    d1, d2, d = as_partition(d1), as_partition(d2), as_partition(d)
+    size = degree(d)
+
+    def actions(e):
+        return math.comb(size, degree(e)) * class_size(e)
+
+    if actions(d2) < actions(d1):
+        d1, d2 = d2, d1
+    if not actions(d1):  # a factor of degree above |d|
+        return 0
+    if actions(d1) > MAX_ORACLE_ACTIONS:
+        raise BoundError("%d partial permutations exceed bound %d"
+                         % (actions(d1), MAX_ORACLE_ACTIONS))
+    t = _permutation_of_type(d)
+    cycles = [c for c in d2 if c > 1]
+    sigmas = list(_permutations_by_cycles(d1))
+    total = 0
+    for support in itertools.combinations(range(size), degree(d1)):
+        outside = set(range(size)).difference(support)
+        for sigma in sigmas:
+            inverse = list(range(size))
+            for point, j in zip(support, sigma):
+                inverse[support[j]] = point
+            tau = [inverse[x] for x in t]
+            if [c for c in cycle_type(tau) if c > 1] == cycles:
+                base = len(outside.union(i for i in range(size) if tau[i] != i))
+                if base <= degree(d2):
+                    total += math.comb(size - base, degree(d2) - base)
+    return total
 
 
 def oracle_mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:

@@ -138,6 +138,15 @@ def format_ratio(numerator: int, denominator: int) -> str:
                          "sys.get_int_max_str_digits()" % sys.get_int_max_str_digits()) from None
 
 
+def as_ratio(c) -> tuple:
+    """(numerator, denominator) of an int or Fraction coefficient c."""
+    from fractions import Fraction
+
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
+    return c.numerator, c.denominator
+
+
 def ratio_sum(ratios: list) -> tuple:
     """The sum of the terms (key, numerator, denominator), each denominator
     positive, as ({key: numerator}, q): q > 0, no numerator zero, and q

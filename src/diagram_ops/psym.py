@@ -28,6 +28,7 @@ from .partitions import (
     MAX_ENUM_DEGREE,
     Partition,
     as_partition,
+    as_ratio,
     aut_order,
     degree,
     format_ratio,
@@ -59,8 +60,7 @@ class PPoly:
 
     def __new__(cls, terms=None):
         pairs = terms.items() if hasattr(terms, "items") else terms or ()
-        return _ppoly([(tuple(sorted(mono, reverse=True)), c.numerator, c.denominator)
-                       for mono, c in pairs])
+        return _ppoly([(tuple(sorted(mono, reverse=True)), *as_ratio(c)) for mono, c in pairs])
 
     @classmethod
     def zero(cls):

@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from diagram_ops import class_algebra
 from diagram_ops.errors import BoundError
 from diagram_ops.class_algebra import (
     DiagramSum,
@@ -14,6 +15,7 @@ from diagram_ops.class_algebra import (
 from diagram_ops.oracles import (
     graded_piece,
     mult_same_degree,
+    oracle_coefficient,
     oracle_mult_infinity,
     oracle_structure_constant,
 )
@@ -28,6 +30,14 @@ def test_structure_constant_examples():
     assert structure_constant((2, 1, 1), (2, 1, 1), (2, 2)) == 2
     assert structure_constant((2, 1, 1), (2, 1, 1), (3, 1)) == 3
     assert structure_constant((2, 1, 1), (2, 1, 1), (1, 1, 1, 1)) == 6
+
+
+def test_structure_constant_at_degree_12():
+    t = (2,) + (1,) * 10
+    assert structure_constant(t, t, (1,) * 12) == 66
+    assert structure_constant(t, t, (3,) + (1,) * 9) == 3
+    assert structure_constant(t, t, (2, 2) + (1,) * 8) == 2
+    assert structure_constant((12,), (12,), (1,) * 12) == 39_916_800
 
 
 def test_structure_constant_degree_mismatch():
@@ -87,6 +97,46 @@ def test_mult_infinity_vs_partial_permutation_oracle():
     assert len(pairs) == 139
     for d1, d2 in pairs:
         assert mult_infinity(d1, d2) == oracle_mult_infinity(d1, d2), (d1, d2)
+
+
+def _pairs_of_total(total):
+    return [(d1, d2) for a in range(total + 1)
+            for d1 in partitions_of(a) for d2 in partitions_of(total - a)]
+
+
+def _targets(d1, d2):
+    return [d for n in range(max(degree(d1), degree(d2)), degree(d1) + degree(d2) + 1)
+            for d in partitions_of(n)]
+
+
+def test_mult_infinity_vs_coefficient_oracle():
+    # every target up to total degree 6, two sampled targets of every pair
+    # at totals 7 and 8, and six of four seeded pairs at each total 9-12
+    rng = random.Random(12)
+    cases = [(p, _targets(*p)) for total in range(7) for p in _pairs_of_total(total)]
+    cases += [(p, rng.sample(_targets(*p), 2)) for total in (7, 8) for p in _pairs_of_total(total)]
+    cases += [(p, rng.sample(_targets(*p), 6))
+              for total in range(9, 13) for p in rng.sample(_pairs_of_total(total), 4)]
+    for (d1, d2), targets in cases:
+        product = mult_infinity(d1, d2).numerators
+        for d in targets:
+            assert oracle_coefficient(d1, d2, d) == product.get(d, 0), (d1, d2, d)
+
+
+def test_coefficient_oracle_bound():
+    # 792 supports times 630 permutations of type [4,2,1], on either side
+    with pytest.raises(BoundError, match="498960 partial permutations exceed bound"):
+        oracle_coefficient((4, 2, 1), (4, 2, 1), (1,) * 12)
+
+
+def test_mult_sum_makes_one_spectral_sum_per_degree(monkeypatch):
+    calls = []
+    real = class_algebra.spectral_sum
+    monkeypatch.setattr(class_algebra, "spectral_sum", lambda *args: calls.append(args) or real(*args))
+    every = DiagramSum({d: 1 for n in range(1, 7) for d in partitions_of(n)})
+    assert len(every.numerators) == 29
+    mult_sum(every, every)
+    assert len(calls) <= 12
 
 
 def test_partial_permutation_oracle_bound():

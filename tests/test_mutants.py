@@ -29,6 +29,7 @@ from diagram_ops.oracles import (
     connected_series,
     hurwitz_genus0,
     jacobi_trudi,
+    oracle_coefficient,
     oracle_mult_infinity,
     poly_add,
     poly_mul,
@@ -105,6 +106,18 @@ def mult_infinity_vs_oracle() -> str:
     return "mult_infinity_vs_oracle at %s" % bad if bad else ""
 
 
+def coefficient_oracle_above_8() -> str:
+    """The graded product against the table-free coefficient oracle on a
+    few pairs of total degree 10 and 12, at every target of degree >= 9."""
+    bad = []
+    for d1, d2 in [((2,), (7, 1)), ((2, 1), (5, 1, 1, 1)), ((2,), (6, 2, 1, 1))]:
+        product = class_algebra.mult_infinity(d1, d2).numerators
+        if any(product.get(d, 0) != oracle_coefficient(d1, d2, d)
+               for n in range(9, sum(d1 + d2) + 1) for d in partitions_of(n)):
+            bad.append((d1, d2))
+    return "coefficient_oracle_above_8 at %s" % bad if bad else ""
+
+
 def closed_form_genus0(n_max=10) -> str:
     """m! [beta^m p_mu] log Z against Hurwitz's genus-0 formula for every
     mu with |mu| <= n_max, where permutation enumeration cannot reach."""
@@ -171,20 +184,26 @@ MUTANTS = [
     ("spectral_sum with twice the Plancherel q",
      lambda: source_mutant(characters, "spectral_sum", "math.factorial(n)",
                            "2 * math.factorial(n)"),
-     quick_selftest, "non-integral structure constant"),
+     quick_selftest, "hurwitz_chain_vs_tuple_oracle"),
     ("spectral_sum with the largest denominator as q",
      lambda: source_mutant(characters, "spectral_sum", "math.lcm(", "max("),
      from_schur_vs_jacobi_trudi, "from_schur_vs_jacobi_trudi"),
     ("spectral_sum with weight 1 for d_R",
      lambda: source_mutant(characters, "spectral_sum", "[row[i_dim] for row", "[1 for row"),
-     quick_selftest, "non-integral structure constant"),
+     quick_selftest, "hurwitz_chain_vs_tuple_oracle"),
     ("spectral_sum without the last column",
      lambda: source_mutant(characters, "spectral_sum", "zip(out, row)",
                            "zip(out, row[:-1] + (0,))"),
      quick_selftest, "structure_constants_vs_oracle"),
-    ("_graded_pieces adding the lower pieces",
-     lambda: source_mutant(class_algebra, "_graded_pieces", "- w * c", "+ w * c"),
+    ("mult_sum adding the lower pieces",
+     lambda: source_mutant(class_algebra, "mult_sum", "-= w * c", "+= w * c"),
      mult_infinity_vs_oracle, "mult_infinity_vs_oracle"),
+    ("mult_sum without the padding weight of the lower pieces at degree >= 9",
+     lambda: source_mutant(class_algebra, "mult_sum", "w * c", "(w if n < 9 else 1) * c"),
+     coefficient_oracle_above_8, r"coefficient_oracle_above_8 at .*\(2,\)"),
+    ("_class_product with b's phi in place of a's",
+     lambda: source_mutant(class_algebra, "_class_product", "_phi_sum(a, n)", "_phi_sum(b, n)"),
+     mult_sum_vs_oracle, "mult_sum_vs_oracle"),
     ("_add_strips without the strip sign",
      lambda: source_mutant(characters, "_add_strips", "(-chi if sign else chi)", "chi"),
      quick_selftest, "non-integral"),
@@ -223,6 +242,7 @@ def test_checks_pass_without_mutants():
     assert printer_vs_fractions() == ""
     assert mult_sum_vs_oracle() == ""
     assert mult_infinity_vs_oracle() == ""
+    assert coefficient_oracle_above_8() == ""
     assert closed_form_genus0(11) == ""
 
 

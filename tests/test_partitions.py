@@ -3,6 +3,7 @@ import math
 import re
 
 import pytest
+from decimal import Decimal
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from diagram_ops.partitions import (
     ratio_sum,
 )
 from diagram_ops.oracles import class_size, conjugate, cycle_type
+from diagram_ops.psym import PPoly
 
 
 def partition_count(n):
@@ -219,6 +221,13 @@ def test_diagram_sum_coefficients():
     assert [type(c) for s in sums for _, c in s.items()] == [Fraction, Fraction]
     half = DiagramSum({(2,): Fraction(2, 4), (1,): 3})
     assert (dict(half.numerators), half.denominator) == ({(2,): 1, (1,): 6}, 2)
+
+
+@pytest.mark.parametrize("coefficient", [0.5, "1", Decimal("0.5")])
+@pytest.mark.parametrize("make", [DiagramSum, PPoly])
+def test_constructors_refuse_other_coefficients(make, coefficient):
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        make({(2,): coefficient})
 
 
 def test_as_partition_rejects_bad_parts():
