@@ -7,11 +7,12 @@ read-only: rows are tuples behind a mapping proxy.
 
 phi_column writes the normalized character phi, an integer, as one
 column per diagram, and spectral_sum, the one sum
-S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it: Hurwitz
-brackets and the generating function's coefficients are its values at
-w_R = d_R, the graded product A B its values at dim_R phi_R(A) phi_R(B),
-and Schur functions and every W(delta) f its values at other weights, which
-it alone scales to integers over their least common denominator.
+S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu), reads it, all in
+ints: Hurwitz brackets and the generating function's coefficients are
+its values at the Plancherel weights w_R = d_R = dim_R/n!, which it
+keeps as dim_R over n!, the graded product A B its values at the integer
+weights dim_R phi_R(A) phi_R(B), and Schur functions and every W(delta) f
+its values at the integer numerators of their Schur coefficients.
 
 Tables are built by the Murnaghan-Nakayama rule read as addition: column
 mu expands p_mu in Schur functions by adding border strips of sizes mu_i
@@ -77,27 +78,21 @@ def phi_column(n: int, delta: Partition) -> list:
 
 def spectral_sum(n: int, powers, weights=None):
     """S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu) for every class mu
-    of degree n, powers P = {Y: k_Y} and rational weights {R: w_R}, by
-    default the Plancherel weights d_R = dim_R/n!, as (column, q): the
-    value at the i-th class of the table's order is column[i] / q, with q
-    the weights' least common denominator, n! under the Plancherel ones.
-    It is one integer sum of the rows of the table of S_n, rows of weight 0
-    skipped; an unknown shape raises ValueError."""
+    of degree n, powers P = {Y: k_Y} and int weights w_R, a list in the
+    table's row order, by default the Plancherel weights d_R = dim_R/n!,
+    as (column, q): the value at the i-th class of the table's order is
+    column[i] / q, with q = n! under the Plancherel weights and 1 under
+    given ones.  It is one integer sum of the rows of the table of S_n,
+    rows of weight 0 skipped."""
     table = char_table(n)
+    q = 1
     if weights is None:
         i_dim = table.column((1,) * n)
-        ws, q = [row[i_dim] for row in table.rows.values()], math.factorial(n)
-    else:
-        for r in weights:
-            if r not in table.rows:
-                raise table._unknown("shape", r)
-        ws = [weights.get(r, 0) for r in table.rows]
-        q = math.lcm(*(w.denominator for w in ws))
-        ws = [w.numerator * (q // w.denominator) for w in ws]
+        weights, q = [row[i_dim] for row in table.rows.values()], math.factorial(n)
     for y, k in powers.items():
-        ws = [w * x ** k for w, x in zip(ws, phi_column(n, y))]
+        weights = [w * x ** k for w, x in zip(weights, phi_column(n, y))]
     out = [0] * len(table.order)
-    for w, row in zip(ws, table.rows.values()):
+    for w, row in zip(weights, table.rows.values()):
         if w:
             out = [a + w * x for a, x in zip(out, row)]
     return out, q

@@ -2,8 +2,8 @@
 
 DiagramSum is a linear combination of diagrams of possibly mixed
 degrees, held as PPoly holds a polynomial: integer numerators over one
-denominator, from partitions.ratio_sum, so mult loads no fractions
-module.  It lives here because only mult reads and prints one.
+denominator, from partitions.ratio_sum, and built from ints only.  It
+lives here because only mult reads and prints one.
 
 The graded product of diagrams of arbitrary degree (Ivanov-Kerov, The
 algebra of conjugacy classes in symmetric groups, and partial
@@ -22,32 +22,23 @@ cmd_mult is the body of the mult command.
 """
 
 import math
-import types
 
 from .errors import BoundError, ConsistencyError, ParseError
 from .partitions import (
     Partition,
     as_partition,
-    as_ratio,
     degree,
     format_partition,
     format_ratio,
+    int_ratios,
     multiplicity,
     pad,
     parse_partition,
     parse_ratio,
     partition_sort_key,
-    ratio_sum,
+    ratio_value,
 )
 from .characters import MAX_TABLE_DEGREE, char_table, phi_column, spectral_sum
-
-
-def _diagram_sum(ratios: list) -> "DiagramSum":
-    """The DiagramSum of the terms (partition, numerator, denominator)."""
-    s = object.__new__(DiagramSum)
-    numerators, s.denominator = ratio_sum(ratios)
-    s.numerators = types.MappingProxyType(numerators)
-    return s
 
 
 class DiagramSum:
@@ -55,14 +46,13 @@ class DiagramSum:
     coefficient of the partition p is numerators[p] / denominator, as in
     PPoly.  Immutable, with read-only numerators, so a sum can be passed
     and kept without copying; zero terms are never stored.
-    DiagramSum(terms) takes int or Fraction coefficients.
+    DiagramSum(numerators, denominator) takes ints, as PPoly does.
     """
 
     __slots__ = ("numerators", "denominator")
 
-    def __new__(cls, terms=None):
-        pairs = terms.items() if hasattr(terms, "items") else terms or ()
-        return _diagram_sum([(as_partition(p), *as_ratio(c)) for p, c in pairs])
+    def __new__(cls, numerators=None, denominator=1):
+        return ratio_value(cls, int_ratios(numerators, denominator, as_partition))
 
     @classmethod
     def zero(cls):
@@ -71,13 +61,6 @@ class DiagramSum:
     def _sorted(self):
         """The partitions in canonical order (degree, then reverse-lex)."""
         return sorted(self.numerators, key=partition_sort_key)
-
-    def items(self):
-        """(partition, Fraction) in canonical order, built on each call, for
-        the oracles and the tests."""
-        from fractions import Fraction
-
-        return [(p, Fraction(self.numerators[p], self.denominator)) for p in self._sorted()]
 
     def degrees(self):
         return sorted({degree(p) for p in self.numerators})
@@ -128,7 +111,7 @@ def parse_diagram_sum(text: str) -> DiagramSum:
         else:
             num, den, part_text = 1, 1, chunk
         terms.append((parse_partition(part_text), num, den))
-    return _diagram_sum(terms)
+    return ratio_value(DiagramSum, terms)
 
 
 def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
@@ -156,10 +139,10 @@ def _class_product(a: dict, b: dict, n: int) -> dict:
     checked."""
     table = char_table(n)
     i_dim = table.column((1,) * n)
-    weights = {r: row[i_dim] * x * y for (r, row), x, y
-               in zip(table.rows.items(), _phi_sum(a, n), _phi_sum(b, n))}
-    column, q = spectral_sum(n, {}, weights)
-    q *= math.factorial(n)
+    weights = [row[i_dim] * x * y
+               for row, x, y in zip(table.rows.values(), _phi_sum(a, n), _phi_sum(b, n))]
+    column, _ = spectral_sum(n, {}, weights)
+    q = math.factorial(n)
     out = {}
     for e, total in zip(table.order, column):
         out[e], remainder = divmod(total, q)
@@ -194,7 +177,7 @@ def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
                 piece[padded] -= w * c
             out.update((d, c) for d, c in piece.items() if c)
     den = a.denominator * b.denominator
-    return _diagram_sum([(d, c, den) for d, c in out.items()])
+    return ratio_value(DiagramSum, [(d, c, den) for d, c in out.items()])
 
 
 def cmd_mult(args, check_degrees):

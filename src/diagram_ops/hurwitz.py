@@ -16,7 +16,9 @@ here imports that module.
 The generating function Z collects the padded brackets against the plain
 power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
 (n_1, ..., n_k) carries the usual 1/(n_1! ... n_k!) factor, and is a
-polynomial in the p_k, kept as partitions.ratio_sum returns it.
+polynomial in the p_k, kept as partitions.ratio_sum returns it: integer
+numerators over one denominator.  The checks read it as Fractions
+through diagram_ops.oracles.terms.
 
 cmd_hurwitz and cmd_evolve are the bodies of the hurwitz and evolve
 commands.
@@ -109,15 +111,6 @@ class HurwitzSeries:
         self.p_bound = p_bound
         self.order = order
         self.coefficients = {}
-
-    @property
-    def terms(self):
-        """{(beta key, monomial): Fraction}, built on each call, for the
-        oracles and the tests."""
-        from fractions import Fraction
-
-        return {(key, mono): Fraction(c, q) for key, (numerators, q) in self.coefficients.items()
-                for mono, c in numerators.items()}
 
     def to_json_obj(self):
         terms = []

@@ -11,10 +11,11 @@ Names that no command reads, kept for the checks and the tests:
   class_algebra's one product route; simple_hurwitz, the m-transposition
   brackets as one spectral sum; series_coefficient, one beta-coefficient
   of the generating function as a term dict.
+* terms, the one Fraction view of a PPoly, DiagramSum or HurwitzSeries;
+  ppoly and diagram_sum build the first two from Fractions.
 * poly_add, poly_neg, poly_sub, poly_mul, poly_diff and poly_max_degree:
   the arithmetic of polynomials in the power sums, on term dicts
-  {monomial: coefficient} such as PPoly.terms; PPoly(terms) reads one
-  back.
+  {monomial: coefficient} such as terms(f); ppoly reads one back.
 
 Permutations of S_n, enumerated literally up to MAX_ORACLE_DEGREE:
 
@@ -72,7 +73,9 @@ Operators:
   dZ/dbeta_Y = W(Y) Z, with W(Y) by apply_explicit.
 
 selftest_suites runs the oracle-equivalence suites of `selftest`, and
-cmd_selftest is the body of that command.
+cmd_selftest is the body of that command; --level full adds the two
+table-free suites that reach degree 12, closed_form_genus0 and
+coefficient_oracle_above_8.
 """
 
 import collections
@@ -89,6 +92,7 @@ from .partitions import (
     aut_order,
     degree,
     multiplicity,
+    partition_sort_key,
     partitions_of,
 )
 from .characters import char_table, phi, spectral_sum
@@ -121,6 +125,33 @@ MAX_ORACLE_ACTIONS = 200_000
 
 # ---------------------------------------------------------------------------
 # Partitions, characters and products that only the checks read
+
+def terms(x) -> dict:
+    """{key: Fraction} of a PPoly or DiagramSum, keys in canonical order,
+    or {(beta key, monomial): Fraction} of a HurwitzSeries."""
+    if isinstance(x, HurwitzSeries):
+        return {(key, mono): Fraction(c, q) for key, (numerators, q) in x.coefficients.items()
+                for mono, c in numerators.items()}
+    return {k: Fraction(x.numerators[k], x.denominator)
+            for k in sorted(x.numerators, key=partition_sort_key)}
+
+
+def _from_fractions(cls, coefficients):
+    """cls of int or Fraction coefficients, a mapping or pairs, over their lcm."""
+    pairs = list(coefficients.items() if hasattr(coefficients, "items") else coefficients)
+    q = math.lcm(*(c.denominator for _, c in pairs))
+    return cls([(k, c.numerator * (q // c.denominator)) for k, c in pairs], q)
+
+
+def ppoly(coefficients) -> PPoly:
+    """The PPoly of {monomial: int or Fraction}, or of such pairs."""
+    return _from_fractions(PPoly, coefficients)
+
+
+def diagram_sum(coefficients) -> DiagramSum:
+    """The DiagramSum of {partition: int or Fraction}, or of such pairs."""
+    return _from_fractions(DiagramSum, coefficients)
+
 
 def class_size(delta: Partition) -> int:
     """Number of permutations in S_n of cycle type delta, n = degree(delta)."""
@@ -165,7 +196,7 @@ def mult_same_degree(d1: Partition, d2: Partition) -> DiagramSum:
 
 def graded_piece(d1: Partition, d2: Partition, n: int) -> DiagramSum:
     """Single graded piece {d1 d2}_n of the product."""
-    return DiagramSum((d, c) for d, c in mult_infinity(d1, d2).items() if degree(d) == n)
+    return diagram_sum((d, c) for d, c in terms(mult_infinity(d1, d2)).items() if degree(d) == n)
 
 
 def simple_hurwitz(n: int, m: int) -> dict:
@@ -190,7 +221,7 @@ def series_coefficient(series: HurwitzSeries, key) -> dict:
 # ---------------------------------------------------------------------------
 # Polynomials in the power sums as term dicts {monomial: coefficient}: the
 # arithmetic of PPoly, which only the checks use.  Each function returns a
-# new dict without zero terms, and PPoly(terms) reads one.  The constant 1
+# new dict without zero terms, and ppoly reads one.  The constant 1
 # is {(): 1} and p_k is {(k,): 1}.
 
 def poly_add(f, g) -> dict:
@@ -427,7 +458,7 @@ def oracle_mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
             cycles = cycle_type(compose(g1, g2))
             d = cycles[:len(cycles) - (n - len(s1 | s2))]
             counts[d] = counts.get(d, 0) + 1
-    return DiagramSum({
+    return diagram_sum({
         d: Fraction(c, math.comb(n, degree(d)) * class_size(d)) for d, c in counts.items()
     })
 
@@ -475,20 +506,9 @@ def bialternant_eval(r: Partition, xs) -> Fraction:
 def eval_at_power_sums(f: PPoly, xs) -> Fraction:
     """Evaluate f after substituting p_k <- sum_j xs_j^k."""
     xs = [Fraction(x) for x in xs]
-    power_sums = {}
-
-    def psum(k):
-        if k not in power_sums:
-            power_sums[k] = sum((x ** k for x in xs), Fraction(0))
-        return power_sums[k]
-
-    total = Fraction(0)
-    for mono, coef in f.terms.items():
-        val = coef
-        for k in mono:
-            val *= psum(k)
-        total += val
-    return total
+    psum = {k: sum(x ** k for x in xs) for mono in f.numerators for k in mono}
+    return sum((c * math.prod(psum[k] for k in mono) for mono, c in terms(f).items()),
+               Fraction(0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -501,8 +521,8 @@ def complete_homogeneous(i: int) -> PPoly:
     # Newton recurrence: i*h_i = sum_{k=1..i} p_k h_{i-k}
     acc = {}
     for k in range(1, i + 1):
-        acc = poly_add(acc, poly_mul({(k,): 1}, complete_homogeneous(i - k).terms))
-    return PPoly(poly_mul(acc, Fraction(1, i)))
+        acc = poly_add(acc, poly_mul({(k,): 1}, terms(complete_homogeneous(i - k))))
+    return ppoly(poly_mul(acc, Fraction(1, i)))
 
 
 def _perm_sign(perm) -> int:
@@ -517,7 +537,7 @@ def _perm_sign(perm) -> int:
 def jacobi_trudi(r: Partition) -> PPoly:
     """Schur function of r by the Jacobi-Trudi determinant."""
     l = len(r)
-    entries = [[complete_homogeneous(r[i] + j - i).terms for j in range(l)] for i in range(l)]
+    entries = [[terms(complete_homogeneous(r[i] + j - i)) for j in range(l)] for i in range(l)]
     total = {}
     for perm in itertools.permutations(range(l)):
         prod = {(): 1}
@@ -526,7 +546,7 @@ def jacobi_trudi(r: Partition) -> PPoly:
             if not prod:
                 break
         total = poly_add(total, poly_mul(prod, _perm_sign(perm)))
-    return PPoly(total)
+    return ppoly(total)
 
 
 def _beta_numbers(shape: Partition):
@@ -605,7 +625,7 @@ def d_r_product(r: Partition) -> Fraction:
 def series_by_schur(active, p_bound: int, order: int) -> dict:
     """{(beta key, monomial): coefficient} of the truncated generating
     function, active in the canonical order of HurwitzSeries.active."""
-    terms = {}
+    out = {}
     for counts in itertools.product(range(order + 1), repeat=len(active)):
         if sum(counts) > order:
             continue
@@ -615,9 +635,9 @@ def series_by_schur(active, p_bound: int, order: int) -> dict:
                 c = d_r(r)
                 for y, k in zip(active, counts):
                     c *= Fraction(phi(r, y) ** k, math.factorial(k))
-                for mono, mc in schur(r).terms.items():
-                    terms[(key, mono)] = terms.get((key, mono), 0) + c * mc
-    return {slot: v for slot, v in terms.items() if v}
+                for mono, mc in terms(schur(r)).items():
+                    out[(key, mono)] = out.get((key, mono), 0) + c * mc
+    return {slot: v for slot, v in out.items() if v}
 
 
 def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
@@ -636,8 +656,8 @@ def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
         up = {p: k for p, k in counts.items()}
         up[upsilon] = up.get(upsilon, 0) + 1
         deriv = poly_mul(series_coefficient(series, _beta_key(up)), up[upsilon])
-        applied = apply_explicit(upsilon, PPoly(series_coefficient(series, key)))
-        for c in poly_sub(deriv, applied.terms).values():
+        applied = apply_explicit(upsilon, ppoly(series_coefficient(series, key)))
+        for c in poly_sub(deriv, terms(applied)).values():
             worst = max(worst, abs(c))
     return worst
 
@@ -649,7 +669,7 @@ def connected_series(p_bound: int, order: int) -> dict:
     log Z follows from the degree recurrence
     n L_n = n Z_n - sum_{0<k<n} k L_k Z_{n-k}, truncated at beta-order order."""
     z = [{} for _ in range(p_bound + 1)]
-    for (key, mu), c in generating_function([(2,)], p_bound, order).terms.items():
+    for (key, mu), c in terms(generating_function([(2,)], p_bound, order)).items():
         z[degree(mu)][(dict(key).get((2,), 0), mu)] = c
     logs = [{}]
     for n in range(1, p_bound + 1):
@@ -707,17 +727,17 @@ def apply_explicit(delta: Partition, f: PPoly) -> PPoly:
     k = degree(delta)
     if k > MAX_ORACLE_DEGREE:
         raise BoundError("explicit operator beyond |delta| = %d" % MAX_ORACLE_DEGREE)
-    actions = class_size(delta) * sum(math.comb(degree(mu), k) for mu in f.terms)
+    actions = class_size(delta) * sum(math.comb(degree(mu), k) for mu in f.numerators)
     if actions > MAX_ORACLE_ACTIONS:
         raise BoundError("%d partial permutations exceed bound %d" % (actions, MAX_ORACLE_ACTIONS))
     out = {}
-    for mu, coef in f.terms.items():
+    for mu, coef in f.numerators.items():
         pi = _permutation_of_type(mu)
         counts = collections.Counter(
             cycle_type(compose(alpha, pi)) for _, alpha in _partial_permutations(delta, len(pi)))
         for nu, c in counts.items():
             out[nu] = out.get(nu, 0) + coef * c
-    return PPoly(out)
+    return PPoly(out, f.denominator)
 
 
 def cut_and_join(f: PPoly) -> PPoly:
@@ -725,7 +745,7 @@ def cut_and_join(f: PPoly) -> PPoly:
     (1/2) sum_{a,b} ((a+b) p_a p_b d/dp_{a+b} + a b p_{a+b} d2/dp_a dp_b),
     every index clipped at the graded degree of f: a derivative by a
     higher p_k annihilates f, and the operator preserves graded degree."""
-    f = f.terms
+    f = terms(f)
     d = poly_max_degree(f)
     acc = {}
     for a in range(1, d + 1):
@@ -734,7 +754,7 @@ def cut_and_join(f: PPoly) -> PPoly:
                 acc = poly_add(acc, poly_mul({(a, b): Fraction(a + b, 2)}, poly_diff(f, a + b)))
             acc = poly_add(acc, poly_mul({(a + b,): Fraction(a * b, 2)},
                                          poly_diff(poly_diff(f, a), b)))
-    return PPoly(acc)
+    return ppoly(acc)
 
 
 def compose_check(d1: Partition, d2: Partition, f: PPoly):
@@ -743,9 +763,9 @@ def compose_check(d1: Partition, d2: Partition, f: PPoly):
     sum_d c_d W(d) f over its terms c_d d; the two must agree exactly."""
     sequential = apply_explicit(d1, apply_explicit(d2, f))
     combined = {}
-    for d, c in mult_infinity(d1, d2).items():
-        combined = poly_add(combined, poly_mul(apply_spectral(d, f).terms, c))
-    return sequential, PPoly(combined)
+    for d, c in terms(mult_infinity(d1, d2)).items():
+        combined = poly_add(combined, poly_mul(terms(apply_spectral(d, f)), c))
+    return sequential, ppoly(combined)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +789,25 @@ def check_orthogonality(table) -> bool:
             if s != (n_fact if a == b else 0):
                 raise ConsistencyError("orthogonality failure for rows %s, %s" % (a, b))
     return True
+
+
+def closed_form_genus0(n_max: int) -> dict:
+    """{mu: agrees} for 0 < |mu| <= n_max: whether m! [beta^m p_mu] log Z is
+    0 below m = |mu| + l(mu) - 2 and Hurwitz's genus-0 formula at it."""
+    logs = connected_series(n_max, 2 * n_max - 2)
+    return {mu: [logs.get((m, mu), 0) for m in range(n + len(mu) - 1)]
+            == [0] * (n + len(mu) - 2) + [hurwitz_genus0(mu)]
+            for n in range(1, n_max + 1) for mu in partitions_of(n)}
+
+
+def coefficient_oracle_above_8() -> dict:
+    """{(d1, d2): agrees} for three pairs of total degree 10 and 12: whether
+    mult_infinity matches oracle_coefficient at every target of degree >= 9."""
+    products = {pair: mult_infinity(*pair).numerators
+                for pair in [((2,), (7, 1)), ((2, 1), (5, 1, 1, 1)), ((2,), (6, 2, 1, 1))]}
+    return {(d1, d2): all(p.get(d, 0) == oracle_coefficient(d1, d2, d)
+                          for n in range(9, degree(d1 + d2) + 1) for d in partitions_of(n))
+            for (d1, d2), p in products.items()}
 
 
 def selftest_suites(level: str, seed: int):
@@ -802,6 +841,9 @@ def selftest_suites(level: str, seed: int):
                (sum(map(class_size, partitions_of(n))) == math.factorial(n)
                 for n in range(1, n_max + 3))),
     ]
+    if level == "full":
+        suites += [_suite("closed_form_genus0", closed_form_genus0(10).values()),
+                   _suite("coefficient_oracle_above_8", coefficient_oracle_above_8().values())]
     ok = all(s["failures"] == 0 for s in suites)
     return {"level": level, "seed": seed, "suites": suites, "ok": ok}
 

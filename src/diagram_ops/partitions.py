@@ -9,13 +9,16 @@ class_algebra.
 
 Rationals are integer numerators over one positive denominator, in
 lowest terms: ratio_sum alone sums terms into that form, for PPoly,
-DiagramSum and the Hurwitz series, parse_ratio reads one rational into
-(numerator, denominator), and format_ratio prints one, so no op but
-selftest loads the fractions module.
+DiagramSum and the Hurwitz series, ratio_value builds a PPoly or a
+DiagramSum of the sum, int_ratios checks the ints that their constructors
+take, parse_ratio reads one rational into (numerator, denominator), and
+format_ratio prints one.  No module of the package but
+diagram_ops.oracles imports fractions.
 """
 
 import math
 import sys
+import types
 
 from .errors import BoundError, ParseError
 
@@ -138,13 +141,19 @@ def format_ratio(numerator: int, denominator: int) -> str:
                          "sys.get_int_max_str_digits()" % sys.get_int_max_str_digits()) from None
 
 
-def as_ratio(c) -> tuple:
-    """(numerator, denominator) of an int or Fraction coefficient c."""
-    from fractions import Fraction
-
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
-    return c.numerator, c.denominator
+def int_ratios(numerators, denominator, key) -> list:
+    """The terms of a mapping or pairs (k, numerator), all over one
+    denominator, as ratio_sum's triples (key(k), numerator, denominator).
+    A numerator or denominator that is not an int raises TypeError, and a
+    denominator <= 0 raises ValueError."""
+    pairs = numerators.items() if hasattr(numerators, "items") else numerators or ()
+    ratios = [(key(k), c, denominator) for k, c in pairs]
+    for c in [denominator] + [c for _, c, _ in ratios]:
+        if not isinstance(c, int):
+            raise TypeError("numerator or denominator %r is not an int" % (c,))
+    if denominator <= 0:
+        raise ValueError("denominator %d is not positive" % denominator)
+    return ratios
 
 
 def ratio_sum(ratios: list) -> tuple:
@@ -157,6 +166,16 @@ def ratio_sum(ratios: list) -> tuple:
         numerators[key] = numerators.get(key, 0) + num * (q // den)
     g = math.gcd(q, *numerators.values())
     return {key: c // g for key, c in numerators.items() if c}, q // g
+
+
+def ratio_value(cls, ratios: list):
+    """A new cls, PPoly or DiagramSum, that holds the sum of the terms
+    (key, numerator, denominator) as ratio_sum makes it, its numerators a
+    read-only mapping."""
+    value = object.__new__(cls)
+    numerators, value.denominator = ratio_sum(ratios)
+    value.numerators = types.MappingProxyType(numerators)
+    return value
 
 
 def parse_ratio(text: str) -> tuple:

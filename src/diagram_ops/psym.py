@@ -4,10 +4,9 @@ A monomial p_{l1} p_{l2} ... (l1 >= l2 >= ...) is keyed by its exponent
 partition (l1, l2, ...); its graded degree is l1 + l2 + ... (deg p_k = k).
 A PPoly holds integer numerators over one positive common denominator,
 in lowest terms, built by partitions.ratio_sum, and never stores a zero
-numerator, so no op that parses, converts and prints a polynomial loads
-the fractions module.
-Its arithmetic lives in diagram_ops.oracles, as functions on the
-Fraction-valued terms, because only the oracles and the tests use it.
+numerator; PPoly(numerators, denominator) takes ints only.  Its
+arithmetic, and the Fraction view of its coefficients, live in
+diagram_ops.oracles, because only the oracles and the tests use them.
 
 Schur functions are read from the character table; the bialternant and
 Jacobi-Trudi routes that check them live in diagram_ops.oracles, which
@@ -21,59 +20,41 @@ the partial-permutation action, which reads no character table.
 cmd_schur and cmd_wapply are the bodies of the schur and wapply commands.
 """
 
-import types
-
 from .errors import BoundError, ParseError
 from .partitions import (
     MAX_ENUM_DEGREE,
     Partition,
     as_partition,
-    as_ratio,
     aut_order,
     degree,
     format_ratio,
+    int_ratios,
     is_ascii_digits,
     multiplicity,
     parse_partition,
     parse_ratio,
-    ratio_sum,
+    ratio_value,
 )
 from .characters import char_table, spectral_sum
-
-
-def _ppoly(ratios: list) -> "PPoly":
-    """The PPoly sum of the terms (monomial, numerator, denominator)."""
-    f = object.__new__(PPoly)
-    numerators, f.denominator = ratio_sum(ratios)
-    f.numerators = types.MappingProxyType(numerators)
-    return f
 
 
 class PPoly:
     """Sparse exact polynomial in the variables p_1, p_2, ...: the
     coefficient of the monomial m is numerators[m] / denominator, and
     numerators is a read-only mapping, so a PPoly is a value that can be
-    passed and kept without copying.  PPoly(terms) takes int or Fraction
-    coefficients."""
+    passed and kept without copying.  PPoly(numerators, denominator) takes
+    ints, {monomial: numerator} or pairs over one denominator > 0, and
+    reduces them."""
 
     __slots__ = ("numerators", "denominator")
 
-    def __new__(cls, terms=None):
-        pairs = terms.items() if hasattr(terms, "items") else terms or ()
-        return _ppoly([(tuple(sorted(mono, reverse=True)), *as_ratio(c)) for mono, c in pairs])
+    def __new__(cls, numerators=None, denominator=1):
+        return ratio_value(cls, int_ratios(numerators, denominator,
+                                           lambda m: tuple(sorted(m, reverse=True))))
 
     @classmethod
     def zero(cls):
         return cls()
-
-    @property
-    def terms(self):
-        """The coefficients as a read-only {monomial: Fraction}, built on
-        each call, for the oracles and the tests."""
-        from fractions import Fraction
-
-        q = self.denominator
-        return types.MappingProxyType({m: Fraction(c, q) for m, c in self.numerators.items()})
 
     def homogeneous_degrees(self):
         return sorted({degree(m) for m in self.numerators})
@@ -137,7 +118,7 @@ def parse_ppoly(text: str) -> PPoly:
             else:
                 raise ParseError("coefficient %r must come first" % factor, 0)
         terms.append((tuple(sorted(mono, reverse=True)), num, den))
-    return _ppoly(terms)
+    return ratio_value(PPoly, terms)
 
 
 def schur(r: Partition) -> PPoly:
@@ -162,19 +143,23 @@ def schur_expand(f: PPoly) -> tuple:
 
 
 def from_schur(coeffs: dict, q: int = 1, powers=()) -> PPoly:
-    """sum_R (c_R / q) prod_Y phi_R(Y)^k_Y schur(R) for int or Fraction
-    c_R and powers {Y: k_Y}; with no powers, from_schur(*schur_expand(f))
-    is f.  Per degree the p_mu coefficients are one spectral sum with
-    weights c_R, over its common denominator q_n, divided by q q_n z_mu."""
+    """sum_R (c_R / q) prod_Y phi_R(Y)^k_Y schur(R) for int c_R and powers
+    {Y: k_Y}; with no powers, from_schur(*schur_expand(f)) is f.  Per
+    degree the p_mu coefficients are one spectral sum with weights c_R,
+    divided by q z_mu; an unknown shape raises ValueError."""
     by_degree = {}
     for r, c in coeffs.items():
         by_degree.setdefault(degree(r), {})[tuple(r)] = c
     ratios = []
     for n, cs in by_degree.items():
-        column, q_n = spectral_sum(n, dict(powers), cs)
-        ratios += [(mu, total, q * q_n * aut_order(mu))
-                   for mu, total in zip(char_table(n).order, column) if total]
-    return _ppoly(ratios)
+        table = char_table(n)
+        for r in cs:
+            if r not in table.rows:
+                raise table._unknown("shape", r)
+        column, _ = spectral_sum(n, dict(powers), [cs.get(r, 0) for r in table.order])
+        ratios += [(mu, total, q * aut_order(mu))
+                   for mu, total in zip(table.order, column) if total]
+    return ratio_value(PPoly, ratios)
 
 
 def apply_spectral(delta: Partition, f: PPoly) -> PPoly:

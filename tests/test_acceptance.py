@@ -32,18 +32,20 @@ from diagram_ops.oracles import (
     oracle_tuple_count,
     pde_residual,
     poly_mul,
+    ppoly,
     series_coefficient,
     simple_hurwitz,
+    terms,
 )
 from diagram_ops.partitions import partitions_of
-from diagram_ops.psym import PPoly, apply_spectral, schur
+from diagram_ops.psym import apply_spectral, schur
 
 SEED = 20101146
 
 
 def exp_p1(n):
     """e^{p_1} truncated to graded degree n."""
-    return PPoly({(1,) * k: Fraction(1, math.factorial(k)) for k in range(n + 1)})
+    return ppoly({(1,) * k: Fraction(1, math.factorial(k)) for k in range(n + 1)})
 
 
 def report(number, ok, label):
@@ -67,7 +69,7 @@ def test_criterion_2_example_2():
     ok = (
         product == DiagramSum([((1, 1), 1), ((3,), 3), ((2, 2), 2)])
         and inner3 == DiagramSum([((1, 1, 1), 3), ((3,), 3)])
-        and dict(inner4.items()) == {(3, 1): 3, (1, 1, 1, 1): 6, (2, 2): 2}
+        and terms(inner4) == {(3, 1): 3, (1, 1, 1, 1): 6, (2, 2): 2}
     )
     report(2, ok, "product [2]*[2] with intermediates")
 
@@ -94,7 +96,7 @@ def test_criterion_4_eigenfunctions():
             sr = schur(r)
             for nd in range(1, 5):
                 for delta in partitions_of(nd):
-                    eigen = PPoly(poly_mul(sr.terms, phi(r, delta)))
+                    eigen = ppoly(poly_mul(terms(sr), phi(r, delta)))
                     if apply_spectral(delta, sr) != eigen:
                         ok = False
                     if apply_explicit(delta, sr) != eigen:
@@ -111,7 +113,7 @@ def test_criterion_5_homomorphism():
                 for d2 in diagrams:
                     product = mult_infinity(d1, d2)
                     total = sum(
-                        (c * phi(r, d) for d, c in product.items()), Fraction(0)
+                        (c * phi(r, d) for d, c in terms(product).items()), Fraction(0)
                     )
                     if total != phi(r, d1) * phi(r, d2):
                         ok = False
@@ -159,7 +161,7 @@ def test_criterion_7_hurwitz_oracle():
 def test_criterion_8_evolution_equation():
     directions = [p for n in range(1, 5) for p in partitions_of(n)]
     series = generating_function(directions, p_bound=5, order=3)
-    ok = PPoly(series_coefficient(series, ())) == exp_p1(5)
+    ok = ppoly(series_coefficient(series, ())) == exp_p1(5)
     for upsilon in directions:
         if pde_residual(upsilon, series) != 0:
             ok = False

@@ -33,7 +33,9 @@ from diagram_ops.oracles import (
     dimension,
     mn_character,
     table_entry,
+    terms,
 )
+from diagram_ops.psym import from_schur
 
 # Explicit matrix models of the irreducible representations of S_3,
 # indexed by class representatives, used as a from-scratch oracle.
@@ -243,10 +245,10 @@ def test_char_table_is_shared_and_read_only():
     (lambda t: table_entry(t, (2, 1), (2,)), "[2] is not a class of S_3"),
     (lambda t: table_entry(t, (1, 2), (2, 1)), "[1,2] is not a shape of S_3"),
     (lambda t: t.column((1, 2)), "[1,2] is not a class of S_3"),
-    (lambda t: spectral_sum(t.n, {}, {(3,): 1, (1, 2): 0}), "[1,2] is not a shape of S_3"),
-    (lambda t: spectral_sum(t.n, {}, {(2,): 1}), "[2] is not a shape of S_3"),
+    (lambda t: from_schur({(3,): 1, (1, 2): 0}), "[1,2] is not a shape of S_3"),
+    (lambda t: from_schur({(2,): 1, (2, 1, 0): 1}), "[2,1,0] is not a shape of S_3"),
 ], ids=["entry-unsorted-class", "entry-wrong-degree", "entry-unsorted-shape", "column",
-        "spectral-sum-unsorted-shape", "spectral-sum-wrong-degree"])
+        "from-schur-unsorted-shape", "from-schur-zero-part"])
 def test_table_lookup_names_unknown_label(lookup, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         lookup(char_table(3))
@@ -286,8 +288,9 @@ def test_phi_column_is_integral():
 
 
 def test_spectral_sum_matches_fraction_sum():
-    # the Plancherel default, integer, Fraction and mostly-zero or +-10^6
-    # weights, against the same sum term by term in Fractions
+    # the Plancherel default, and integer, Fraction (as integer numerators
+    # over their lcm) and mostly-zero or +-10^6 weights in table order,
+    # against the same sum term by term in Fractions
     rng = random.Random(11)
     for n in range(9):
         order = char_table(n).order
@@ -303,18 +306,23 @@ def test_spectral_sum_matches_fraction_sum():
                 {r: rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)]) for r in order},
             ]:
                 ws = {r: d_r(r) for r in order} if weights is None else weights
-                column, q = spectral_sum(n, powers, weights)
-                assert q == (math.factorial(n) if weights is None else
-                             math.lcm(*(Fraction(w).denominator for w in weights.values())))
+                if weights is None:
+                    column, q = spectral_sum(n, powers)
+                    assert q == math.factorial(n)
+                else:
+                    scale = math.lcm(*(Fraction(w).denominator for w in weights.values()))
+                    column, q = spectral_sum(n, powers,
+                                             [int(weights.get(r, 0) * scale) for r in order])
+                    assert q == 1
+                    q = scale
                 expected = [
                     sum((ws.get(r, 0) * math.prod(phi(r, y) ** k for y, k in powers.items())
                          * character(r, mu) for r in order), Fraction(0))
                     for mu in order]
                 assert [Fraction(x, q) for x in column] == expected, (n, powers, weights)
-    # q is the least common denominator, not the largest or the product
-    weights = {(3,): Fraction(1, 4), (2, 1): Fraction(-5, 6), (1, 1, 1): 1}
-    column, q = spectral_sum(3, {}, weights)
-    assert q == 12
+    # given weights, 1/4, -5/6 and 1 over their lcm 12, come back over q = 1
+    column, q = spectral_sum(3, {}, [3, -10, 12])
+    assert q == 1
     assert column == [3 * x - 10 * y + 12 * z for x, y, z in zip(*char_table(3).rows.values())]
 
 
@@ -330,7 +338,7 @@ def test_phi_multiplicativity_small():
                 for d2 in diagrams:
                     product = mult_infinity(d1, d2)
                     total = sum(
-                        (c * phi(r, d) for d, c in product.items()),
+                        (c * phi(r, d) for d, c in terms(product).items()),
                         Fraction(0),
                     )
                     assert total == phi(r, d1) * phi(r, d2)

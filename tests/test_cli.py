@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -14,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 import diagram_ops
 
 from diagram_ops import characters, oracles
-from diagram_ops.class_algebra import DiagramSum, parse_diagram_sum
+from diagram_ops.class_algebra import parse_diagram_sum
 from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, _is_negative_number, main, to_json
 from diagram_ops.errors import ConsistencyError
-from diagram_ops.oracles import mult_same_degree, oracle_mult_infinity
+from diagram_ops.oracles import diagram_sum, mult_same_degree, oracle_mult_infinity, terms
 
 
 def run(capsys, *argv):
@@ -41,9 +42,9 @@ def test_mult_examples(capsys):
     code, out, _ = run(capsys, "mult", "1/2*[2]", "2/3*[2] + 1/3*[1]")
     expected = {}
     for right, c in [((2,), Fraction(2, 3)), ((1,), Fraction(1, 3))]:
-        for d, count in oracle_mult_infinity((2,), right).items():
+        for d, count in terms(oracle_mult_infinity((2,), right)).items():
             expected[d] = expected.get(d, 0) + Fraction(1, 2) * c * count
-    assert code == 0 and parse_diagram_sum(out) == DiagramSum(expected)
+    assert code == 0 and parse_diagram_sum(out) == diagram_sum(expected)
     assert out == "1/3*[2] + 1/3*[1,1] + 1*[3] + 1/6*[2,1] + 2/3*[2,2]\n"
     code, out, _ = run(capsys, "--json", "mult", "[2]", "[2]")
     assert code == 0 and out == ('{"result": [{"coef": "1", "partition": [1, 1]}, '
@@ -290,6 +291,10 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
         (run_cli, ["--json", "evolve", "--p-bound", "3", "--order", "2", "[2]"],
          later[::2] + no_algebra + no_fractions),
         (run_cli, ["selftest"], ["json", "argparse", "diagram_ops.usage"]),
+        # the library's constructors and kernel take and make ints only
+        ("from diagram_ops import DiagramSum, PPoly, from_schur, generating_function; "
+         "PPoly({(2,): 1}); DiagramSum({(2,): 1}); from_schur({(2, 1): 1}); "
+         "generating_function([(2,)], 4, 2); ", [], no_fractions[:3]),
         ("import diagram_ops; ", [], submodules + ["json"]),
         ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [],
          ["json"]),
@@ -304,6 +309,22 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
         proc = subprocess.run([sys.executable, "-S", "-c", code] + argv, capture_output=True,
                               text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "[]\n"), (code, argv, proc.stderr)
+
+
+def test_only_oracles_imports_fractions():
+    package = os.path.dirname(diagram_ops.__file__)
+    importers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            # every import statement, at module level or inside a function
+            for node in ast.walk(tree):
+                modules = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                           [node.module] if isinstance(node, ast.ImportFrom) else [])
+                if any(m and m.split(".")[0] == "fractions" for m in modules):
+                    importers.append(name)
+    assert importers == ["oracles.py"]
 
 
 def _cli_process(argv, **kwargs):

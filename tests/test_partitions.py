@@ -21,8 +21,8 @@ from diagram_ops.partitions import (
     partitions_of,
     ratio_sum,
 )
-from diagram_ops.oracles import class_size, conjugate, cycle_type
-from diagram_ops.psym import PPoly
+from diagram_ops.oracles import class_size, conjugate, cycle_type, diagram_sum, terms
+from diagram_ops.psym import PPoly, parse_ppoly
 
 
 def partition_count(n):
@@ -216,18 +216,29 @@ def test_parsers_match_their_regular_expressions(partition_text, fraction_text):
 
 
 def test_diagram_sum_coefficients():
-    sums = [DiagramSum({(2,): c}) for c in (1, Fraction(1))]
+    sums = [diagram_sum({(2,): c}) for c in (1, Fraction(1))] + [DiagramSum({(2,): 1})]
     assert all(s == sums[0] for s in sums)
-    assert [type(c) for s in sums for _, c in s.items()] == [Fraction, Fraction]
-    half = DiagramSum({(2,): Fraction(2, 4), (1,): 3})
+    assert [type(c) for s in sums for c in terms(s).values()] == [Fraction] * 3
+    half = diagram_sum({(2,): Fraction(2, 4), (1,): 3})
     assert (dict(half.numerators), half.denominator) == ({(2,): 1, (1,): 6}, 2)
+    assert DiagramSum({(2,): 2, (1,): 12}, 4) == half
 
 
-@pytest.mark.parametrize("coefficient", [0.5, "1", Decimal("0.5")])
+@pytest.mark.parametrize("coefficient", [0.5, "1", Decimal("0.5"), Fraction(1, 2)])
 @pytest.mark.parametrize("make", [DiagramSum, PPoly])
 def test_constructors_refuse_other_coefficients(make, coefficient):
-    with pytest.raises(TypeError, match="not an int or a Fraction"):
+    with pytest.raises(TypeError, match="is not an int"):
         make({(2,): coefficient})
+    with pytest.raises(TypeError, match="is not an int"):
+        make({(2,): 1}, coefficient)
+    for denominator in (0, -1):
+        with pytest.raises(ValueError, match="denominator %d is not positive" % denominator):
+            make({(2,): 1}, denominator)
+
+
+def test_constructors_reduce_to_lowest_terms():
+    assert PPoly({(2,): 3}, 6) == parse_ppoly("1/2*p2")
+    assert DiagramSum({(2,): 3}, 6) == parse_diagram_sum("1/2*[2]")
 
 
 def test_as_partition_rejects_bad_parts():
@@ -240,11 +251,13 @@ def test_as_partition_rejects_bad_parts():
 def test_diagram_sum_arithmetic():
     a = DiagramSum({(2,): 2})
     b = DiagramSum({(2,): -2})
-    assert DiagramSum(a.items() + b.items()) == DiagramSum.zero()
-    s = DiagramSum([((2, 1), 1), ((1,), Fraction(1, 2))])
-    assert s.items() == [((1,), Fraction(1, 2)), ((2, 1), 1)]
-    assert DiagramSum((p, c) for p, c in s.items() if degree(p) == 3) == DiagramSum({(2, 1): 1})
-    assert DiagramSum((p, 3 * c) for p, c in s.items()).items()[0] == ((1,), Fraction(3, 2))
+    assert diagram_sum(list(terms(a).items()) + list(terms(b).items())) == DiagramSum.zero()
+    s = diagram_sum([((2, 1), 1), ((1,), Fraction(1, 2))])
+    assert list(terms(s).items()) == [((1,), Fraction(1, 2)), ((2, 1), 1)]
+    assert diagram_sum((p, c) for p, c in terms(s).items() if degree(p) == 3) == DiagramSum(
+        {(2, 1): 1})
+    assert list(terms(diagram_sum((p, 3 * c) for p, c in terms(s).items())).items())[0] == (
+        (1,), Fraction(3, 2))
 
 
 def test_diagram_sum_text_round_trip():
@@ -258,7 +271,7 @@ def test_diagram_sum_text_round_trip():
 
 def test_diagram_sum_canonical_order():
     s = DiagramSum([((1, 1, 1), 1), ((3,), 1), ((2,), 1)])
-    assert [p for p, _ in s.items()] == [(2,), (3,), (1, 1, 1)]
+    assert list(terms(s)) == [(2,), (3,), (1, 1, 1)]
 
 
 PARTITIONS = st.lists(st.integers(1, 40), max_size=12).map(
@@ -268,9 +281,9 @@ COEFFICIENTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(PARTITIONS, st.dictionaries(PARTITIONS, COEFFICIENTS, max_size=5))
-def test_text_round_trip_property(delta, terms):
+def test_text_round_trip_property(delta, coefficients):
     assert parse_partition(format_partition(delta)) == delta
-    s = DiagramSum(terms)
+    s = diagram_sum(coefficients)
     assert parse_diagram_sum(s.to_text()) == s
 
 
