@@ -10,6 +10,7 @@ import importlib
 
 _EXPORTS = {
     "partitions": (
+        "PPoly",
         "as_partition",
         "aut_order",
         "degree",
@@ -26,7 +27,7 @@ _EXPORTS = {
         "parse_diagram_sum",
         "structure_constant",
     ),
-    "psym": ("PPoly", "apply_spectral", "from_schur", "schur", "schur_expand"),
+    "psym": ("apply_spectral", "from_schur", "schur", "schur_expand"),
     "hurwitz": (
         "HurwitzSeries",
         "generating_function",

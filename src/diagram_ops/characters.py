@@ -82,16 +82,17 @@ def spectral_sum(n: int, powers, weights=None):
     table's row order, by default the Plancherel weights d_R = dim_R/n!,
     as (column, q): the value at the i-th class of the table's order is
     column[i] / q, with q = n! under the Plancherel weights and 1 under
-    given ones.  It is one integer sum of the rows of the table of S_n,
-    rows of weight 0 skipped."""
+    given ones, one per row (ValueError otherwise).  It is one integer
+    sum of the rows of the table of S_n, rows of weight 0 skipped."""
     table = char_table(n)
-    q = 1
+    q, out = 1, [0] * len(table.order)
     if weights is None:
         i_dim = table.column((1,) * n)
         weights, q = [row[i_dim] for row in table.rows.values()], math.factorial(n)
+    elif len(weights) != len(out):
+        raise ValueError("n = %d takes %d weights, not %d" % (n, len(out), len(weights)))
     for y, k in powers.items():
         weights = [w * x ** k for w, x in zip(weights, phi_column(n, y))]
-    out = [0] * len(table.order)
     for w, row in zip(weights, table.rows.values()):
         if w:
             out = [a + w * x for a, x in zip(out, row)]

@@ -1,9 +1,9 @@
 """Center of the group algebra of S_n and the graded product of diagrams.
 
-DiagramSum is a linear combination of diagrams of possibly mixed
-degrees, held as PPoly holds a polynomial: integer numerators over one
-denominator, from partitions.ratio_sum, and built from ints only.  It
-lives here because only mult reads and prints one.
+DiagramSum, a linear combination of diagrams of possibly mixed degrees,
+is a partitions.Ratios, as PPoly is, and declares only its key, its
+printing order and its text.  It lives here because only mult reads and
+prints one.
 
 The graded product of diagrams of arbitrary degree (Ivanov-Kerov, The
 algebra of conjugacy classes in symmetric groups, and partial
@@ -23,64 +23,36 @@ cmd_mult is the body of the mult command.
 
 import math
 
-from .errors import BoundError, ConsistencyError, ParseError
+from .errors import BoundError, ConsistencyError
 from .partitions import (
     Partition,
+    Ratios,
     as_partition,
     degree,
     format_partition,
     format_ratio,
-    int_ratios,
     multiplicity,
     pad,
     parse_partition,
     parse_ratio,
+    parse_terms,
     partition_sort_key,
-    ratio_value,
 )
 from .characters import MAX_TABLE_DEGREE, char_table, phi_column, spectral_sum
 
 
-class DiagramSum:
-    """Finitely supported rational linear combination of partitions: the
-    coefficient of the partition p is numerators[p] / denominator, as in
-    PPoly.  Immutable, with read-only numerators, so a sum can be passed
-    and kept without copying; zero terms are never stored.
-    DiagramSum(numerators, denominator) takes ints, as PPoly does.
-    """
+class DiagramSum(Ratios):
+    """Finitely supported rational linear combination of partitions, a
+    partitions.Ratios keyed by partitions and printed in canonical order
+    (degree, then reverse-lex) as 'coef*[partition] + ...'."""
 
-    __slots__ = ("numerators", "denominator")
-
-    def __new__(cls, numerators=None, denominator=1):
-        return ratio_value(cls, int_ratios(numerators, denominator, as_partition))
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def _sorted(self):
-        """The partitions in canonical order (degree, then reverse-lex)."""
-        return sorted(self.numerators, key=partition_sort_key)
-
-    def degrees(self):
-        return sorted({degree(p) for p in self.numerators})
-
-    def __eq__(self, other):
-        return isinstance(other, DiagramSum) and (self.numerators, self.denominator) == (
-            other.numerators, other.denominator)
-
-    def __repr__(self):
-        return "DiagramSum(%s)" % self.to_text()
-
-    def to_text(self) -> str:
-        if not self.numerators:
-            return "0"
-        return " + ".join("%s*%s" % (format_ratio(self.numerators[p], self.denominator),
-                                     format_partition(p)) for p in self._sorted())
+    __slots__ = ()
+    _key = staticmethod(as_partition)
+    _order = staticmethod(partition_sort_key)
+    _factors = staticmethod(lambda p: [format_partition(p)])
 
     def to_json_obj(self):
-        return [{"coef": format_ratio(self.numerators[p], self.denominator),
-                 "partition": list(p)} for p in self._sorted()]
+        return [{"coef": c, "partition": list(p)} for p, c in self.coefficients()]
 
 
 def rho_term(delta: Partition, k: int):
@@ -92,26 +64,21 @@ def rho_term(delta: Partition, k: int):
     return pad(delta, k), math.comb(multiplicity(delta, 1) + k, k)
 
 
+def _read_diagram(chunk: str) -> tuple:
+    """(partition, numerator, denominator) of 'coef*partition' or 'partition'."""
+    if "*" not in chunk:
+        return parse_partition(chunk), 1, 1
+    coef_text, _, part_text = chunk.partition("*")
+    num, den = parse_ratio(coef_text)
+    return parse_partition(part_text), num, den
+
+
 def parse_diagram_sum(text: str) -> DiagramSum:
     """Parse 'coef*partition + coef*partition + ...'.
 
     A bare partition is accepted as shorthand for coefficient 1.
     """
-    s = text.strip()
-    if not s:
-        raise ParseError("empty diagram sum", 0)
-    if s == "0":
-        return DiagramSum.zero()
-    terms = []
-    for chunk in s.split(" + "):
-        chunk = chunk.strip()
-        if "*" in chunk:
-            coef_text, _, part_text = chunk.partition("*")
-            num, den = parse_ratio(coef_text)
-        else:
-            num, den, part_text = 1, 1, chunk
-        terms.append((parse_partition(part_text), num, den))
-    return ratio_value(DiagramSum, terms)
+    return parse_terms(DiagramSum, text, "diagram sum", _read_diagram)
 
 
 def structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
@@ -177,7 +144,7 @@ def mult_sum(a: DiagramSum, b: DiagramSum) -> DiagramSum:
                 piece[padded] -= w * c
             out.update((d, c) for d, c in piece.items() if c)
     den = a.denominator * b.denominator
-    return ratio_value(DiagramSum, [(d, c, den) for d, c in out.items()])
+    return DiagramSum.of([(d, c, den) for d, c in out.items()])
 
 
 def cmd_mult(args, check_degrees):

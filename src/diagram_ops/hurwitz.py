@@ -16,9 +16,8 @@ here imports that module.
 The generating function Z collects the padded brackets against the plain
 power-sum monomials p_delta; its Taylor coefficient at a beta multi-index
 (n_1, ..., n_k) carries the usual 1/(n_1! ... n_k!) factor, and is a
-polynomial in the p_k, kept as partitions.ratio_sum returns it: integer
-numerators over one denominator.  The checks read it as Fractions
-through diagram_ops.oracles.terms.
+polynomial in the p_k, a partitions.PPoly, which prints it.  The checks
+read it as Fractions through diagram_ops.oracles.terms.
 
 cmd_hurwitz and cmd_evolve are the bodies of the hurwitz and evolve
 commands.
@@ -29,6 +28,7 @@ import math
 
 from .errors import BoundError, ParseError
 from .partitions import (
+    PPoly,
     as_partition,
     aut_order,
     degree,
@@ -101,9 +101,9 @@ class HurwitzSeries:
     """Truncated expansion of the generating function Z in the directions
     active (canonical order), to graded degree p_bound and beta-order order.
 
-    coefficients maps each beta key to ({monomial: numerator},
-    denominator), as ratio_sum returns it: the raw Taylor coefficients
-    against the plain monomials p_delta, the 1/k! factors included.
+    coefficients maps each beta key to a PPoly: the raw Taylor
+    coefficients against the plain monomials p_delta, the 1/k! factors
+    included, printed by total beta-order and then as PPoly prints.
     """
 
     def __init__(self, active, p_bound: int, order: int):
@@ -115,10 +115,9 @@ class HurwitzSeries:
     def to_json_obj(self):
         terms = []
         for key in sorted(self.coefficients, key=lambda beta: (sum(k for _, k in beta), beta)):
-            numerators, q = self.coefficients[key]
             beta = {format_partition(p): k for p, k in key}
-            terms += [{"beta": beta, "mono": list(mono), "coef": format_ratio(numerators[mono], q)}
-                      for mono in sorted(numerators, key=lambda m: (degree(m), m))]
+            terms += [{"beta": beta, "mono": list(mono), "coef": c}
+                      for mono, c in self.coefficients[key].coefficients()]
         return {"p_bound": self.p_bound, "order": self.order, "terms": terms}
 
 
@@ -162,7 +161,7 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
             scale = q * math.prod(map(math.factorial, counts))
             ratios += [(mu, total, scale * aut_order(mu))
                        for mu, total in zip(char_table(n).order, column) if total]
-        series.coefficients[_beta_key(powers)] = ratio_sum(ratios)
+        series.coefficients[_beta_key(powers)] = PPoly.of(ratios)
     return series
 
 

@@ -11,7 +11,8 @@ Names that no command reads, kept for the checks and the tests:
   class_algebra's one product route; simple_hurwitz, the m-transposition
   brackets as one spectral sum; series_coefficient, one beta-coefficient
   of the generating function as a term dict.
-* terms, the one Fraction view of a PPoly, DiagramSum or HurwitzSeries;
+* terms, the one Fraction view of a partitions.Ratios, a PPoly or a
+  DiagramSum, or of a HurwitzSeries, whose coefficients are PPolys;
   ppoly and diagram_sum build the first two from Fractions.
 * poly_add, poly_neg, poly_sub, poly_mul, poly_diff and poly_max_degree:
   the arithmetic of polynomials in the power sums, on term dicts
@@ -130,8 +131,7 @@ def terms(x) -> dict:
     """{key: Fraction} of a PPoly or DiagramSum, keys in canonical order,
     or {(beta key, monomial): Fraction} of a HurwitzSeries."""
     if isinstance(x, HurwitzSeries):
-        return {(key, mono): Fraction(c, q) for key, (numerators, q) in x.coefficients.items()
-                for mono, c in numerators.items()}
+        return {(key, m): c for key, f in x.coefficients.items() for m, c in terms(f).items()}
     return {k: Fraction(x.numerators[k], x.denominator)
             for k in sorted(x.numerators, key=partition_sort_key)}
 
@@ -214,8 +214,7 @@ def simple_hurwitz(n: int, m: int) -> dict:
 
 def series_coefficient(series: HurwitzSeries, key) -> dict:
     """The coefficient of the beta monomial indexed by key, as a term dict."""
-    numerators, q = series.coefficients.get(key, ({}, 1))
-    return {mono: Fraction(c, q) for mono, c in numerators.items()}
+    return terms(series.coefficients.get(key, PPoly()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,16 @@
 A partition is represented canonically as a tuple of weakly decreasing
 positive integers; the empty tuple is the empty diagram of degree 0.
 Tuples are hashable and immutable, so they are used directly as dict keys
-throughout the package.  Every op loads this module; DiagramSum, the
-linear combinations of diagrams that only mult reads, lives in
-class_algebra.
+throughout the package.  Every op loads this module.
 
 Rationals are integer numerators over one positive denominator, in
-lowest terms: ratio_sum alone sums terms into that form, for PPoly,
-DiagramSum and the Hurwitz series, ratio_value builds a PPoly or a
-DiagramSum of the sum, int_ratios checks the ints that their constructors
-take, parse_ratio reads one rational into (numerator, denominator), and
-format_ratio prints one.  No module of the package but
+lowest terms: ratio_sum alone sums terms into that form, parse_ratio
+reads one rational into (numerator, denominator), and format_ratio
+prints one.  Ratios is the one class that holds a finite rational
+combination of keys in that form and prints it; PPoly, a polynomial in
+the power sums p_k, is one here, because the Hurwitz series' coefficients
+are PPolys too, and class_algebra.DiagramSum is the other.  parse_terms
+reads the text of either.  No module of the package but
 diagram_ops.oracles imports fractions.
 """
 
@@ -141,41 +141,16 @@ def format_ratio(numerator: int, denominator: int) -> str:
                          "sys.get_int_max_str_digits()" % sys.get_int_max_str_digits()) from None
 
 
-def int_ratios(numerators, denominator, key) -> list:
-    """The terms of a mapping or pairs (k, numerator), all over one
-    denominator, as ratio_sum's triples (key(k), numerator, denominator).
-    A numerator or denominator that is not an int raises TypeError, and a
-    denominator <= 0 raises ValueError."""
-    pairs = numerators.items() if hasattr(numerators, "items") else numerators or ()
-    ratios = [(key(k), c, denominator) for k, c in pairs]
-    for c in [denominator] + [c for _, c, _ in ratios]:
-        if not isinstance(c, int):
-            raise TypeError("numerator or denominator %r is not an int" % (c,))
-    if denominator <= 0:
-        raise ValueError("denominator %d is not positive" % denominator)
-    return ratios
-
-
 def ratio_sum(ratios: list) -> tuple:
     """The sum of the terms (key, numerator, denominator), each denominator
-    positive, as ({key: numerator}, q): q > 0, no numerator zero, and q
-    and the numerators have no common factor; ({}, 1) for no terms."""
+    positive, as ({key: numerator}, q) with a read-only mapping: q > 0, no
+    numerator zero, and no common factor; ({}, 1) for no terms."""
     q = math.lcm(*(den for _, _, den in ratios))
     numerators = {}
     for key, num, den in ratios:
         numerators[key] = numerators.get(key, 0) + num * (q // den)
     g = math.gcd(q, *numerators.values())
-    return {key: c // g for key, c in numerators.items() if c}, q // g
-
-
-def ratio_value(cls, ratios: list):
-    """A new cls, PPoly or DiagramSum, that holds the sum of the terms
-    (key, numerator, denominator) as ratio_sum makes it, its numerators a
-    read-only mapping."""
-    value = object.__new__(cls)
-    numerators, value.denominator = ratio_sum(ratios)
-    value.numerators = types.MappingProxyType(numerators)
-    return value
+    return types.MappingProxyType({key: c // g for key, c in numerators.items() if c}), q // g
 
 
 def parse_ratio(text: str) -> tuple:
@@ -194,3 +169,93 @@ def parse_ratio(text: str) -> tuple:
             return (-num if text[:1] == "-" else num), den
     raise ParseError("malformed rational %r" % text, 0)
 
+
+class Ratios:
+    """A finite rational combination of keys: the coefficient of k is
+    numerators[k] / denominator, as ratio_sum makes them, and numerators
+    is read-only, so a value is passed and kept without copying.
+    cls(numerators, denominator) takes ints, {key: numerator} or pairs,
+    over one denominator; cls.of(ratios) sums ratio_sum's terms, keys
+    canonical.  A subclass declares _key, the canonical key, _order, the
+    printing order, _factors, the texts of a key, and to_json_obj."""
+
+    __slots__ = ("numerators", "denominator")
+
+    def __new__(cls, numerators=None, denominator=1):
+        return cls.of([(cls._key(k), c, denominator)
+                       for k, c in cls.int_pairs(numerators, denominator)])
+
+    @staticmethod
+    def int_pairs(numerators, denominator):
+        """The pairs (key, numerator) of a mapping or pairs: TypeError for
+        a value that is not an int, ValueError for a denominator <= 0."""
+        pairs = list(numerators.items() if hasattr(numerators, "items") else numerators or ())
+        for c in [denominator] + [c for _, c in pairs]:
+            if not isinstance(c, int):
+                raise TypeError("numerator or denominator %r is not an int" % (c,))
+        if denominator <= 0:
+            raise ValueError("denominator %d is not positive" % denominator)
+        return pairs
+
+    @classmethod
+    def of(cls, ratios):
+        value = object.__new__(cls)
+        value.numerators, value.denominator = ratio_sum(ratios)
+        return value
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def degrees(self):
+        return sorted(set(map(degree, self.numerators)))
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.numerators == other.numerators
+                and self.denominator == other.denominator)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self.to_text())
+
+    def coefficients(self):
+        """(key, coefficient text) in printing order."""
+        return [(k, format_ratio(self.numerators[k], self.denominator))
+                for k in sorted(self.numerators, key=self._order)]
+
+    def to_text(self):
+        return " + ".join("*".join([c] + self._factors(k))
+                          for k, c in self.coefficients()) or "0"
+
+
+class PPoly(Ratios):
+    """Sparse exact polynomial in p_1, p_2, ...: p_{l1} p_{l2} ... is keyed
+    by its exponent partition (l1, l2, ...) and printed by graded degree
+    l1 + l2 + ..., then ascending (so p1^3 precedes p3)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(m):
+        return tuple(sorted(m, reverse=True))
+
+    @staticmethod
+    def _order(m):
+        return degree(m), m
+
+    @staticmethod
+    def _factors(m):
+        return ["p%d^%d" % (k, m.count(k)) if m.count(k) > 1 else "p%d" % k
+                for k in sorted(set(m))]
+
+    def to_json_obj(self):
+        return {"terms": [{"mono": list(m), "coef": c} for m, c in self.coefficients()]}
+
+
+def parse_terms(cls, text, what, read_term):
+    """The cls of 'term + term + ...', read_term turning each term into
+    (key, numerator, denominator); '0' is zero, and empty text a
+    ParseError that names what."""
+    s = text.strip()
+    if not s:
+        raise ParseError("empty %s" % what, 0)
+    return cls() if s == "0" else cls.of([read_term(chunk.strip()) for chunk in s.split(" + ")])

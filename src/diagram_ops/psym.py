@@ -1,12 +1,11 @@
 """Symmetric functions as exact sparse polynomials in the power sums p_k.
 
-A monomial p_{l1} p_{l2} ... (l1 >= l2 >= ...) is keyed by its exponent
-partition (l1, l2, ...); its graded degree is l1 + l2 + ... (deg p_k = k).
-A PPoly holds integer numerators over one positive common denominator,
-in lowest terms, built by partitions.ratio_sum, and never stores a zero
-numerator; PPoly(numerators, denominator) takes ints only.  Its
-arithmetic, and the Fraction view of its coefficients, live in
-diagram_ops.oracles, because only the oracles and the tests use them.
+A PPoly, a polynomial in the p_k, is a partitions.Ratios keyed by
+exponent partitions.  It is defined in partitions, because the Hurwitz
+series' coefficients are PPolys too, and exported here; parse_ppoly
+reads its text.  Its arithmetic, and the Fraction view of its
+coefficients, live in diagram_ops.oracles, because only the oracles and
+the tests use them.
 
 Schur functions are read from the character table; the bialternant and
 Jacobi-Trudi routes that check them live in diagram_ops.oracles, which
@@ -23,102 +22,47 @@ cmd_schur and cmd_wapply are the bodies of the schur and wapply commands.
 from .errors import BoundError, ParseError
 from .partitions import (
     MAX_ENUM_DEGREE,
+    PPoly,
     Partition,
+    Ratios,
     as_partition,
     aut_order,
     degree,
-    format_ratio,
-    int_ratios,
     is_ascii_digits,
-    multiplicity,
     parse_partition,
     parse_ratio,
-    ratio_value,
+    parse_terms,
 )
 from .characters import char_table, spectral_sum
 
 
-class PPoly:
-    """Sparse exact polynomial in the variables p_1, p_2, ...: the
-    coefficient of the monomial m is numerators[m] / denominator, and
-    numerators is a read-only mapping, so a PPoly is a value that can be
-    passed and kept without copying.  PPoly(numerators, denominator) takes
-    ints, {monomial: numerator} or pairs over one denominator > 0, and
-    reduces them."""
-
-    __slots__ = ("numerators", "denominator")
-
-    def __new__(cls, numerators=None, denominator=1):
-        return ratio_value(cls, int_ratios(numerators, denominator,
-                                           lambda m: tuple(sorted(m, reverse=True))))
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def homogeneous_degrees(self):
-        return sorted({degree(m) for m in self.numerators})
-
-    def __eq__(self, other):
-        return isinstance(other, PPoly) and (self.numerators, self.denominator) == (
-            other.numerators, other.denominator)
-
-    def __repr__(self):
-        return "PPoly(%s)" % self.to_text()
-
-    def _coefficients(self):
-        """(monomial, coefficient text) by graded degree, then ascending on
-        the exponent partition (so p1^3 precedes p3)."""
-        return [(m, format_ratio(self.numerators[m], self.denominator))
-                for m in sorted(self.numerators, key=lambda m: (degree(m), m))]
-
-    def to_text(self) -> str:
-        if not self.numerators:
-            return "0"
-        chunks = []
-        for mono, coef in self._coefficients():
-            factors = [coef]
-            for k in sorted(set(mono)):
-                m = multiplicity(mono, k)
-                factors.append("p%d" % k if m == 1 else "p%d^%d" % (k, m))
-            chunks.append("*".join(factors))
-        return " + ".join(chunks)
-
-    def to_json_obj(self):
-        return {"terms": [{"mono": list(m), "coef": c} for m, c in self._coefficients()]}
+def _read_monomial(chunk: str) -> tuple:
+    """(monomial, numerator, denominator) of one term of PPoly.to_text."""
+    num, den = 1, 1
+    mono = []
+    for i, factor in enumerate(chunk.split("*")):
+        if factor.startswith("p"):
+            body, caret, exp = factor[1:].partition("^")
+            if not is_ascii_digits(body) or (caret and not is_ascii_digits(exp)):
+                raise ParseError("malformed power-sum factor %r" % factor, 0)
+            k, m = int(body), int(exp) if caret else 1
+            if k < 1:
+                raise ParseError("power-sum index must be >= 1 in %r" % factor, 0)
+            if k * m > MAX_ENUM_DEGREE:
+                raise BoundError("factor %r has degree %d above bound %d"
+                                 % (factor, k * m, MAX_ENUM_DEGREE))
+            mono.extend([k] * m)
+        elif i == 0:
+            num, den = parse_ratio(factor)
+        else:
+            raise ParseError("coefficient %r must come first" % factor, 0)
+    return tuple(sorted(mono, reverse=True)), num, den
 
 
 def parse_ppoly(text: str) -> PPoly:
     """Parse the textual form produced by PPoly.to_text, e.g.
     '1/3*p1^3 + -1/3*p3' or '2' or 'p2*p1^2'."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty polynomial", 0)
-    if s == "0":
-        return PPoly.zero()
-    terms = []
-    for chunk in s.split(" + "):
-        factors = chunk.strip().split("*")
-        num, den = 1, 1
-        mono = []
-        for i, factor in enumerate(factors):
-            if factor.startswith("p"):
-                body, caret, exp = factor[1:].partition("^")
-                if not is_ascii_digits(body) or (caret and not is_ascii_digits(exp)):
-                    raise ParseError("malformed power-sum factor %r" % factor, 0)
-                k, m = int(body), int(exp) if caret else 1
-                if k < 1:
-                    raise ParseError("power-sum index must be >= 1 in %r" % factor, 0)
-                if k * m > MAX_ENUM_DEGREE:
-                    raise BoundError("factor %r has degree %d above bound %d"
-                                     % (factor, k * m, MAX_ENUM_DEGREE))
-                mono.extend([k] * m)
-            elif i == 0:
-                num, den = parse_ratio(factor)
-            else:
-                raise ParseError("coefficient %r must come first" % factor, 0)
-        terms.append((tuple(sorted(mono, reverse=True)), num, den))
-    return ratio_value(PPoly, terms)
+    return parse_terms(PPoly, text, "polynomial", _read_monomial)
 
 
 def schur(r: Partition) -> PPoly:
@@ -132,7 +76,7 @@ def schur_expand(f: PPoly) -> tuple:
     p_delta = sum_R chi_R(delta) schur(R): per degree, one integer
     combination of the table's columns, over the one denominator q of f."""
     out = {}
-    for n in f.homogeneous_degrees():
+    for n in f.degrees():
         table = char_table(n)
         piece = [(table.column(m), c) for m, c in f.numerators.items() if degree(m) == n]
         for r, row in table.rows.items():
@@ -146,9 +90,10 @@ def from_schur(coeffs: dict, q: int = 1, powers=()) -> PPoly:
     """sum_R (c_R / q) prod_Y phi_R(Y)^k_Y schur(R) for int c_R and powers
     {Y: k_Y}; with no powers, from_schur(*schur_expand(f)) is f.  Per
     degree the p_mu coefficients are one spectral sum with weights c_R,
-    divided by q z_mu; an unknown shape raises ValueError."""
+    divided by q z_mu.  c_R and q are checked as Ratios checks its ints,
+    and an unknown shape raises ValueError."""
     by_degree = {}
-    for r, c in coeffs.items():
+    for r, c in Ratios.int_pairs(coeffs, q):
         by_degree.setdefault(degree(r), {})[tuple(r)] = c
     ratios = []
     for n, cs in by_degree.items():
@@ -159,7 +104,7 @@ def from_schur(coeffs: dict, q: int = 1, powers=()) -> PPoly:
         column, _ = spectral_sum(n, dict(powers), [cs.get(r, 0) for r in table.order])
         ratios += [(mu, total, q * aut_order(mu))
                    for mu, total in zip(table.order, column) if total]
-    return ratio_value(PPoly, ratios)
+    return PPoly.of(ratios)
 
 
 def apply_spectral(delta: Partition, f: PPoly) -> PPoly:
@@ -181,7 +126,7 @@ def cmd_wapply(args, check_degrees):
     the partial-permutation action of diagram_ops.oracles."""
     delta = parse_partition(args.delta)
     f = parse_ppoly(args.poly)
-    check_degrees([degree(delta)] + f.homogeneous_degrees())
+    check_degrees([degree(delta)] + f.degrees())
     if args.explicit:
         from .oracles import apply_explicit as apply_operator
     else:

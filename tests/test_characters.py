@@ -326,6 +326,13 @@ def test_spectral_sum_matches_fraction_sum():
     assert column == [3 * x - 10 * y + 12 * z for x, y, z in zip(*char_table(3).rows.values())]
 
 
+def test_spectral_sum_checks_its_weight_count():
+    # S_3 has three classes; too few or too many weights are refused, not cut
+    for weights in ([1], [1, 0, 0, 5]):
+        with pytest.raises(ValueError, match="n = 3 takes 3 weights, not %d" % len(weights)):
+            spectral_sum(3, {}, weights)
+
+
 def test_phi_multiplicativity_small():
     # phi is a homomorphism from the diagram algebra; checked via the
     # graded product for small degrees

@@ -311,6 +311,37 @@ def test_import_path_leaves_out_oracles_and_dataclasses():
         assert (proc.returncode, proc.stderr) == (0, "[]\n"), (code, argv, proc.stderr)
 
 
+#: op -> (argv, most AST nodes of the package's modules that the op
+#: loads): the count at this version rounded up to the next 100.
+COMPILE_BUDGETS = {
+    "chartable": (["chartable", "3"], 4600),
+    "eigenvalue": (["eigenvalue", "[2]", "[3]"], 4600),
+    "mult": (["mult", "1/2*[2]", "[2,1]"], 5300),
+    "schur": (["schur", "[2,1]"], 5100),
+    "wapply": (["wapply", "[2]", "1/2*p2"], 5100),
+    "hurwitz": (["hurwitz", "[2]", "[2]"], 5500),
+    "evolve": (["evolve", "[2]"], 5500),
+}
+
+
+def test_op_compile_budget():
+    # without cached bytecode, as the benchmark runs, every op compiles
+    # each package module it loads, so their size is start-up time
+    code = ("import sys; from diagram_ops.cli import main; main(sys.argv[1:]); "
+            "print([m.__file__ for k, m in sys.modules.items()"
+            " if k.split('.')[0] == 'diagram_ops'], file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for op, (argv, budget) in COMPILE_BUDGETS.items():
+        proc = subprocess.run([sys.executable, "-S", "-c", code] + argv, capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        nodes = 0
+        for path in ast.literal_eval(proc.stderr):
+            with open(path, encoding="utf-8") as f:
+                nodes += sum(1 for _ in ast.walk(ast.parse(f.read())))
+        assert nodes <= budget, (op, nodes, budget)
+
+
 def test_only_oracles_imports_fractions():
     package = os.path.dirname(diagram_ops.__file__)
     importers = []

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from diagram_ops import characters, class_algebra, oracles, partitions, psym
+from diagram_ops import characters, class_algebra, hurwitz, oracles, partitions, psym
 from diagram_ops.errors import ConsistencyError
 from diagram_ops.oracles import (
     character,
@@ -80,11 +80,19 @@ def schur_expand_vs_characters() -> str:
 
 
 def printer_vs_fractions() -> str:
-    """The printed coefficients of a few polynomials against str(Fraction),
-    which reduces without the package's printer."""
-    polys = [psym.parse_ppoly("2/3*p2 + -4/9*p1^2 + 6*p1"), psym.schur((3, 1)),
-             psym.apply_spectral((2,), psym.parse_ppoly("2/3*p3 + 5/6*p2*p1"))]
-    bad = [(m, text) for f in polys for m, text in f._coefficients() if text != str(terms(f)[m])]
+    """The printed coefficients, as coefficients() lists them, of a few
+    polynomials, a mult_sum result and a Hurwitz series coefficient
+    against str(Fraction), which reduces without the package's printer.
+    The report names each use that prints a wrong coefficient."""
+    values = [("polynomial", psym.parse_ppoly("2/3*p2 + -4/9*p1^2 + 6*p1")),
+              ("polynomial", psym.schur((3, 1))),
+              ("polynomial", psym.apply_spectral((2,), psym.parse_ppoly("2/3*p3 + 5/6*p2*p1"))),
+              ("mult_sum", class_algebra.mult_sum(diagram_sum({(2,): Fraction(2, 3)}),
+                                                  diagram_sum({(2,): 1}))),
+              ("series", hurwitz.generating_function([(2,), (3,)], 4, 3).coefficients[
+                  (((2,), 1), ((3,), 2))])]
+    bad = [(use, k, text) for use, f in values for k, text in f.coefficients()
+           if text != str(terms(f)[k])]
     return "printer_vs_fractions at %s" % bad if bad else ""
 
 
@@ -224,7 +232,8 @@ MUTANTS = [
     ("format_ratio reducing by a wrong gcd",
      lambda: source_mutant(partitions, "format_ratio", "math.gcd(numerator, denominator)",
                            "math.gcd(numerator, 2 * denominator)"),
-     printer_vs_fractions, r"printer_vs_fractions at .*\(2,\)"),
+     printer_vs_fractions,
+     r"printer_vs_fractions at .*'polynomial', \(2,\).*'mult_sum'.*'series'"),
     ("S_4 table with chi_[3,1]([2,2]) negated",
      lambda: table_entry_mutant(4, (3, 1), (2, 2)),
      quick_selftest, "non-integral structure constant"),

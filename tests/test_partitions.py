@@ -21,7 +21,8 @@ from diagram_ops.partitions import (
     partitions_of,
     ratio_sum,
 )
-from diagram_ops.oracles import class_size, conjugate, cycle_type, diagram_sum, terms
+from diagram_ops.hurwitz import generating_function
+from diagram_ops.oracles import class_size, conjugate, cycle_type, diagram_sum, ppoly, terms
 from diagram_ops.psym import PPoly, parse_ppoly
 
 
@@ -234,11 +235,26 @@ def test_constructors_refuse_other_coefficients(make, coefficient):
     for denominator in (0, -1):
         with pytest.raises(ValueError, match="denominator %d is not positive" % denominator):
             make({(2,): 1}, denominator)
+    if make is DiagramSum:  # a partition is checked, not sorted
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            make({(1, 2): 1})
 
 
 def test_constructors_reduce_to_lowest_terms():
     assert PPoly({(2,): 3}, 6) == parse_ppoly("1/2*p2")
     assert DiagramSum({(2,): 3}, 6) == parse_diagram_sum("1/2*[2]")
+    assert PPoly({(1, 2): 1}) == PPoly({(2, 1): 1})  # a monomial is sorted
+    # one exact-value class: equal only within one type, and repr names it
+    assert PPoly({(2,): 1}) != DiagramSum({(2,): 1})
+    assert DiagramSum({(2,): 1}) != PPoly({(2,): 1})
+    assert [repr(PPoly({(2,): 3}, 6)), repr(DiagramSum({(2,): 3}, 6))] == [
+        "PPoly(1/2*p2)", "DiagramSum(1/2*[2])"]
+    # a Hurwitz series coefficient is a PPoly, printed as terms reads it
+    f = generating_function([(2,)], 3, 2).coefficients[(((2,), 2),)]
+    assert type(f) is PPoly
+    assert terms(f) == {(1, 1): Fraction(1, 4), (3,): Fraction(1, 2), (1, 1, 1): Fraction(1, 4)}
+    assert f.to_text() == "1/4*p1^2 + 1/4*p1^3 + 1/2*p3"
+    assert parse_ppoly(f.to_text()) == ppoly(terms(f))
 
 
 def test_as_partition_rejects_bad_parts():

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import re
 
 import pytest
 from fractions import Fraction
@@ -112,7 +113,7 @@ def test_schur_value_is_read_only():
 def test_schur_homogeneous():
     for n in range(7):
         for r in partitions_of(n):
-            assert schur(r).homogeneous_degrees() in ([], [n])
+            assert schur(r).degrees() in ([], [n])
 
 
 def test_schur_expand():
@@ -150,6 +151,18 @@ def test_from_schur_fractional_and_bounded():
     for coeffs in [{(3,): 1, (1, 2): 0}, {(2, 1): 1, (2,): 1, (1, 2): 1}]:
         with pytest.raises(ValueError, match=r"\[1,2\] is not a shape of S_3"):
             from_schur(coeffs, powers={(2,): 1})
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5])
+def test_from_schur_checks_its_ints(value):
+    # c_R and q are checked as the constructors check their ints
+    message = re.escape("%r is not an int" % (value,))
+    with pytest.raises(TypeError, match=message):
+        from_schur({(2,): value})
+    with pytest.raises(TypeError, match=message):
+        from_schur({(2,): 1}, value)
+    with pytest.raises(ValueError, match="denominator 0 is not positive"):
+        from_schur({(2,): 1}, 0)
 
 
 def test_p_delta_expansion_gives_characters():
@@ -411,7 +424,7 @@ def test_spectral_preserves_degree():
         for n in range(6):
             for mono in partitions_of(n):
                 out = apply_spectral(delta, PPoly({mono: 1}))
-                assert out.homogeneous_degrees() in ([], [n])
+                assert out.degrees() in ([], [n])
 
 
 def test_spectral_linear_over_diagram_sums():
