@@ -78,12 +78,13 @@ def phi_column(n: int, delta: Partition) -> list:
 
 def spectral_sum(n: int, powers, weights=None):
     """S_P(mu) = sum_R w_R prod_Y phi_R(Y)^k_Y chi_R(mu) for every class mu
-    of degree n, powers P = {Y: k_Y} and int weights w_R, a list in the
-    table's row order, by default the Plancherel weights d_R = dim_R/n!,
-    as (column, q): the value at the i-th class of the table's order is
-    column[i] / q, with q = n! under the Plancherel weights and 1 under
-    given ones, one per row (ValueError otherwise).  It is one integer
-    sum of the rows of the table of S_n, rows of weight 0 skipped."""
+    of degree n, powers P = {Y: k_Y} with ints k_Y >= 0 (ValueError
+    otherwise) and int weights w_R, a list in the table's row order, by
+    default the Plancherel weights d_R = dim_R/n!, as (column, q): the
+    value at the i-th class of the table's order is column[i] / q, with
+    q = n! under the Plancherel weights and 1 under given ones, one per
+    row (ValueError otherwise).  It is one integer sum of the rows of the
+    table of S_n, rows of weight 0 skipped."""
     table = char_table(n)
     q, out = 1, [0] * len(table.order)
     if weights is None:
@@ -92,6 +93,8 @@ def spectral_sum(n: int, powers, weights=None):
     elif len(weights) != len(out):
         raise ValueError("n = %d takes %d weights, not %d" % (n, len(out), len(weights)))
     for y, k in powers.items():
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("power %r of %s is not an int >= 0" % (k, y))
         weights = [w * x ** k for w, x in zip(weights, phi_column(n, y))]
     for w, row in zip(weights, table.rows.values()):
         if w:

@@ -71,17 +71,16 @@ def hurwitz_chain(deltas) -> tuple:
 
 def hurwitz_padded(branches, delta) -> tuple:
     """Padded bracket <(D1,n1),...,(Dk,nk)|D> for branches ((Di, ni), ...),
-    ni >= 1: the spectral sum S_{D1^n1...Dk^nk}(D) / z_D, as (numerator,
+    ints ni >= 1: the spectral sum S_{D1^n1...Dk^nk}(D) / z_D, as (numerator,
     denominator) in lowest terms.  phi_R(Di) at degree |D| carries the
     unit-row embedding of Di, so the bracket is zero when some marked
     diagram is too large."""
     delta = as_partition(delta)
-    branches = [(as_partition(p), int(m)) for p, m in branches]
-    if any(m < 1 for _, m in branches):
-        raise ValueError("branch multiplicities must be >= 1")
     powers = collections.Counter()
     for part, mult in branches:
-        powers[part] += mult
+        if not isinstance(mult, int) or mult < 1:
+            raise ValueError("branch multiplicities must be ints >= 1")
+        powers[as_partition(part)] += mult
     n = degree(delta)
     column, q = spectral_sum(n, powers)
     total = column[char_table(n).column(delta)]

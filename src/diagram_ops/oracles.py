@@ -18,24 +18,25 @@ Names that no command reads, kept for the checks and the tests:
   the arithmetic of polynomials in the power sums, on term dicts
   {monomial: coefficient} such as terms(f); ppoly reads one back.
 
-Permutations of S_n, enumerated literally up to MAX_ORACLE_DEGREE:
+Permutations, as tuples of images:
 
-* oracle_structure_constant: count the pairs (g1, g2) of types (d1, d2)
-  with g1 g2 = g for one fixed g of type d.
+* permutations_of_type: the permutations of one cycle type, each built
+  once from its cycles and memoized; every enumeration below reads it.
 * oracle_tuple_count: (1/n!) times the number of tuples of permutations
   of the given types whose product is the identity, carrying the number
-  of ways to reach each partial product.
-* oracle_mult_infinity: the graded product as a product of sums of
-  partial permutations (Ivanov-Kerov) with supports in range(|d1|+|d2|).
+  of ways to reach each partial product, for n up to MAX_ORACLE_DEGREE.
 
-Partial permutations, up to MAX_ORACLE_ACTIONS of them:
+Partial permutations (Ivanov-Kerov), up to MAX_ORACLE_ACTIONS of them:
 
 * oracle_coefficient: one coefficient of the graded product, for one
   fixed target of type d on range(|d|), by running over the partial
   permutations of the factor that has fewer of them and counting the
-  supports that complete each to a pair.  It reads no character table
-  and reaches total degree 12, past permutation enumeration, so it is
-  the one check of mult_sum there that does not go through phi.
+  supports that complete each to a pair.  At equal degrees it is the
+  class-algebra structure constant.  It reads no character table and
+  reaches total degree 12, so it is the one reference for structure
+  constants and for mult_sum that does not go through phi.
+* oracle_mult_infinity: the whole graded product, oracle_coefficient at
+  every target degree.
 
 Symmetric functions and characters:
 
@@ -51,9 +52,7 @@ Symmetric functions and characters:
   a failure ends selftest with ConsistencyError.
 * dimension / d_r: dim(r) by hook lengths and the Plancherel weight
   dim(r)/|r|!, independent checks of the table's [1^n] column, which phi
-  reads; d_r_product: the same weight by a product formula.
-* series_by_schur: the generating function's coefficients summed term by
-  term in Fractions, d_R prod_Y phi_R(Y)^k_Y / k_Y! times schur(R).
+  reads.
 * connected_series: log Z in the one direction [2] by the degree
   recurrence, the connected Hurwitz numbers; hurwitz_genus0 (Hurwitz's
   formula) and one_part_hurwitz (one-part numbers of every genus) are
@@ -71,7 +70,9 @@ Operators:
   apply_explicit, the right by apply_spectral on each term of the graded
   product.
 * pde_residual: how far the generating function is from solving
-  dZ/dbeta_Y = W(Y) Z, with W(Y) by apply_explicit.
+  dZ/dbeta_Y = W(Y) Z, with W(Y) by apply_explicit.  Zero in every active
+  direction, with the beta^0 coefficient e^p1, it fixes every coefficient
+  up to the order.
 
 selftest_suites runs the oracle-equivalence suites of `selftest`, and
 cmd_selftest is the body of that command; --level full adds the two
@@ -96,7 +97,7 @@ from .partitions import (
     partition_sort_key,
     partitions_of,
 )
-from .characters import char_table, phi, spectral_sum
+from .characters import char_table, spectral_sum
 from .class_algebra import (
     DiagramSum,
     _class_product,
@@ -111,7 +112,7 @@ from .hurwitz import (
     generating_function,
     hurwitz_chain,
 )
-from .psym import PPoly, apply_spectral, schur
+from .psym import PPoly, apply_spectral
 
 #: Largest n for which brute-force S_n enumeration is allowed.
 MAX_ORACLE_DEGREE = 6
@@ -294,38 +295,30 @@ def compose(p, q):
     return tuple([p[i] for i in q])
 
 
-def invert(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
 @functools.lru_cache(maxsize=32)
-def permutations_of_type(delta: Partition):
-    """All permutations of S_n with cycle type delta, n = degree(delta)."""
-    n = degree(delta)
-    if n > MAX_ORACLE_DEGREE:
-        raise BoundError("oracle enumeration beyond S_%d" % MAX_ORACLE_DEGREE)
-    return tuple(
-        p for p in itertools.permutations(range(n)) if cycle_type(p) == delta
-    )
+def permutations_of_type(delta: Partition) -> tuple:
+    """Every permutation of range(|delta|) of cycle type delta, each built
+    once, as a tuple of images: the smallest free point opens a cycle of
+    each length still to place, and the cycle takes any ordered choice of
+    the other free points.  Memoized, so the checks share the enumeration."""
+    images = [0] * degree(delta)
+    out = []
 
+    def build(free, lengths):
+        if not free:
+            out.append(tuple(images))
+            return
+        for k in sorted(set(lengths)):
+            rest = list(lengths)
+            rest.remove(k)
+            for others in itertools.permutations(free[1:], k - 1):
+                cycle = (free[0],) + others
+                for i, point in enumerate(cycle):
+                    images[point] = cycle[(i + 1) % k]
+                build([p for p in free[1:] if p not in others], rest)
 
-def oracle_structure_constant(d1: Partition, d2: Partition, d: Partition) -> int:
-    """Literal count: fix one permutation g of type d, count pairs (g1, g2)
-    of types (d1, d2) with g1 g2 = g."""
-    d1, d2, d = as_partition(d1), as_partition(d2), as_partition(d)
-    n = degree(d1)
-    if degree(d2) != n or degree(d) != n:
-        raise ValueError("oracle requires equal degrees")
-    g = permutations_of_type(d)[0]
-    count = 0
-    for g1 in permutations_of_type(d1):
-        g2 = compose(invert(g1), g)
-        if cycle_type(g2) == d2:
-            count += 1
-    return count
+    build(list(range(degree(delta))), list(delta))
+    return tuple(out)
 
 
 def oracle_tuple_count(classes, n: int) -> Fraction:
@@ -354,14 +347,24 @@ def oracle_tuple_count(classes, n: int) -> Fraction:
 
 def _partial_permutations(delta: Partition, n: int):
     """Yield every partial permutation of cycle type delta with support in
-    range(n), as (support, images of 0..n-1), fixing each point off the
-    support."""
+    range(n), as the images of 0..n-1, fixing each point off the support."""
     for support in itertools.combinations(range(n), degree(delta)):
         for perm in permutations_of_type(delta):
             images = list(range(n))
             for i, j in zip(support, perm):
                 images[i] = support[j]
-            yield frozenset(support), tuple(images)
+            yield tuple(images)
+
+
+def _actions(delta: Partition, n: int) -> int:
+    """The number of partial permutations of type delta with support in
+    range(n), C(n, |delta|) |C_delta|."""
+    return math.comb(n, degree(delta)) * class_size(delta)
+
+
+def _check_actions(actions: int):
+    if actions > MAX_ORACLE_ACTIONS:
+        raise BoundError("%d partial permutations exceed bound %d" % (actions, MAX_ORACLE_ACTIONS))
 
 
 def _permutation_of_type(mu: Partition):
@@ -374,29 +377,6 @@ def _permutation_of_type(mu: Partition):
     return tuple(images)
 
 
-def _permutations_by_cycles(delta: Partition):
-    """Every permutation of range(|delta|) of cycle type delta, each once,
-    as a tuple of images: the smallest free point opens a cycle of each
-    length still to place, and the cycle takes any ordered choice of the
-    other free points."""
-    images = [0] * degree(delta)
-
-    def build(free, lengths):
-        if not free:
-            yield tuple(images)
-            return
-        for k in sorted(set(lengths)):
-            rest = list(lengths)
-            rest.remove(k)
-            for others in itertools.permutations(free[1:], k - 1):
-                cycle = (free[0],) + others
-                for i, point in enumerate(cycle):
-                    images[point] = cycle[(i + 1) % k]
-                yield from build([p for p in free[1:] if p not in others], rest)
-
-    yield from build(list(range(degree(delta))), list(delta))
-
-
 def oracle_coefficient(d1: Partition, d2: Partition, d: Partition) -> int:
     """The coefficient of d in d1 * d2, reading no character table: the
     number of pairs of partial permutations x = (A, sigma) of type d1 and
@@ -404,29 +384,23 @@ def oracle_coefficient(d1: Partition, d2: Partition, d: Partition) -> int:
     S = range(|d|) (Ivanov-Kerov).  For each x, tau = sigma^-1 t, and B
     must hold base = moved(tau) | (S - A) and |d2| points of S, so x adds
     C(|S| - |base|, |d2| - |base|) when the nontrivial cycles of tau are
-    those of d2.  The product commutes, so x runs over the factor with
-    fewer partial permutations, C(|d|, |d1|) |C_d1|; above
-    MAX_ORACLE_ACTIONS of them it raises BoundError before any work."""
+    those of d2.  At |d1| = |d2| = |d| this is the structure constant of
+    the class algebra of S_|d|.  The product commutes, so x runs over the
+    factor with fewer partial permutations; above MAX_ORACLE_ACTIONS of
+    them it raises BoundError before any work."""
     d1, d2, d = as_partition(d1), as_partition(d2), as_partition(d)
     size = degree(d)
-
-    def actions(e):
-        return math.comb(size, degree(e)) * class_size(e)
-
-    if actions(d2) < actions(d1):
+    if _actions(d2, size) < _actions(d1, size):
         d1, d2 = d2, d1
-    if not actions(d1):  # a factor of degree above |d|
+    if not _actions(d1, size):  # a factor of degree above |d|
         return 0
-    if actions(d1) > MAX_ORACLE_ACTIONS:
-        raise BoundError("%d partial permutations exceed bound %d"
-                         % (actions(d1), MAX_ORACLE_ACTIONS))
+    _check_actions(_actions(d1, size))
     t = _permutation_of_type(d)
     cycles = [c for c in d2 if c > 1]
-    sigmas = list(_permutations_by_cycles(d1))
     total = 0
     for support in itertools.combinations(range(size), degree(d1)):
         outside = set(range(size)).difference(support)
-        for sigma in sigmas:
+        for sigma in permutations_of_type(d1):
             inverse = list(range(size))
             for point, j in zip(support, sigma):
                 inverse[support[j]] = point
@@ -439,27 +413,16 @@ def oracle_coefficient(d1: Partition, d2: Partition, d: Partition) -> int:
 
 
 def oracle_mult_infinity(d1: Partition, d2: Partition) -> DiagramSum:
-    """d1 * d2 as a product of class sums of partial permutations: the sum
-    over all (support, sigma) of type d1 times the one for d2, where
-    (s1, g1)(s2, g2) = (s1 | s2, g1 g2).  Every support of the product lies
-    in range(|d1|+|d2|), so counting there and dividing by the number of
-    partial permutations of each type, C(n, |d|) |C_d|, gives the
-    coefficients."""
+    """d1 * d2 as oracle_coefficient at every target of degree
+    max(|d1|, |d2|) ... |d1| + |d2|, the sizes that the union of the two
+    supports can take.  Above MAX_ORACLE_ACTIONS partial permutations in
+    all, the fewer of the two factors' at each target, it raises
+    BoundError before any coefficient is counted."""
     d1, d2 = as_partition(d1), as_partition(d2)
-    n = degree(d1) + degree(d2)
-    if n > MAX_ORACLE_DEGREE:
-        raise BoundError("partial-permutation oracle beyond S_%d" % MAX_ORACLE_DEGREE)
-    right = list(_partial_permutations(d2, n))
-    counts = {}
-    for s1, g1 in _partial_permutations(d1, n):
-        for s2, g2 in right:
-            # each point off the support is a trailing 1-cycle of the type
-            cycles = cycle_type(compose(g1, g2))
-            d = cycles[:len(cycles) - (n - len(s1 | s2))]
-            counts[d] = counts.get(d, 0) + 1
-    return diagram_sum({
-        d: Fraction(c, math.comb(n, degree(d)) * class_size(d)) for d, c in counts.items()
-    })
+    targets = [d for n in range(max(degree(d1), degree(d2)), degree(d1) + degree(d2) + 1)
+               for d in partitions_of(n)]
+    _check_actions(sum(min(_actions(d1, degree(d)), _actions(d2, degree(d))) for d in targets))
+    return DiagramSum({d: oracle_coefficient(d1, d2, d) for d in targets})
 
 
 # ---------------------------------------------------------------------------
@@ -603,42 +566,6 @@ def d_r(r: Partition) -> Fraction:
     return Fraction(dimension(r), math.factorial(degree(r)))
 
 
-def d_r_product(r: Partition) -> Fraction:
-    """dim(r)/|r|! by the product formula
-    prod_{i<j<=n} (mu_i - mu_j - i + j) / prod_{i<=n} (mu_i + n - i)!
-    with the part list padded by zeros to length n = |r|."""
-    n = degree(r)
-    if n == 0:
-        return Fraction(1)
-    mu = list(r) + [0] * (n - len(r))
-    num = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= mu[i] - mu[j] - (i + 1) + (j + 1)
-    den = 1
-    for i in range(n):
-        den *= math.factorial(mu[i] + n - (i + 1))
-    return Fraction(num, den)
-
-
-def series_by_schur(active, p_bound: int, order: int) -> dict:
-    """{(beta key, monomial): coefficient} of the truncated generating
-    function, active in the canonical order of HurwitzSeries.active."""
-    out = {}
-    for counts in itertools.product(range(order + 1), repeat=len(active)):
-        if sum(counts) > order:
-            continue
-        key = _beta_key(dict(zip(active, counts)))
-        for n in range(p_bound + 1):
-            for r in partitions_of(n):
-                c = d_r(r)
-                for y, k in zip(active, counts):
-                    c *= Fraction(phi(r, y) ** k, math.factorial(k))
-                for mono, mc in terms(schur(r)).items():
-                    out[(key, mono)] = out.get((key, mono), 0) + c * mc
-    return {slot: v for slot, v in out.items() if v}
-
-
 def pde_residual(upsilon: Partition, series: HurwitzSeries) -> Fraction:
     """Largest absolute coefficient of dZ/dbeta_Y - W(Y) Z, compared on the
     beta orders where both truncations are complete (total order < order).
@@ -723,17 +650,14 @@ def apply_explicit(delta: Partition, f: PPoly) -> PPoly:
     MAX_ORACLE_ACTIONS partial permutations, it raises BoundError before
     any work."""
     delta = as_partition(delta)
-    k = degree(delta)
-    if k > MAX_ORACLE_DEGREE:
+    if degree(delta) > MAX_ORACLE_DEGREE:
         raise BoundError("explicit operator beyond |delta| = %d" % MAX_ORACLE_DEGREE)
-    actions = class_size(delta) * sum(math.comb(degree(mu), k) for mu in f.numerators)
-    if actions > MAX_ORACLE_ACTIONS:
-        raise BoundError("%d partial permutations exceed bound %d" % (actions, MAX_ORACLE_ACTIONS))
+    _check_actions(sum(_actions(delta, degree(mu)) for mu in f.numerators))
     out = {}
     for mu, coef in f.numerators.items():
         pi = _permutation_of_type(mu)
         counts = collections.Counter(
-            cycle_type(compose(alpha, pi)) for _, alpha in _partial_permutations(delta, len(pi)))
+            cycle_type(compose(alpha, pi)) for alpha in _partial_permutations(delta, len(pi)))
         for nu, c in counts.items():
             out[nu] = out.get(nu, 0) + coef * c
     return PPoly(out, f.denominator)
@@ -828,7 +752,7 @@ def selftest_suites(level: str, seed: int):
     polys = [PPoly({mono: 1}) for n in range(n_max + 1) for mono in partitions_of(n)]
     suites = [
         _suite("structure_constants_vs_oracle",
-               (structure_constant(*t) == oracle_structure_constant(*t) for t in triples)),
+               (structure_constant(*t) == oracle_coefficient(*t) for t in triples)),
         _suite("hurwitz_chain_vs_tuple_oracle",
                (Fraction(*hurwitz_chain(t)) == oracle_tuple_count(t, n) for t, n in chains)),
         _suite("explicit_vs_spectral_operators",

@@ -28,7 +28,7 @@ from diagram_ops.oracles import (
     eval_at_power_sums,
     graded_piece,
     mult_same_degree,
-    oracle_structure_constant,
+    oracle_coefficient,
     oracle_tuple_count,
     pde_residual,
     poly_mul,
@@ -75,17 +75,10 @@ def test_criterion_2_example_2():
 
 
 def test_criterion_3_frobenius_vs_enumeration():
-    ok = True
-    for n in range(1, 6):
-        for d1, d2, d in itertools.product(partitions_of(n), repeat=3):
-            if structure_constant(d1, d2, d) != oracle_structure_constant(d1, d2, d):
-                ok = False
     rng = random.Random(SEED)
-    parts6 = partitions_of(6)
-    for _ in range(50):
-        d1, d2, d = (rng.choice(parts6) for _ in range(3))
-        if structure_constant(d1, d2, d) != oracle_structure_constant(d1, d2, d):
-            ok = False
+    triples = [t for n in range(1, 6) for t in itertools.product(partitions_of(n), repeat=3)]
+    triples += [tuple(rng.choice(partitions_of(6)) for _ in range(3)) for _ in range(50)]
+    ok = all(structure_constant(*t) == oracle_coefficient(*t) for t in triples)
     report(3, ok, "structure constants vs S_n enumeration (n<=5 full, n=6 sampled)")
 
 

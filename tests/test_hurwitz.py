@@ -23,7 +23,6 @@ from diagram_ops.oracles import (
     one_part_hurwitz,
     oracle_tuple_count,
     pde_residual,
-    series_by_schur,
     ppoly,
     series_coefficient,
     simple_hurwitz,
@@ -148,6 +147,11 @@ def test_hurwitz_padded_rejects_multiplicity_below_one():
         hurwitz_padded((((2,), 0),), (2, 1))
 
 
+def test_hurwitz_padded_rejects_fractional_multiplicity():
+    with pytest.raises(ValueError, match="multiplicities"):
+        hurwitz_padded([((2,), 1.7)], (2,))
+
+
 def test_hurwitz_padded_vs_tuple_oracle():
     # a branch (Y, m) is m copies of Y padded to degree n, each weighted by
     # the unit-row binomial C(r + k, k), r = the unit rows of Y, k = n - |Y|
@@ -212,14 +216,6 @@ def test_multi_indices_match_product_filter():
             assert _multi_indices(k, total) == expected, (k, total)
 
 
-def test_generating_function_matches_schur_sum():
-    for active, p_bound, order in [([(2,)], 4, 3), ([(1,), (2,)], 5, 2),
-                                   ([(2,), (1, 1), (3,), (2, 1)], 4, 2), ([], 3, 1),
-                                   ([(4,), (2, 2)], 6, 3), ([(1,), (3, 1)], 2, 0)]:
-        series = generating_function(active, p_bound, order)
-        assert terms(series) == series_by_schur(series.active, p_bound, order)
-
-
 def test_generating_function_size_bound(monkeypatch):
     # 368 multi-indices times the 272 diagrams of degree <= 12
     assert 368 * 272 > MAX_SERIES_PAIRS
@@ -246,9 +242,14 @@ def test_generating_function_size_bound(monkeypatch):
 
 
 def test_pde_residual_zero():
-    series = generating_function([(1,), (2,), (3,)], p_bound=4, order=3)
-    for upsilon in [(1,), (2,), (3,)]:
-        assert pde_residual(upsilon, series) == 0
+    # Z at beta = 0 and dZ/dbeta_Y = W(Y) Z fix every coefficient to the order
+    for active, p_bound, order in [([(1,), (2,), (3,)], 4, 3), ([(2,)], 4, 3),
+                                   ([(1,), (2,)], 5, 2), ([(2,), (1, 1), (3,), (2, 1)], 4, 2),
+                                   ([], 3, 1), ([(4,), (2, 2)], 6, 3), ([(1,), (3, 1)], 2, 0)]:
+        series = generating_function(active, p_bound, order)
+        assert ppoly(series_coefficient(series, ())) == exp_p1(p_bound), active
+        for upsilon in active:
+            assert pde_residual(upsilon, series) == 0, (active, upsilon)
 
 
 def test_pde_residual_requires_active_direction():

@@ -161,6 +161,8 @@ def test_from_schur_checks_its_ints(value):
         from_schur({(2,): value})
     with pytest.raises(TypeError, match=message):
         from_schur({(2,): 1}, value)
+    with pytest.raises(ValueError, match=re.escape("power %r of (2,) is not an int" % (value,))):
+        from_schur({(2,): 1}, powers={(2,): value})
     with pytest.raises(ValueError, match="denominator 0 is not positive"):
         from_schur({(2,): 1}, 0)
 
