@@ -82,9 +82,9 @@ def spectral_sum(n: int, powers, weights=None):
     otherwise) and int weights w_R, a list in the table's row order, by
     default the Plancherel weights d_R = dim_R/n!, as (column, q): the
     value at the i-th class of the table's order is column[i] / q, with
-    q = n! under the Plancherel weights and 1 under given ones, one per
-    row (ValueError otherwise).  It is one integer sum of the rows of the
-    table of S_n, rows of weight 0 skipped."""
+    q = n! under the Plancherel weights and 1 under given ones, one int
+    per row (ValueError otherwise).  It is one integer sum of the rows of
+    the table of S_n, rows of weight 0 skipped."""
     table = char_table(n)
     q, out = 1, [0] * len(table.order)
     if weights is None:
@@ -92,6 +92,8 @@ def spectral_sum(n: int, powers, weights=None):
         weights, q = [row[i_dim] for row in table.rows.values()], math.factorial(n)
     elif len(weights) != len(out):
         raise ValueError("n = %d takes %d weights, not %d" % (n, len(out), len(weights)))
+    elif not all(isinstance(w, int) for w in weights):
+        raise ValueError("n = %d takes int weights" % n)
     for y, k in powers.items():
         if not isinstance(k, int) or k < 0:
             raise ValueError("power %r of %s is not an int >= 0" % (k, y))

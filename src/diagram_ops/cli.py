@@ -9,7 +9,9 @@ parse_args reads argv against it (argparse would cost an op more
 start-up time than most commands compute).  Global options come before
 the command; command options may come anywhere after it.  Both
 "--opt value" and "--opt=value" work, long options are never
-abbreviated, a token such as "-1" is a value, and "--" ends the options.
+abbreviated, and "--" ends the options.  A token is an option when it
+starts with "-" and its second character is not an ASCII digit, so "-",
+"-1" and a leading negative coefficient such as "-1/3*p3" are values.
 -h or --help prints help to stdout and exits 0; a usage error prints
 "usage: ..." and "diagram-ops: error: ..." to stderr and exits 2.  Both
 texts are built by diagram_ops.usage, which no other op loads.
@@ -130,20 +132,9 @@ COMMANDS = {
 }
 
 
-def _is_negative_number(token):
-    """True for '-' followed by decimal digits, or by digits, a '.' and
-    digits, the pattern ^-\\d+$|^-\\d*\\.\\d+$: \\d is any Unicode decimal
-    digit, and $ also matches before one final newline."""
-    body = token[1:-1] if token.endswith("\n") else token[1:]
-    return (token[:1] == "-" and body.replace(".", "", 1).isdecimal()
-            and not body.endswith("."))
-
-
 def _is_option(token):
-    # As under argparse, "-", a token with a space and a negative number are
-    # values, not options.
-    return (token.startswith("-") and token != "-" and " " not in token
-            and not _is_negative_number(token))
+    # the rule of the module docstring; "" is in every str, so "-" is a value
+    return token[:1] == "-" and token[1:2] not in "0123456789"
 
 
 def _dest(name):

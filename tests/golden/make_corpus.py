@@ -5,7 +5,8 @@ diagram_ops.cli.main on it, and the byte length and sha256 of its stdout
 and of its stderr.  A record may also name a patch from PATCHES, a broken
 character table that the argv runs under, for an exit code that working
 code never reaches.  tests/test_golden.py runs every record again and
-compares.
+compares.  The same char_table_with and installed break the tables of
+tests/test_cli.py and tests/test_mutants.py.
 
 This script is the only writer of corpus.jsonl.  Run it from the root of
 a checkout, on the code whose output the corpus should pin:
@@ -23,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import os
 import sys
 
@@ -31,26 +33,50 @@ CORPUS = os.path.join(HERE, "corpus.jsonl")
 ROOT = os.path.dirname(os.path.dirname(HERE))
 
 
-@contextlib.contextmanager
-def _negated_s4_entry():
-    """The table of S_4 with chi_[2,1,1]([2,2]) negated, bound wherever the
-    package holds char_table."""
+def char_table_with(n, r, cls, value):
+    """char_table, but the table of S_n has value(chi_r(cls)) in place of
+    chi_r(cls), which it must change."""
     from diagram_ops import characters
 
     real = characters.char_table
-    table = real(4)
-    rows = {r: list(row) for r, row in table.rows.items()}
-    rows[(2, 1, 1)][table.column((2, 2))] *= -1
-    broken = characters.CharacterTable(4, table.order, rows)
-    holders = [m for name, m in list(sys.modules.items())
-               if name.startswith("diagram_ops") and getattr(m, "char_table", None) is real]
+    table = real(n)
+    rows = {s: list(row) for s, row in table.rows.items()}
+    i = table.column(cls)
+    rows[r][i] = value(rows[r][i])
+    assert rows[r][i] != table.rows[r][i], "an unchanged entry tests nothing"
+    broken = characters.CharacterTable(n, table.order, rows)
+    return lambda k: broken if k == n else real(k)
+
+
+@contextlib.contextmanager
+def installed(module, name, replacement):
+    """Bind replacement wherever the package holds module.name.  Both
+    table memos are emptied before and after, so no table built under one
+    binding is read under the other."""
+    from diagram_ops import characters
+
+    real = getattr(module, name)
+    holders = [m for key, m in list(sys.modules.items())
+               if key.startswith("diagram_ops") and getattr(m, name, None) is real]
+    memos = [characters.char_table, characters._strip_column]
+    for memo in memos:
+        memo.cache_clear()
     for m in holders:
-        m.char_table = lambda n: broken if n == 4 else real(n)
+        setattr(m, name, replacement)
     try:
         yield
     finally:
         for m in holders:
-            m.char_table = real
+            setattr(m, name, real)
+        for memo in memos:
+            memo.cache_clear()
+
+
+def _negated_s4_entry():
+    """The table of S_4 with chi_[2,1,1]([2,2]) negated."""
+    from diagram_ops import characters
+
+    return installed(characters, "char_table", char_table_with(4, (2, 1, 1), (2, 2), operator.neg))
 
 
 PATCHES = {"s4-negated-entry": _negated_s4_entry}

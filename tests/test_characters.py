@@ -329,6 +329,13 @@ def test_spectral_sum_checks_its_weight_count():
             spectral_sum(3, {}, weights)
 
 
+def test_spectral_sum_refuses_non_int_weights():
+    # the kernel sums exactly: a float or Fraction weight is refused, not summed
+    for weights in ([1.5, 0, 0], [Fraction(1, 2), 0, 0]):
+        with pytest.raises(ValueError, match="n = 3 takes int weights"):
+            spectral_sum(3, {(2,): 1}, weights)
+
+
 @pytest.mark.parametrize("n, y, k", [(3, (3,), -1), (4, (2,), -1), (3, (2,), 1.5)],
                          ids=["negative", "zero_to_negative", "float"])
 def test_spectral_sum_refuses_inexact_powers(n, y, k):

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -14,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 import diagram_ops
 
 from diagram_ops import characters, oracles
-from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, _is_negative_number, main, to_json
+from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, _is_option, main, to_json
 from diagram_ops.errors import ConsistencyError
 from diagram_ops.oracles import mult_same_degree
+
+from test_golden import make_corpus
 
 
 def run(capsys, *argv):
@@ -141,39 +144,28 @@ def test_selftest_quick_deterministic(capsys):
     assert all(s["failures"] == 0 for s in report["suites"])
 
 
-def install_s4_table(monkeypatch, r, cls, value):
-    """Bind, wherever the package holds char_table, one that gives the
-    table of S_4 with chi_r(cls) = value(chi_r(cls))."""
-    real = characters.char_table
-    table = real(4)
-    rows = {s: list(row) for s, row in table.rows.items()}
-    rows[r][table.column(cls)] = value(rows[r][table.column(cls)])
-    broken = characters.CharacterTable(4, table.order, rows)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("diagram_ops") and getattr(module, "char_table", None) is real:
-            monkeypatch.setattr(module, "char_table", lambda n: broken if n == 4 else real(n))
-
-
-def test_consistency_error_exits_4(capsys, monkeypatch):
+def test_consistency_error_exits_4(capsys):
     # the table of S_4 with chi_[2,1,1]([2,2]) negated
-    install_s4_table(monkeypatch, (2, 1, 1), (2, 2), lambda x: -x)
     message = "non-integral structure constant 9/4 for ((2, 2), (2, 2), (2, 2))"
-    with pytest.raises(ConsistencyError, match=re.escape(message)):
-        mult_same_degree((2, 2), (2, 2))
-    code, out, err = run(capsys, "mult", "[2,2]", "[2,2]")
-    assert (code, out, err) == (4, "", "error (consistency): %s\n" % message)
-    code, out, _ = run(capsys, "--json", "mult", "[2,2]", "[2,2]")
+    with make_corpus.installed(characters, "char_table",
+                               make_corpus.char_table_with(4, (2, 1, 1), (2, 2), operator.neg)):
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            mult_same_degree((2, 2), (2, 2))
+        code, out, err = run(capsys, "mult", "[2,2]", "[2,2]")
+        assert (code, out, err) == (4, "", "error (consistency): %s\n" % message)
+        code, out, _ = run(capsys, "--json", "mult", "[2,2]", "[2,2]")
     assert code == 4
     assert json.loads(out) == {"error": {"kind": "consistency", "msg": message}}
 
 
-def test_non_integral_phi_exits_4(capsys, monkeypatch):
+def test_non_integral_phi_exits_4(capsys):
     # the table of S_4 with chi_[2,2]([2,2]) = 1, not 2: phi_[2,2]([2,2]) = 12/8
-    install_s4_table(monkeypatch, (2, 2), (2, 2), lambda x: 1)
     message = "non-integral phi for (2, 2) at degree 4"
-    with pytest.raises(ConsistencyError, match=re.escape(message)):
-        characters.phi((2, 2), (2, 2))
-    code, out, err = run(capsys, "eigenvalue", "[2,2]", "[2,2]")
+    with make_corpus.installed(characters, "char_table",
+                               make_corpus.char_table_with(4, (2, 2), (2, 2), lambda x: 1)):
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            characters.phi((2, 2), (2, 2))
+        code, out, err = run(capsys, "eigenvalue", "[2,2]", "[2,2]")
     assert (code, out, err) == (4, "", "error (consistency): %s\n" % message)
 
 
@@ -247,62 +239,52 @@ def test_bounds_and_exit_codes(argv, code):
     assert elapsed < 5, elapsed
 
 
-def test_import_path_leaves_out_oracles_and_dataclasses():
-    package = os.path.dirname(diagram_ops.__file__)
-    submodules = ["diagram_ops." + f[:-3] for f in sorted(os.listdir(package))
-                  if f.endswith(".py") and f != "__init__.py"]
-    later = ["diagram_ops." + m for m in ("psym", "hurwitz", "oracles")]
-    # no op parses argv with argparse or writes JSON with json, and only -h,
-    # --help and usage errors build usage
-    parser = ["argparse", "gettext", "json", "locale", "diagram_ops.usage"]
-    no_algebra = ["diagram_ops.class_algebra"] + parser
-    # no op but selftest builds a Fraction, which loads decimal, numbers and re
-    no_fractions = ["fractions", "decimal", "numbers", "re"]
-    no_tables = ["diagram_ops.table_commands"]
-    run_cli = "from diagram_ops.cli import main; main(sys.argv[1:]); "
-    cases = [
-        ("import diagram_ops.cli; ", [],
-         ["diagram_ops.oracles", "dataclasses", "inspect", "__future__"] + parser),
-        (run_cli, ["--json", "mult", "[2]", "[2]"], later + parser + no_fractions + no_tables),
-        (run_cli, ["mult", "[4,3]", "[2,2,1]"], later + parser + no_fractions),
-        (run_cli, ["chartable", "3"], later + no_algebra + no_fractions),
-        (run_cli, ["eigenvalue", "[2]", "[3]"], later + no_algebra + no_fractions),
-        (run_cli, ["schur", "[2,1]"], later[1:] + no_algebra),
-        (run_cli, ["schur", "[3,1,1]"], later[1:] + no_algebra + no_fractions + no_tables),
-        (run_cli, ["--json", "schur", "[3,1,1]"], later[1:] + no_algebra + no_fractions),
-        (run_cli, ["wapply", "[2]", "1*p2"], later[1:] + no_algebra + no_fractions),
-        (run_cli, ["wapply", "[2]", "1/2*p2 + 3*p1^2"],
-         later[1:] + no_algebra + no_fractions + no_tables),
-        (run_cli, ["--json", "wapply", "[3,2]", "-7/12*p3*p2 + 5/4*p1^5"],
-         later[1:] + no_algebra + no_fractions),
-        (run_cli, ["mult", "1/2*[2]", "2/3*[2] + 1/3*[1]"], later + parser + no_fractions),
-        (run_cli, ["hurwitz", "[2]", "[2]"], later[::2] + no_algebra + no_fractions + no_tables),
-        (run_cli, ["hurwitz", "[2]", "[2]", "[1,1]"], later[::2] + no_algebra + no_fractions),
-        (run_cli, ["evolve", "[2]"], later[::2] + no_algebra + no_fractions),
-        (run_cli, ["evolve", "--p-bound", "3", "--order", "2", "[2]"],
-         later[::2] + no_algebra + no_fractions),
-        (run_cli, ["--json", "evolve", "--p-bound", "3", "--order", "2", "[2]"],
-         later[::2] + no_algebra + no_fractions),
-        (run_cli, ["selftest"], ["json", "argparse", "diagram_ops.usage"]),
-        # the library's constructors and kernel take and make ints only
-        ("from diagram_ops import DiagramSum, PPoly, from_schur, generating_function; "
-         "PPoly({(2,): 1}); DiagramSum({(2,): 1}); from_schur({(2, 1): 1}); "
-         "generating_function([(2,)], 4, 2); ", [], no_fractions[:3]),
-        ("import diagram_ops; ", [], submodules + ["json"]),
-        ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [],
-         ["json"]),
-    ]
-    env = dict(os.environ, PYTHONPATH=SRC)
-    for code, argv, absent in cases:
-        # the package compiles no regular expression: re comes only with fractions
-        code = ("import sys; %sprint([m for m in %r if m in sys.modules]"
-                " + ['re'] * ('re' in sys.modules and 'fractions' not in sys.modules),"
-                " file=sys.stderr)" % (code, absent))
-        # -S: the site hooks of some installs import re themselves
-        proc = subprocess.run([sys.executable, "-S", "-c", code] + argv, capture_output=True,
-                              text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, "[]\n"), (code, argv, proc.stderr)
+SUBMODULES = ["diagram_ops." + f[:-3]
+              for f in sorted(os.listdir(os.path.dirname(diagram_ops.__file__)))
+              if f.endswith(".py") and f != "__init__.py"]
+LATER = ["diagram_ops." + m for m in ("psym", "hurwitz", "oracles")]
+# no op parses argv with argparse or writes JSON with json, and only -h,
+# --help and usage errors build usage
+PARSER = ["argparse", "gettext", "json", "locale", "diagram_ops.usage"]
+NO_ALGEBRA = ["diagram_ops.class_algebra"] + PARSER
+# no op but selftest builds a Fraction, which loads decimal, numbers and re
+NO_FRACTIONS = ["fractions", "decimal", "numbers", "re"]
+NO_TABLES = ["diagram_ops.table_commands"]
+RUN_CLI = "from diagram_ops.cli import main; main(sys.argv[1:]); "
 
+#: (code, argv, the modules that running code on argv must not load)
+IMPORT_CASES = [
+    ("import diagram_ops.cli; ", [],
+     ["diagram_ops.oracles", "dataclasses", "inspect", "__future__"] + PARSER),
+    (RUN_CLI, ["--json", "mult", "[2]", "[2]"], LATER + PARSER + NO_FRACTIONS + NO_TABLES),
+    (RUN_CLI, ["mult", "[4,3]", "[2,2,1]"], LATER + PARSER + NO_FRACTIONS),
+    (RUN_CLI, ["chartable", "3"], LATER + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["eigenvalue", "[2]", "[3]"], LATER + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["schur", "[2,1]"], LATER[1:] + NO_ALGEBRA),
+    (RUN_CLI, ["schur", "[3,1,1]"], LATER[1:] + NO_ALGEBRA + NO_FRACTIONS + NO_TABLES),
+    (RUN_CLI, ["--json", "schur", "[3,1,1]"], LATER[1:] + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["wapply", "[2]", "1*p2"], LATER[1:] + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["wapply", "[2]", "1/2*p2 + 3*p1^2"],
+     LATER[1:] + NO_ALGEBRA + NO_FRACTIONS + NO_TABLES),
+    (RUN_CLI, ["--json", "wapply", "[3,2]", "-7/12*p3*p2 + 5/4*p1^5"],
+     LATER[1:] + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["mult", "1/2*[2]", "2/3*[2] + 1/3*[1]"], LATER + PARSER + NO_FRACTIONS),
+    (RUN_CLI, ["hurwitz", "[2]", "[2]"], LATER[::2] + NO_ALGEBRA + NO_FRACTIONS + NO_TABLES),
+    (RUN_CLI, ["hurwitz", "[2]", "[2]", "[1,1]"], LATER[::2] + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["evolve", "[2]"], LATER[::2] + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["evolve", "--p-bound", "3", "--order", "2", "[2]"],
+     LATER[::2] + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["--json", "evolve", "--p-bound", "3", "--order", "2", "[2]"],
+     LATER[::2] + NO_ALGEBRA + NO_FRACTIONS),
+    (RUN_CLI, ["selftest"], ["json", "argparse", "diagram_ops.usage"]),
+    # the library's constructors and kernel take and make ints only
+    ("from diagram_ops import DiagramSum, PPoly, from_schur, generating_function; "
+     "PPoly({(2,): 1}); DiagramSum({(2,): 1}); from_schur({(2, 1): 1}); "
+     "generating_function([(2,)], 4, 2); ", [], NO_FRACTIONS[:3]),
+    ("import diagram_ops; ", [], SUBMODULES + ["json"]),
+    ("import diagram_ops; [getattr(diagram_ops, n) for n in diagram_ops.__all__]; ", [],
+     ["json"]),
+]
 
 #: op -> (argv, most AST nodes of the package's modules that the op
 #: loads): the count at this version rounded up to the next 100.
@@ -317,19 +299,41 @@ COMPILE_BUDGETS = {
 }
 
 
-def test_op_compile_budget():
+@pytest.fixture(scope="module")
+def probes():
+    """(code, argv) -> (the modules of its absent list that it loaded, the
+    files of the package it loaded), for every import-path case and every
+    budget argv, from one `python -S -c` process per argv."""
+    probed = [(code, argv) for code, argv, _ in IMPORT_CASES]
+    cases = IMPORT_CASES + [(RUN_CLI, argv, []) for argv, _ in COMPILE_BUDGETS.values()
+                            if (RUN_CLI, argv) not in probed]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    found = {}
+    for code, argv, absent in cases:
+        # the package compiles no regular expression: re comes only with fractions
+        script = ("import sys; %sprint(([m for m in %r if m in sys.modules]"
+                  " + ['re'] * ('re' in sys.modules and 'fractions' not in sys.modules),"
+                  " [m.__file__ for k, m in sys.modules.items()"
+                  " if k.split('.')[0] == 'diagram_ops']), file=sys.stderr)" % (code, absent))
+        # -S: the site hooks of some installs import re themselves
+        proc = subprocess.run([sys.executable, "-S", "-c", script] + argv, capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, (code, argv, proc.stderr)
+        found[code, tuple(argv)] = ast.literal_eval(proc.stderr)
+    return found
+
+
+def test_import_path_leaves_out_oracles_and_dataclasses(probes):
+    for code, argv, _ in IMPORT_CASES:
+        assert probes[code, tuple(argv)][0] == [], (code, argv)
+
+
+def test_op_compile_budget(probes):
     # without cached bytecode, as the benchmark runs, every op compiles
     # each package module it loads, so their size is start-up time
-    code = ("import sys; from diagram_ops.cli import main; main(sys.argv[1:]); "
-            "print([m.__file__ for k, m in sys.modules.items()"
-            " if k.split('.')[0] == 'diagram_ops'], file=sys.stderr)")
-    env = dict(os.environ, PYTHONPATH=SRC)
     for op, (argv, budget) in COMPILE_BUDGETS.items():
-        proc = subprocess.run([sys.executable, "-S", "-c", code] + argv, capture_output=True,
-                              text=True, env=env, timeout=60)
-        assert proc.returncode == 0, (argv, proc.stderr)
         nodes = 0
-        for path in ast.literal_eval(proc.stderr):
+        for path in probes[RUN_CLI, tuple(argv)][1]:
             with open(path, encoding="utf-8") as f:
                 nodes += sum(1 for _ in ast.walk(ast.parse(f.read())))
         assert nodes <= budget, (op, nodes, budget)
@@ -438,18 +442,30 @@ def test_package_has_no_other_attributes():
             getattr(diagram_ops, name)
 
 
-# The pattern _is_option was written with, kept as the oracle of its
-# str-method check: \d is any Unicode decimal digit, and $ also matches
-# before one final newline.
-NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-TOKEN_CHARS = st.sampled_from("-.0123456789\u0663\uff11\u00b2 \n\tx")
+@pytest.mark.parametrize("token, is_option", [
+    ("-", False), ("-1", False), ("-0*[2]", False), ("-1/3*p3", False),
+    ("-1/3*p3 + 2*p1", False),
+    ("-h", True), ("-x", True), ("--json", True), ("--n=2", True),
+])
+def test_option_starts_with_a_dash_and_no_digit(token, is_option):
+    assert _is_option(token) is is_option
 
 
-@settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(st.one_of(st.text(TOKEN_CHARS, max_size=6),
-                 st.text(TOKEN_CHARS, max_size=6).map(lambda t: "-" + t)))
-def test_negative_number_matches_its_regular_expression(token):
-    assert bool(_is_negative_number(token)) == bool(NEGATIVE_NUMBER.match(token)), token
+LEADING_NEGATIVE = [
+    (["mult", "-1*[2]", "[2]"], "-1*[1,1] + -3*[3] + -2*[2,2]\n"),
+    (["wapply", "[2]", "-1/3*p3"], "-1*p1*p2\n"),
+    (["wapply", "[]", "-1*p1^2"], "-1*p1^2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, out", LEADING_NEGATIVE,
+                         ids=[" ".join(argv) for argv, _ in LEADING_NEGATIVE])
+def test_leading_negative_coefficient_round_trips(capsys, argv, out):
+    # a value led by "-" and a digit needs no "--" before it, and a printed
+    # value fed back against the identity ([] on either side) prints unchanged
+    assert run(capsys, *argv) == run(capsys, argv[0], "--", *argv[1:]) == (0, out, "")
+    again = ["mult", out.strip(), "[]"] if argv[0] == "mult" else ["wapply", "[]", out.strip()]
+    assert run(capsys, *again) == (0, out, "")
 
 
 @pytest.mark.parametrize("argv", [

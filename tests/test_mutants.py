@@ -3,9 +3,11 @@ process, and the check it names must fail while it is in place.
 
 A source mutant recompiles one function with one piece of its source
 replaced, and the piece must occur exactly once, so a mutant that no
-longer matches the code fails loudly instead of testing nothing.  The
-mutant is bound wherever the package imported the original, and the
-character tables and their strip columns are rebuilt before and after it.
+longer matches the code fails loudly instead of testing nothing.  A table
+mutant is a char_table whose table of one degree has one entry negated.
+The corpus's make_corpus.char_table_with builds it and make_corpus.installed
+binds every mutant wherever the package imported the original, with the
+character tables and their strip columns rebuilt before and after it.
 
 A check is either the quick selftest, which names its failing suites or
 the ConsistencyError that stopped it, an oracle comparison, or one of the
@@ -14,10 +16,9 @@ that cannot change any result, such as negating a character table entry
 that is 0, is not listed.
 """
 
-import contextlib
 import inspect
+import operator
 import re
-import sys
 import textwrap
 from fractions import Fraction
 
@@ -38,8 +39,9 @@ from diagram_ops.oracles import (
 )
 from diagram_ops.partitions import partitions_of
 
+from test_golden import make_corpus
+
 SEED = 20101146
-_CHAR_TABLE = characters.char_table
 
 
 def quick_selftest() -> str:
@@ -146,37 +148,6 @@ def source_mutant(module, name, old, new):
     return module, name, namespace[name]
 
 
-def table_entry_mutant(n, r, cls):
-    table = _CHAR_TABLE(n)
-    rows = {s: list(row) for s, row in table.rows.items()}
-    assert rows[r][table.column(cls)], "negating a zero entry changes nothing"
-    rows[r][table.column(cls)] *= -1
-    broken = characters.CharacterTable(n, table.order, rows)
-    return characters, "char_table", lambda k: broken if k == n else _CHAR_TABLE(k)
-
-
-def clear_tables():
-    """Empty both memos, so that the next table is built afresh."""
-    _CHAR_TABLE.cache_clear()
-    characters._strip_column.cache_clear()
-
-
-@contextlib.contextmanager
-def installed(module, name, mutant):
-    real = getattr(module, name)
-    holders = [m for key, m in list(sys.modules.items())
-               if key.startswith("diagram_ops") and getattr(m, name, None) is real]
-    clear_tables()
-    for m in holders:
-        setattr(m, name, mutant)
-    try:
-        yield
-    finally:
-        for m in holders:
-            setattr(m, name, real)
-        clear_tables()
-
-
 #: (mutant, how to make it, the check, a pattern its failure report matches)
 MUTANTS = [
     ("phi_column without j!",
@@ -235,10 +206,12 @@ MUTANTS = [
      printer_vs_fractions,
      r"printer_vs_fractions at .*'polynomial', \(2,\).*'mult_sum'.*'series'"),
     ("S_4 table with chi_[3,1]([2,2]) negated",
-     lambda: table_entry_mutant(4, (3, 1), (2, 2)),
+     lambda: (characters, "char_table",
+              make_corpus.char_table_with(4, (3, 1), (2, 2), operator.neg)),
      quick_selftest, "non-integral structure constant"),
     ("S_10 table with chi_[6,2,2]([4,3,2,1]) negated",
-     lambda: table_entry_mutant(10, (6, 2, 2), (4, 3, 2, 1)),
+     lambda: (characters, "char_table",
+              make_corpus.char_table_with(10, (6, 2, 2), (4, 3, 2, 1), operator.neg)),
      closed_form_genus0, "closed_form_genus0"),
 ]
 
@@ -254,9 +227,19 @@ def test_checks_pass_without_mutants():
     assert closed_form_genus0(11) == ""
 
 
+def test_installed_empties_both_table_memos():
+    # a table built before or under a mutant is never read after it
+    memos = [characters.char_table, characters._strip_column]
+    characters.char_table(4)
+    with make_corpus.installed(psym, "from_schur", psym.from_schur):
+        assert [m.cache_info().currsize for m in memos] == [0, 0]
+        characters.char_table(4)
+    assert [m.cache_info().currsize for m in memos] == [0, 0]
+
+
 @pytest.mark.parametrize("make, check, caught_by", [m[1:] for m in MUTANTS],
                          ids=[m[0] for m in MUTANTS])
 def test_mutant_is_caught(make, check, caught_by):
-    with installed(*make()):
+    with make_corpus.installed(*make()):
         report = check()
     assert re.search(caught_by, report), report
