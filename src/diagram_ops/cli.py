@@ -1,6 +1,6 @@
 """Command-line front end with deterministic text/JSON output.
 
-    diagram-ops [--json] [--max-degree N] [--seed S] COMMAND [ARGS]
+    diagram-ops [--json] [--max-degree N] [--seed N] COMMAND [ARGS]
 
 This module only reads argv, dispatches and maps errors to exit codes;
 every op compiles it, so it holds nothing else.  The COMMANDS table names
@@ -12,9 +12,10 @@ the command; command options may come anywhere after it.  Both
 abbreviated, and "--" ends the options.  A token is an option when it
 starts with "-" and its second character is not an ASCII digit, so "-",
 "-1" and a leading negative coefficient such as "-1/3*p3" are values.
--h or --help prints help to stdout and exits 0; a usage error prints
-"usage: ..." and "diagram-ops: error: ..." to stderr and exits 2.  Both
-texts are built by diagram_ops.usage, which no other op loads.
+An integer is an optional "+" or "-" and ASCII digits, as in the text
+grammars.  -h or --help prints help to stdout and exits 0; a usage error
+prints "usage: ..." and "diagram-ops: error: ..." to stderr and exits 2.
+Both texts are built by diagram_ops.usage, which no other op loads.
 
 A command's body is cmd_<command> in the layer it runs, next to that
 layer's parser and printer: mult in class_algebra, schur and wapply in
@@ -47,6 +48,7 @@ from types import SimpleNamespace
 
 from .errors import BoundError, ConsistencyError, ParseError
 from .characters import MAX_TABLE_DEGREE
+from .partitions import parse_digits
 
 DEFAULT_SEED = 20101146
 
@@ -148,14 +150,14 @@ def _usage_error(command, reason):
 
 
 def _convert(command, what, kind, text):
-    if isinstance(kind, tuple):
-        if text not in kind:
-            _usage_error(command, "%s must be one of %s, not %r" % (what, ", ".join(kind), text))
-        return text
-    try:
-        return kind(text)
-    except ValueError:
-        _usage_error(command, "%s takes an integer, not %r" % (what, text))
+    if kind is int:
+        value = parse_digits(text[1:] if text[:1] in "+-" else text)
+        if value is None:
+            _usage_error(command, "%s takes an integer, not %r" % (what, text))
+        return -value if text[:1] == "-" else value
+    if kind is not str and text not in kind:
+        _usage_error(command, "%s must be one of %s, not %r" % (what, ", ".join(kind), text))
+    return text
 
 
 def _set_defaults(args, options):

@@ -99,25 +99,27 @@ def partition_sort_key(delta: Partition):
     return (degree(delta), tuple(-p for p in delta))
 
 
-def is_ascii_digits(text: str) -> bool:
-    """True when text is one or more of the ASCII digits 0-9."""
-    return text.isascii() and text.isdecimal()
+def parse_digits(text: str):
+    """The int of one or more ASCII digits 0-9, or None for any other text
+    and for more digits than the interpreter's int-to-string limit."""
+    if text.isascii() and text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # more digits than the int-to-string limit
+            return None
 
 
 def parse_partition(text: str) -> Partition:
     """Parse '[3,1,1]' (no internal whitespace) into a canonical partition."""
     s = text.strip()
     body = s[1:-1]
-    if not (s[:1] == "[" and s[-1:] == "]"
-            and (not body or all(map(is_ascii_digits, body.split(","))))):
+    parts = tuple(map(parse_digits, body.split(","))) if body else ()
+    if not (s[:1] == "[" and s[-1:] == "]") or None in parts:
         # locate the first offending character for the error message
         for i, ch in enumerate(s):
             if ch not in "[],0123456789":
                 raise ParseError("unexpected character %r in partition" % ch, i)
         raise ParseError("malformed partition %r" % s, 0)
-    if not body:
-        return ()
-    parts = tuple(int(x) for x in body.split(","))
     try:
         return as_partition(parts)
     except ValueError as e:
@@ -160,13 +162,9 @@ def parse_ratio(text: str) -> tuple:
     refused before any arithmetic, and so is a zero denominator."""
     unsigned = text[1:] if text[:1] in ("+", "-") else text
     numerator, slash, denominator = unsigned.partition("/")
-    if is_ascii_digits(numerator) and (not slash or is_ascii_digits(denominator)):
-        try:
-            num, den = int(numerator), int(denominator) if slash else 1
-        except ValueError:  # more digits than the int-to-string limit
-            den = 0
-        if den:
-            return (-num if text[:1] == "-" else num), den
+    num, den = parse_digits(numerator), parse_digits(denominator) if slash else 1
+    if num is not None and den:
+        return (-num if text[:1] == "-" else num), den
     raise ParseError("malformed rational %r" % text, 0)
 
 

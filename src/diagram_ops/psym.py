@@ -28,7 +28,7 @@ from .partitions import (
     as_partition,
     aut_order,
     degree,
-    is_ascii_digits,
+    parse_digits,
     parse_partition,
     parse_ratio,
     parse_terms,
@@ -43,9 +43,9 @@ def _read_monomial(chunk: str) -> tuple:
     for i, factor in enumerate(chunk.split("*")):
         if factor.startswith("p"):
             body, caret, exp = factor[1:].partition("^")
-            if not is_ascii_digits(body) or (caret and not is_ascii_digits(exp)):
+            k, m = parse_digits(body), parse_digits(exp) if caret else 1
+            if k is None or m is None:
                 raise ParseError("malformed power-sum factor %r" % factor, 0)
-            k, m = int(body), int(exp) if caret else 1
             if k < 1:
                 raise ParseError("power-sum index must be >= 1 in %r" % factor, 0)
             if k * m > MAX_ENUM_DEGREE:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import diagram_ops
 
 from diagram_ops import characters, oracles
-from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, _is_option, main, to_json
+from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, _is_option, main, parse_args, to_json
 from diagram_ops.errors import ConsistencyError
 from diagram_ops.oracles import mult_same_degree
 
@@ -496,6 +496,72 @@ def test_usage_errors(capsys, argv):
     assert exc.value.code == 2
     assert out == "" and err.startswith("usage: diagram-ops ")
     assert "\ndiagram-ops: error: " in err and "Traceback" not in err
+
+
+#: the integer positions of argv: (argv with the token in place of None,
+#: the namespace attribute that the token sets)
+INTEGER_POSITIONS = [
+    (["chartable", None], "n"),
+    (["--max-degree", None, "chartable", "2"], "max_degree"),
+    (["--seed", None, "selftest"], "seed"),
+    (["hurwitz", "--n", None, "[2]"], "n"),
+    (["evolve", "--p-bound", None, "[2]"], "p_bound"),
+    (["evolve", "--order", None, "[2]"], "order"),
+]
+# the int-to-string limit of the interpreter, sys.get_int_max_str_digits(),
+# is 4,300 digits by default
+OVER_LONG = "1" * 4301
+
+
+def _parse(argv):
+    """(the namespace, "") of parse_args on argv, or (None, its stderr) for
+    a usage error, which must exit 2."""
+    sink = io.StringIO()
+    with contextlib.redirect_stderr(sink):
+        try:
+            return parse_args(argv)[1], ""
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, exc.code)
+    return None, sink.getvalue()
+
+
+@pytest.mark.parametrize("argv, name", INTEGER_POSITIONS,
+                         ids=[" ".join(a or "N" for a in argv) for argv, _ in INTEGER_POSITIONS])
+def test_integer_argv_is_an_optional_sign_and_ascii_digits(argv, name):
+    at = argv.index(None)
+    for token in ["\u0663", "\uff13", "1_0", " 3 ", "3\n", OVER_LONG]:
+        args, err = _parse(argv[:at] + [token] + argv[at + 1:])
+        assert args is None and "takes an integer, not %r" % token in err, token
+    for token, value in [("+3", 3), ("007", 7), ("3", 3)]:
+        args, err = _parse(argv[:at] + [token] + argv[at + 1:])
+        assert getattr(args, name) == value and err == "", token
+
+
+def test_negative_degree_keeps_its_message(capsys):
+    assert run(capsys, "chartable", "-1") == (2, "", "error (parse): degree -1 is negative\n")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.text(st.sampled_from("0123456789\u0663\uff13_ +-"), max_size=6))
+def test_integer_argv_parses_as_its_regular_expression(token):
+    # the argv counterpart of the text grammars' ASCII-digit rule
+    expected = int(token) if re.fullmatch(r"[+-]?[0-9]+", token, re.ASCII) else None
+    for argv, name in [(["chartable", "--", token], "n"),
+                       (["--max-degree=" + token, "chartable", "2"], "max_degree")]:
+        args, err = _parse(argv)
+        assert (None if args is None else getattr(args, name)) == expected, (argv, err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mult", "[1%s]" % OVER_LONG, "[1]"], "malformed partition"),
+    (["wapply", "[2]", "p%s" % OVER_LONG], "malformed power-sum factor"),
+    (["wapply", "[2]", "p1^%s" % OVER_LONG], "malformed power-sum factor"),
+    (["mult", "%s*[1]" % OVER_LONG, "[1]"], "malformed rational"),
+], ids=["part", "power-sum index", "power-sum exponent", "coefficient"])
+def test_over_long_integer_text_is_a_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error (parse): " + message)
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("argv, names", [

@@ -16,6 +16,7 @@ from diagram_ops.partitions import (
     format_partition,
     multiplicity,
     pad,
+    parse_digits,
     parse_partition,
     parse_ratio,
     partitions_of,
@@ -141,6 +142,15 @@ def test_parse_partition():
         parse_partition("[1,]")
     with pytest.raises(ParseError):
         parse_partition("[0]")
+
+
+def test_parse_digits_reads_ascii_digits_within_the_limit():
+    # 4,300 digits is the default of sys.get_int_max_str_digits()
+    assert parse_digits("007") == 7 and parse_digits("9" * 4300) == 10 ** 4300 - 1
+    for bad in ["", "+3", "-3", " 3", "3\n", "1_0", "\u0663", "\uff13", "\u00b2", "1" * 4301]:
+        assert parse_digits(bad) is None, bad
+    with pytest.raises(ParseError, match="malformed partition"):
+        parse_partition("[1%s]" % ("0" * 4300))
 
 
 def test_parse_ratio():

@@ -260,7 +260,9 @@ def test_parse_ppoly():
     assert parse_ppoly(schur((2, 2)).to_text()) == schur((2, 2))
     with pytest.raises(ParseError):
         parse_ppoly("1/3*q2")
-    for text in ("p0", "2*p0^2", "p1 + p00", "p1^", "2*p2*p1^", "p\u00b2", "p1^\u00b2"):
+    over_long = "1" * 4301  # digits, above the int-to-string limit
+    for text in ("p0", "2*p0^2", "p1 + p00", "p1^", "2*p2*p1^", "p\u00b2", "p1^\u00b2",
+                 "p" + over_long, "p1^" + over_long):
         with pytest.raises(ParseError):
             parse_ppoly(text)
 
