@@ -16,15 +16,18 @@ An integer is an optional "+" or "-" and ASCII digits, as in the text
 grammars.  -h or --help prints help to stdout and exits 0; a usage error
 prints "usage: ..." and "diagram-ops: error: ..." to stderr and exits 2.
 Both texts are built by diagram_ops.usage, which no other op loads.
+Every message shows a token, or a degree read from one, through
+errors.quote.
 
 A command's body is cmd_<command> in the layer it runs, next to that
 layer's parser and printer: mult in class_algebra, schur and wapply in
 psym, hurwitz and evolve in hurwitz, selftest in oracles, and chartable
 and eigenvalue in table_commands, beside characters, which every op
 loads.  main imports only that module, so an op loads only the modules
-it runs: eigenvalue reads phi from the table and loads no other layer.  A body takes the namespace and the degree
-check and returns (text, json_obj), or (text, json_obj, error) for an
-error to raise once the output is printed, as a failing selftest does.
+it runs: eigenvalue reads phi from the table and loads no other layer.
+A body takes the namespace and the degree check and returns (text,
+json_obj), or (text, json_obj, error) for an error to raise once the
+output is printed, as a failing selftest does.
 No module imports this one: under `python -m diagram_ops.cli` it is
 __main__, and an import would compile it a second time.  JSON is
 written by to_json, not the json module, whose import costs an op more
@@ -46,7 +49,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import BoundError, ConsistencyError, ParseError
+from .errors import BoundError, ConsistencyError, ParseError, quote
 from .characters import MAX_TABLE_DEGREE
 from .partitions import parse_digits
 
@@ -57,9 +60,9 @@ def _check_degrees(max_degree, degrees):
     """Reject a negative degree (exit 2) or one above --max-degree (exit 3)."""
     for n in degrees:
         if n < 0:
-            raise ParseError("degree %d is negative" % n)
+            raise ParseError("degree %s is negative" % quote(n))
         if n > max_degree:
-            raise BoundError("degree %d exceeds max degree %d" % (n, max_degree))
+            raise BoundError("degree %s exceeds max degree %d" % (quote(n), max_degree))
 
 
 #: The escapes json.dumps writes for these characters; every other
@@ -73,16 +76,13 @@ def _json_string(text: str) -> str:
         return '"%s"' % text
     out = []
     for ch in text:
-        c = ord(ch)
         if ch in _JSON_ESCAPES:
             out.append(_JSON_ESCAPES[ch])
-        elif 0x20 <= c < 0x7F:
+        elif " " <= ch <= "~":
             out.append(ch)
-        elif c < 0x10000:
-            out.append("\\u%04x" % c)
-        else:
-            c -= 0x10000
-            out.append("\\u%04x\\u%04x" % (0xD800 | c >> 10, 0xDC00 | c & 0x3FF))
+        else:  # one \uXXXX per UTF-16 code unit
+            units = ch.encode("utf-16-be", "surrogatepass").hex()
+            out += ["\\u" + units[i:i + 4] for i in range(0, len(units), 4)]
     return '"%s"' % "".join(out)
 
 
@@ -152,12 +152,14 @@ def _usage_error(command, reason):
 def _convert(command, what, kind, text):
     if kind is int:
         value = parse_digits(text[1:] if text[:1] in "+-" else text)
-        if value is None:
-            _usage_error(command, "%s takes an integer, not %r" % (what, text))
-        return -value if text[:1] == "-" else value
-    if kind is not str and text not in kind:
-        _usage_error(command, "%s must be one of %s, not %r" % (what, ", ".join(kind), text))
-    return text
+        if value is not None:
+            return -value if text[:1] == "-" else value
+        expected = "takes an integer"
+    elif kind is str or text in kind:
+        return text
+    else:
+        expected = "must be one of " + ", ".join(kind)
+    _usage_error(command, "%s %s, not %s" % (what, expected, quote(text)))
 
 
 def _set_defaults(args, options):
@@ -202,8 +204,8 @@ def parse_args(argv):
             _read_option(args, command, options, token, tokens)
         elif command is None:
             if token not in COMMANDS:
-                _usage_error(None, "unknown command %r (choose from %s)"
-                             % (token, ", ".join(COMMANDS)))
+                _usage_error(None, "unknown command %s (choose from %s)"
+                             % (quote(token), ", ".join(COMMANDS)))
             command, options = token, COMMANDS[token][3]
             _set_defaults(args, options)
         else:
@@ -214,7 +216,7 @@ def parse_args(argv):
     if len(values) < len(positionals):
         _usage_error(command, "missing %s" % positionals[len(values)][0].upper())
     if len(values) > len(positionals) and not (positionals and positionals[-1][0].endswith("...")):
-        _usage_error(command, "unexpected argument %r" % values[len(positionals)])
+        _usage_error(command, "unexpected argument %s" % quote(values[len(positionals)]))
     for i, (name, kind) in enumerate(positionals):
         value = values[i:] if name.endswith("...") else _convert(command, name, kind, values[i])
         setattr(args, _dest(name), value)
@@ -225,7 +227,7 @@ def main(argv=None) -> int:
     command, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.max_degree < 0:
-            raise ParseError("max degree %d is negative" % args.max_degree)
+            raise ParseError("max degree %s is negative" % quote(args.max_degree))
         if args.max_degree > MAX_TABLE_DEGREE:
             raise BoundError("max degree is capped at %d" % MAX_TABLE_DEGREE)
         module = importlib.import_module("." + COMMANDS[command][0], __package__)

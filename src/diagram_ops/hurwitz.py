@@ -26,7 +26,7 @@ commands.
 import collections
 import math
 
-from .errors import BoundError, ParseError
+from .errors import BoundError, ParseError, quote
 from .partitions import (
     PPoly,
     as_partition,
@@ -88,19 +88,12 @@ def hurwitz_padded(branches, delta) -> tuple:
     return numerators.get(delta, 0), den
 
 
-def _beta_key(counts: dict) -> tuple:
-    """Canonical key for a beta multi-index: sorted (partition, power)."""
-    return tuple(sorted(
-        ((p, k) for p, k in counts.items() if k),
-        key=lambda pk: partition_sort_key(pk[0]),
-    ))
-
-
 class HurwitzSeries:
     """Truncated expansion of the generating function Z in the directions
     active (canonical order), to graded degree p_bound and beta-order order.
 
-    coefficients maps each beta key to a PPoly: the raw Taylor
+    coefficients maps each beta key, the (direction, power) pairs of
+    nonzero power in the order of active, to a PPoly: the raw Taylor
     coefficients against the plain monomials p_delta, the 1/k! factors
     included, printed by total beta-order and then as PPoly prints.
     """
@@ -141,7 +134,7 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > MAX_SERIES_ORDER:
-        raise BoundError("series order %d exceeds bound %d" % (order, MAX_SERIES_ORDER))
+        raise BoundError("series order %s exceeds bound %d" % (quote(order), MAX_SERIES_ORDER))
     if p_bound < 0:
         raise ValueError("p_bound must be nonnegative")
     if p_bound > MAX_TABLE_DEGREE:
@@ -160,7 +153,7 @@ def generating_function(active, p_bound: int, order: int) -> HurwitzSeries:
             scale = q * math.prod(map(math.factorial, counts))
             ratios += [(mu, total, scale * aut_order(mu))
                        for mu, total in zip(char_table(n).order, column) if total]
-        series.coefficients[_beta_key(powers)] = PPoly.of(ratios)
+        series.coefficients[tuple((p, k) for p, k in powers.items() if k)] = PPoly.of(ratios)
     return series
 
 

@@ -107,7 +107,6 @@ from .class_algebra import (
 from .hurwitz import (
     MAX_SERIES_ORDER,
     HurwitzSeries,
-    _beta_key,
     _multi_indices,
     generating_function,
     hurwitz_chain,
@@ -211,6 +210,14 @@ def simple_hurwitz(n: int, m: int) -> dict:
     column, q = spectral_sum(n, {(2,): m})
     return {delta: Fraction(total, q * aut_order(delta))
             for delta, total in zip(char_table(n).order, column)}
+
+
+def _beta_key(counts: dict) -> tuple:
+    """Canonical key for a beta multi-index: sorted (partition, power)."""
+    return tuple(sorted(
+        ((p, k) for p, k in counts.items() if k),
+        key=lambda pk: partition_sort_key(pk[0]),
+    ))
 
 
 def series_coefficient(series: HurwitzSeries, key) -> dict:
@@ -477,7 +484,7 @@ def eval_at_power_sums(f: PPoly, xs) -> Fraction:
 def complete_homogeneous(i: int) -> PPoly:
     """h_i with exp(sum_k p_k x^k / k) = sum_i h_i x^i; h_0 = 1, h_{<0} = 0."""
     if i < 0:
-        return PPoly.zero()
+        return PPoly()
     if i == 0:
         return PPoly({(): 1})
     # Newton recurrence: i*h_i = sum_{k=1..i} p_k h_{i-k}

@@ -13,14 +13,15 @@ combination of keys in that form and prints it; PPoly, a polynomial in
 the power sums p_k, is one here, because the Hurwitz series' coefficients
 are PPolys too, and class_algebra.DiagramSum is the other.  parse_terms
 reads the text of either.  No module of the package but
-diagram_ops.oracles imports fractions.
+diagram_ops.oracles imports fractions.  A parser's ParseError shows the
+offending text through errors.quote.
 """
 
 import math
 import sys
 import types
 
-from .errors import BoundError, ParseError
+from .errors import BoundError, ParseError, quote
 
 Partition = tuple
 
@@ -36,9 +37,9 @@ def as_partition(parts) -> Partition:
     t = tuple(parts)
     for i, p in enumerate(t):
         if not isinstance(p, int) or p < 1:
-            raise ValueError("partition parts must be positive integers: %r" % (t,))
+            raise ValueError("partition parts must be positive integers: %s" % quote(t))
         if i > 0 and t[i - 1] < p:
-            raise ValueError("partition parts must be weakly decreasing: %r" % (t,))
+            raise ValueError("partition parts must be weakly decreasing: %s" % quote(t))
     return t
 
 
@@ -115,15 +116,13 @@ def parse_partition(text: str) -> Partition:
     body = s[1:-1]
     parts = tuple(map(parse_digits, body.split(","))) if body else ()
     if not (s[:1] == "[" and s[-1:] == "]") or None in parts:
-        # locate the first offending character for the error message
-        for i, ch in enumerate(s):
-            if ch not in "[],0123456789":
-                raise ParseError("unexpected character %r in partition" % ch, i)
-        raise ParseError("malformed partition %r" % s, 0)
+        bad = [ch for ch in s if ch not in "[],0123456789"]
+        raise ParseError("unexpected character %s in partition" % quote(bad[0]) if bad
+                         else "malformed partition %s" % quote(s))
     try:
         return as_partition(parts)
     except ValueError as e:
-        raise ParseError(str(e), 1) from None
+        raise ParseError(str(e)) from None
 
 
 def format_partition(delta: Partition) -> str:
@@ -165,7 +164,7 @@ def parse_ratio(text: str) -> tuple:
     num, den = parse_digits(numerator), parse_digits(denominator) if slash else 1
     if num is not None and den:
         return (-num if text[:1] == "-" else num), den
-    raise ParseError("malformed rational %r" % text, 0)
+    raise ParseError("malformed rational %s" % quote(text))
 
 
 class Ratios:
@@ -200,10 +199,6 @@ class Ratios:
         value = object.__new__(cls)
         value.numerators, value.denominator = ratio_sum(ratios)
         return value
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     def degrees(self):
         return sorted(set(map(degree, self.numerators)))
@@ -255,5 +250,5 @@ def parse_terms(cls, text, what, read_term):
     ParseError that names what."""
     s = text.strip()
     if not s:
-        raise ParseError("empty %s" % what, 0)
+        raise ParseError("empty %s" % what)
     return cls() if s == "0" else cls.of([read_term(chunk.strip()) for chunk in s.split(" + ")])

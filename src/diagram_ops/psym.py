@@ -3,9 +3,9 @@
 A PPoly, a polynomial in the p_k, is a partitions.Ratios keyed by
 exponent partitions.  It is defined in partitions, because the Hurwitz
 series' coefficients are PPolys too, and exported here; parse_ppoly
-reads its text.  Its arithmetic, and the Fraction view of its
-coefficients, live in diagram_ops.oracles, because only the oracles and
-the tests use them.
+reads its text and shows a bad factor through errors.quote.  Its
+arithmetic, and the Fraction view of its coefficients, live in
+diagram_ops.oracles, because only the oracles and the tests use them.
 
 Schur functions are read from the character table; the bialternant and
 Jacobi-Trudi routes that check them live in diagram_ops.oracles, which
@@ -19,7 +19,7 @@ the partial-permutation action, which reads no character table.
 cmd_schur and cmd_wapply are the bodies of the schur and wapply commands.
 """
 
-from .errors import BoundError, ParseError
+from .errors import BoundError, ParseError, quote
 from .partitions import (
     MAX_ENUM_DEGREE,
     PPoly,
@@ -37,25 +37,22 @@ from .characters import char_table, spectral_sum
 
 
 def _read_monomial(chunk: str) -> tuple:
-    """(monomial, numerator, denominator) of one term of PPoly.to_text."""
-    num, den = 1, 1
+    """(monomial, numerator, denominator) of a term; only its first factor
+    may be a coefficient, and every later one is a power sum."""
+    factors = chunk.split("*")
+    num, den = (1, 1) if factors[0].startswith("p") else parse_ratio(factors.pop(0))
     mono = []
-    for i, factor in enumerate(chunk.split("*")):
-        if factor.startswith("p"):
-            body, caret, exp = factor[1:].partition("^")
-            k, m = parse_digits(body), parse_digits(exp) if caret else 1
-            if k is None or m is None:
-                raise ParseError("malformed power-sum factor %r" % factor, 0)
-            if k < 1:
-                raise ParseError("power-sum index must be >= 1 in %r" % factor, 0)
-            if k * m > MAX_ENUM_DEGREE:
-                raise BoundError("factor %r has degree %d above bound %d"
-                                 % (factor, k * m, MAX_ENUM_DEGREE))
-            mono.extend([k] * m)
-        elif i == 0:
-            num, den = parse_ratio(factor)
-        else:
-            raise ParseError("coefficient %r must come first" % factor, 0)
+    for factor in factors:
+        body, caret, exp = factor[1:].partition("^")
+        k, m = parse_digits(body), parse_digits(exp) if caret else 1
+        if not factor.startswith("p") or None in (k, m):
+            raise ParseError("malformed power-sum factor %s" % quote(factor))
+        if k < 1:
+            raise ParseError("power-sum index must be >= 1 in %s" % quote(factor))
+        if k * m > MAX_ENUM_DEGREE:
+            raise BoundError("factor %s has degree %s above bound %d"
+                             % (quote(factor), quote(k * m), MAX_ENUM_DEGREE))
+        mono.extend([k] * m)
     return tuple(sorted(mono, reverse=True)), num, den
 
 

@@ -13,11 +13,15 @@ a checkout, on the code whose output the corpus should pin:
 
     PYTHONPATH=src python3 tests/golden/make_corpus.py
 
-The argv are the seed 1-5 rounds of the products, operators and hurwitz
-workloads of perfbench/workloads.py, each in text and --json, then edge
-cases: W([3,2]) on every monomial of degree <= 12, phi at every R with
-|R| <= 12, a long evolve, a 6-class bracket at n = 12, both selftest
-levels, empty diagrams, and one argv per exit code.
+The argv are those of corpus.jsonl, with their patches, in file order,
+then each argv of corpus_argv that the file does not hold yet, so a
+rerun rewrites records but never drops or reorders one.  The first
+records are the seed 1-5 rounds of the products, operators and hurwitz
+workloads of perfbench/workloads.py as it was when the corpus began, each
+in text and --json; then come edge cases: W([3,2]) on every monomial of
+degree <= 12, phi at every R with |R| <= 12, a long evolve, a 6-class
+bracket at n = 12, both selftest levels, empty diagrams, and one argv per
+exit code.
 """
 
 import contextlib
@@ -30,7 +34,6 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "corpus.jsonl")
-ROOT = os.path.dirname(os.path.dirname(HERE))
 
 
 def char_table_with(n, r, cls, value):
@@ -119,19 +122,16 @@ def _monomial(p) -> str:
 
 
 def corpus_argv():
-    """[(argv, patch)] in corpus order, each argv once."""
+    """[(argv, patch)] in corpus order, each once: those of corpus.jsonl in
+    file order, then those below that it does not hold."""
     from diagram_ops.partitions import format_partition, partitions_of
 
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    import workloads
-
-    argvs = []
-    for name in ("products", "operators", "hurwitz"):
-        for seed in range(1, 6):
-            for op in workloads.make_round(name, seed):
-                argvs += [list(op.argv), ["--json"] + list(op.argv)]
+    out = []
+    if os.path.exists(CORPUS):
+        with open(CORPUS, encoding="ascii") as f:
+            out = [(rec["argv"], rec.get("patch")) for rec in map(json.loads, f)]
     up_to_12 = [p for n in range(13) for p in partitions_of(n)]
-    argvs += [["--max-degree", "12", "wapply", "[3,2]", _monomial(p)] for p in up_to_12]
+    argvs = [["--max-degree", "12", "wapply", "[3,2]", _monomial(p)] for p in up_to_12]
     for delta in ("[2]", "[3]", "[2,1]", "[2,2]", "[4]"):
         argvs += [["--max-degree", "12", "eigenvalue", delta, format_partition(r)] for r in up_to_12]
     argvs += [["--json", "--max-degree", "12", "eigenvalue", "[2]", format_partition(r)]
@@ -155,14 +155,14 @@ def corpus_argv():
         # exit code 3
         ["--max-degree", "12", "chartable", "13"], ["--json", "evolve", "--order", "101", "[2]"],
     ]
-    seen, out = set(), []
-    for argv in argvs:
-        if tuple(argv) not in seen:
-            seen.add(tuple(argv))
-            out.append((argv, None))
     # exit code 4, which only a broken table reaches
-    out += [(["mult", "[2,2]", "[2,2]"], "s4-negated-entry"),
-            (["--json", "mult", "[2,2]", "[2,2]"], "s4-negated-entry")]
+    patched = [(["mult", "[2,2]", "[2,2]"], "s4-negated-entry"),
+               (["--json", "mult", "[2,2]", "[2,2]"], "s4-negated-entry")]
+    seen = {(tuple(argv), patch) for argv, patch in out}
+    for argv, patch in [(argv, None) for argv in argvs] + patched:
+        if (tuple(argv), patch) not in seen:
+            seen.add((tuple(argv), patch))
+            out.append((argv, patch))
     return out
 
 

@@ -16,7 +16,7 @@ import diagram_ops
 
 from diagram_ops import characters, oracles
 from diagram_ops.cli import COMMANDS, GLOBAL_OPTIONS, _is_option, main, parse_args, to_json
-from diagram_ops.errors import ConsistencyError
+from diagram_ops.errors import ConsistencyError, quote
 from diagram_ops.oracles import mult_same_degree
 
 from test_golden import make_corpus
@@ -531,7 +531,7 @@ def test_integer_argv_is_an_optional_sign_and_ascii_digits(argv, name):
     at = argv.index(None)
     for token in ["\u0663", "\uff13", "1_0", " 3 ", "3\n", OVER_LONG]:
         args, err = _parse(argv[:at] + [token] + argv[at + 1:])
-        assert args is None and "takes an integer, not %r" % token in err, token
+        assert args is None and "takes an integer, not %s" % quote(token) in err, token
     for token, value in [("+3", 3), ("007", 7), ("3", 3)]:
         args, err = _parse(argv[:at] + [token] + argv[at + 1:])
         assert getattr(args, name) == value and err == "", token
@@ -562,6 +562,67 @@ def test_over_long_integer_text_is_a_parse_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error (parse): " + message)
     assert "set_int_max_str_digits" not in err
+
+
+NINES = "9" * 4300  # the most digits the integer reader takes
+ONES = "1" * 4300
+
+#: (argv whose error shows long input, its exit code): the first six exit
+#: as they did when messages echoed the whole input, the last three with a
+#: degree over the int-to-string limit, a resource error
+LONG_INPUT_PROBES = [
+    (["schur", "[%s]" % ",".join(["1"] * 3000 + ["2"])], 2),
+    (["chartable", NINES], 3),
+    (["chartable", "x" * 5000], 2),
+    (["x" * 5000], 2),
+    (["wapply", "[2]", "p1*" + "q" * 5000], 2),
+    (["mult", "[%s]" % NINES, "[%s]" % NINES], 3),
+    (["evolve", "--order", NINES, "[2]"], 3),
+    (["schur", "[%s,%s]" % (NINES, NINES)], 3),
+    (["wapply", "[2]", "p%s^%s" % (ONES, ONES)], 3),
+]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv, code", LONG_INPUT_PROBES, ids=[
+    "schur of 3001 parts", "chartable of 4300 digits", "chartable of 5000 characters",
+    "unknown command", "wapply factor of 5000 characters", "mult of 4300-digit degrees",
+    "evolve order of 4300 digits", "schur of two 4300-digit parts",
+    "wapply index and exponent of 4300 digits"])
+def test_an_error_shows_long_input_bounded(capsys, json_flag, argv, code):
+    try:
+        got = main(json_flag + argv)
+    except SystemExit as exc:  # a usage error
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    if code == 3:
+        assert ('"kind": "resource"' in out) if json_flag else err.startswith("error (resource): ")
+    assert max(len(line.encode()) for line in (out + err).splitlines()) <= 300
+    assert "Exceeds the limit" not in out + err and "(at position" not in out + err
+
+
+def test_quote_shows_at_most_its_limit():
+    assert [quote("[2,x]"), quote(-3), quote((2, 1))] == ["'[2,x]'", "-3", "(2, 1)"]
+    assert quote("x" * 5000) == "'%s... (5002 characters)" % ("x" * 59)
+    assert quote(10 ** 59) == str(10 ** 59)
+    # past the limit an int is not converted, so neither is one over 4,300 digits
+    assert quote(10 ** 60) == quote(-10 ** 5000) == "<an integer of more than 60 digits>"
+
+
+def test_every_parse_error_has_one_message():
+    # ValueError keeps all its arguments, so a second one, as a position
+    # once was, would make str(e) a tuple
+    package = os.path.dirname(diagram_ops.__file__)
+    calls = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                calls += [(name, node.lineno, len(node.args) + len(node.keywords))
+                          for node in ast.walk(ast.parse(f.read()))
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "ParseError"]
+    assert len(calls) > 5 and [call for call in calls if call[2] != 1] == []
 
 
 @pytest.mark.parametrize("argv, names", [

@@ -10,7 +10,6 @@ from diagram_ops.errors import BoundError
 from diagram_ops.hurwitz import (
     MAX_SERIES_ORDER,
     MAX_SERIES_PAIRS,
-    _beta_key,
     _multi_indices,
     generating_function,
     hurwitz_chain,
@@ -18,6 +17,7 @@ from diagram_ops.hurwitz import (
 )
 from diagram_ops.partitions import aut_order, multiplicity, pad, partitions_of
 from diagram_ops.oracles import (
+    _beta_key,
     connected_series,
     hurwitz_genus0,
     one_part_hurwitz,

@@ -171,32 +171,32 @@ def regex_parse_partition(text):
     s = text.strip()
     m = PARTITION_RE.fullmatch(s)
     if m is None:
-        for i, ch in enumerate(s):
+        for ch in s:
             if ch not in "[],0123456789":
-                raise ParseError("unexpected character %r in partition" % ch, i)
-        raise ParseError("malformed partition %r" % s, 0)
+                raise ParseError("unexpected character %r in partition" % ch)
+        raise ParseError("malformed partition %r" % s)
     if m.group(1) is None:
         return ()
     try:
         return as_partition(tuple(int(x) for x in m.group(1).split(",")))
     except ValueError as e:
-        raise ParseError(str(e), 1) from None
+        raise ParseError(str(e)) from None
 
 
 def regex_parse_fraction(text):
     if FRACTION_RE.fullmatch(text) is None:
-        raise ParseError("malformed rational %r" % text, 0)
+        raise ParseError("malformed rational %r" % text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError("malformed rational %r" % text, 0) from None
+        raise ParseError("malformed rational %r" % text) from None
 
 
 def outcome(parse, text):
     try:
         return "value", parse(text)
     except ParseError as e:
-        return "error", str(e), e.pos
+        return "error", str(e)
 
 
 # ASCII digits, digits of other scripts (Arabic-Indic, Devanagari,
@@ -277,7 +277,7 @@ def test_as_partition_rejects_bad_parts():
 def test_diagram_sum_arithmetic():
     a = DiagramSum({(2,): 2})
     b = DiagramSum({(2,): -2})
-    assert diagram_sum(list(terms(a).items()) + list(terms(b).items())) == DiagramSum.zero()
+    assert diagram_sum(list(terms(a).items()) + list(terms(b).items())) == DiagramSum()
     s = diagram_sum([((2, 1), 1), ((1,), Fraction(1, 2))])
     assert list(terms(s).items()) == [((1,), Fraction(1, 2)), ((2, 1), 1)]
     assert diagram_sum((p, c) for p, c in terms(s).items() if degree(p) == 3) == DiagramSum(

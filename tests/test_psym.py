@@ -261,15 +261,18 @@ def test_parse_ppoly():
     with pytest.raises(ParseError):
         parse_ppoly("1/3*q2")
     over_long = "1" * 4301  # digits, above the int-to-string limit
+    # only a term's first factor may be its coefficient
     for text in ("p0", "2*p0^2", "p1 + p00", "p1^", "2*p2*p1^", "p\u00b2", "p1^\u00b2",
-                 "p" + over_long, "p1^" + over_long):
+                 "p" + over_long, "p1^" + over_long, "p2*q3", "p2*3"):
         with pytest.raises(ParseError):
             parse_ppoly(text)
+    with pytest.raises(ParseError, match="^malformed power-sum factor 'q3'$"):
+        parse_ppoly("p1 + p2*q3")
 
 
 def test_text_format():
     assert schur((2, 1)).to_text() == "1/3*p1^3 + -1/3*p3"
-    assert PPoly.zero().to_text() == "0"
+    assert PPoly().to_text() == "0"
     # each coefficient in lowest terms, not over the common denominator 12
     f = ppoly({(1,): Fraction(1, 2), (2,): Fraction(-2, 3), (3,): Fraction(5, 4), (4,): 2})
     assert (f.numerators, f.denominator) == ({(1,): 6, (2,): -8, (3,): 15, (4,): 24}, 12)
